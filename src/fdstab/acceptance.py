@@ -17,11 +17,12 @@ from . import constants as C
 from . import moments as Mo
 from . import spectral as Sp
 from .counterexample import counterexample_report
-from .fields import RadialField, TailModel, barenblatt_field, quadrature_mesh
+from .fields import (barenblatt_field, moment_matched_field,
+                     normalized_to_profile_mass, quadrature_mesh)
 from .flow import default_flow_mesh, solve_fdr, solve_fdr_delayed
 from .ledger import ConstantLedger
 from .params import derive_exponents
-from .profiles import barenblatt_scaled, closed_form_moments
+from .profiles import closed_form_moments
 from .shooting import emden_fowler_verify, shoot_disk_radial
 
 
@@ -173,20 +174,13 @@ def check_phase_system() -> CheckResult:
 def check_delay_bound() -> CheckResult:
     t0 = time.perf_counter()
     ex = derive_exponents(3, m=2.0 / 3.0)
-    mt = closed_form_moments(ex)
     mesh = default_flow_mesh(400)
     tau_b = Mo.delay_bound(ex, 0.0, 0.0).tau_bullet
     assert tau_b is not None
     ok = True
     sups = []
     for l1, l2 in [(0.8, 1.3), (0.7, 1.5), (0.9, 1.15), (0.85, 1.25), (0.75, 1.4)]:
-        c = (l2 - 1.0) / (l2 - l1)
-        vals = c * barenblatt_scaled(ex, l1, mesh) \
-            + (1 - c) * barenblatt_scaled(ex, l2, mesh)
-        amp = c * l1 ** (1 / (1 - ex.m) - 1.5) + (1 - c) * l2 ** (1 / (1 - ex.m) - 1.5)
-        fld = RadialField(ex, mesh, vals, TailModel(amp, 2 / (ex.m - 1)))
-        scale = mt.mass / fld.mass()
-        fld = RadialField(ex, mesh, vals * scale, TailModel(amp * scale, 2 / (ex.m - 1)))
+        fld = normalized_to_profile_mass(moment_matched_field(ex, mesh, l1, l2))
         traj = solve_fdr_delayed(fld, 2.5, n_saves=25)
         taus = np.array([rec.tau for rec in traj.delay])
         svals = np.array([rec.t + rec.tau for rec in traj.delay])
@@ -220,19 +214,8 @@ def check_spectral() -> CheckResult:
 
 def _golden_ledger() -> ConstantLedger:
     import importlib.resources
-    import json
-
-    from .ledger import LedgerEntry
-    from .logscale import LogReal
-    text = importlib.resources.files("fdstab").joinpath(
-        "data/golden_ledger_d3_m075.json").read_text()
-    golden = ConstantLedger()
-    for e in json.loads(text):
-        ls = e["log_scale"]
-        golden.entries[e["name"]] = LedgerEntry(
-            e["name"], LogReal(ls["lnsign"], ls["lndepth"], ls["lnmag"]),
-            e["formula"])
-    return golden
+    return ConstantLedger.from_json(importlib.resources.files("fdstab").joinpath(
+        "data/golden_ledger_d3_m075.json").read_text())
 
 
 def check_ledger_regression(golden: ConstantLedger | None = None) -> CheckResult:

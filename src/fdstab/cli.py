@@ -45,31 +45,22 @@ def _load_config(argv: list[str]) -> dict:
 
 
 def _parse_init(spec: str, ex, mesh):
-    from .fields import RadialField, TailModel, barenblatt_field
-    from .profiles import barenblatt_scaled, closed_form_moments
+    from .fields import (barenblatt_field, moment_matched_field,
+                         normalized_to_profile_mass)
 
     if spec == "barenblatt":
         fld = barenblatt_field(ex, mesh)
     elif spec.startswith("scaled-barenblatt:"):
-        lam = float(spec.split(":", 1)[1])
-        fld = barenblatt_field(ex, mesh, lam=lam)
+        fld = barenblatt_field(ex, mesh, lam=float(spec.split(":", 1)[1]))
     elif spec.startswith("moment-matched:"):
         l1, l2 = (float(v) for v in spec.split(":", 1)[1].split(","))
-        c = (l2 - 1.0) / (l2 - l1)
-        vals = c * barenblatt_scaled(ex, l1, mesh) \
-            + (1 - c) * barenblatt_scaled(ex, l2, mesh)
-        amp = c * l1 ** (1 / (1 - ex.m) - ex.d / 2) \
-            + (1 - c) * l2 ** (1 / (1 - ex.m) - ex.d / 2)
-        fld = RadialField(ex, mesh, vals, TailModel(amp, 2 / (ex.m - 1)))
+        fld = moment_matched_field(ex, mesh, l1, l2)
     else:
         raise ValueError(f"unknown initial datum {spec!r}; use barenblatt, "
                          "scaled-barenblatt:LAM or moment-matched:L1,L2")
     # align the analytic normalization with the mesh's own quadrature so
     # coarse meshes do not trip the solver's mass gate
-    scale = closed_form_moments(ex).mass / fld.mass()
-    tail = None if fld.tail is None else TailModel(fld.tail.amplitude * scale,
-                                                   fld.tail.power)
-    return RadialField(ex, mesh, fld.v * scale, tail)
+    return normalized_to_profile_mass(fld)
 
 
 def _add_common(sp):
@@ -309,14 +300,11 @@ def _dispatch(args) -> int:
 
     if args.command == "shoot":
         if args.problem == "disk":
-            from .shooting import _integrate_disk, _sign_changes, shoot_disk_radial
+            from .shooting import shoot_disk_radial
             res = shoot_disk_radial()
             if args.scan_out:
-                rows = ["a,slope_at_one,sign_changes"]
-                for a in np.arange(1.5, 20.01, 0.25):
-                    sol = _integrate_disk(a)
-                    rows.append(f"{_fmt(a)},{_fmt(sol.y[1][-1])},"
-                                f"{_sign_changes(sol)}")
+                rows = ["a,slope_at_one,sign_changes"] + [
+                    f"{_fmt(a)},{_fmt(s)},{n}" for a, s, n in res.scan]
                 _write(args.scan_out, "\n".join(rows) + "\n")
             payload = {"a_star": res.a_star, "constant": res.constant,
                        "residual": res.residual,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ExponentSet
-from .profiles import barenblatt_scaled, omega_d
+from .profiles import barenblatt_mass, barenblatt_scaled, omega_d
 
 DENSITY_FLOOR = 1e-300
 
@@ -173,6 +173,22 @@ def barenblatt_field(ex: ExponentSet, mesh: np.ndarray | None = None,
     return RadialField(ex, r, v, TailModel(amplitude, power))
 
 
+def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
+                         l2: float) -> RadialField:
+    """Mix c B_l1 + (1-c) B_l2 of two dilations, c = (l2-1)/(l2-l1).
+
+    Both dilations carry the profile mass, and the second moment is
+    linear in the dilation, so the mix matches the profile's mass and
+    second moment; its tail model is the same mix of the two tails.
+    """
+    c = (l2 - 1.0) / (l2 - l1)
+    vals = c * barenblatt_scaled(ex, l1, mesh) \
+        + (1 - c) * barenblatt_scaled(ex, l2, mesh)
+    expo = 1.0 / (1.0 - ex.m) - ex.d / 2.0
+    amp = c * l1 ** expo + (1 - c) * l2 ** expo
+    return RadialField(ex, mesh, vals, TailModel(amp, 2.0 / (ex.m - 1.0)))
+
+
 def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray | None = None,
                         tail_power: float | None = None) -> RadialField:
     """Sample fn(r) on the mesh; fit the tail amplitude at the last node."""
@@ -192,7 +208,6 @@ def normalized_to_profile_mass(field: RadialField) -> RadialField:
     relative error above the flow solvers' mass gate; this aligns the
     discrete measure without changing the analytic object.
     """
-    from .profiles import barenblatt_mass
     scale = barenblatt_mass(field.exponents) / field.mass()
     tail = None if field.tail is None else \
         TailModel(field.tail.amplitude * scale, field.tail.power)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .fields import RadialField, TailModel, graded_mesh
-from .functionals import EntropyReport, fisher_information, relative_entropy_pair
+from .fields import RadialField, TailModel, barenblatt_field, graded_mesh
+from .functionals import EntropyReport, entropy_report
 from .params import ExponentSet
 from .profiles import barenblatt, closed_form_moments, omega_d
 
@@ -198,7 +198,7 @@ def _implicit_step(scheme: _RadialScheme, v_old: np.ndarray, dt: float,
         bands[1, :] += 1.0
         try:
             delta = solve_banded((1, 1), bands, -res)
-        except Exception:
+        except (np.linalg.LinAlgError, ValueError):
             return None
         lam = 1.0
         for _ in range(12):
@@ -309,46 +309,41 @@ def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
                        _tail_amplitude(ex, float(r[-1]), float(v[-1])))
 
 
-def _reference_field(ex: ExponentSet, r: np.ndarray) -> RadialField:
-    return RadialField(ex, r, barenblatt(ex, r), TailModel(1.0, 2.0 / (ex.m - 1.0)))
-
-
 def _report(ex: ExponentSet, r: np.ndarray, v: np.ndarray,
             ref: RadialField) -> tuple[EntropyReport, float]:
     # relative quantities are differenced against the discretized profile
     # (the scheme's own fixed point), which cancels the shared quadrature
     # bias; they vanish exactly at convergence
-    fld = _make_field(ex, r, v)
-    f_val = relative_entropy_pair(fld, ref)
-    i_val = fisher_information(fld)
-    mass = fld.mass()
-    xsq = fld.second_moment()
-    rep = EntropyReport(
-        free_energy=f_val, fisher=i_val,
-        quotient=i_val / f_val if f_val > 0 else math.inf,
-        mass=mass, second_moment=xsq,
-        rel_second_moment=xsq - ref.second_moment(),
-        rel_entropy=fld.entropy_integral() - ref.entropy_integral(),
-        deficit=(1.0 - ex.m) / ex.m * (i_val - 4.0 * f_val))
-    rel = np.abs(v / ref.v - 1.0)
-    return rep, float(np.max(rel))
+    rep = entropy_report(_make_field(ex, r, v), ref)
+    return rep, float(np.max(np.abs(v / ref.v - 1.0)))
+
+
+def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
+    """Scheme and renormalized nodal values shared by the confined flows.
+
+    The initial mass is renormalized to the profile mass when within 1e-6
+    relative and rejected otherwise; the outer ghost node carries the
+    profile value.
+    """
+    ex = v0.exponents
+    mt = closed_form_moments(ex)
+    mass0 = v0.mass()
+    if abs(mass0 - mt.mass) > 1e-6 * mt.mass:
+        raise ValueError(
+            f"initial mass {mass0} is not the profile mass {mt.mass}; rescale "
+            "the datum with fields.normalized_to_profile_mass")
+    r = v0.r
+    ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
+    scheme = _RadialScheme(ex, r, confined=True, ghost_value=ghost)
+    return scheme, v0.v * (mt.mass / mass0)
 
 
 def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions | None = None,
               n_saves: int = 60) -> Trajectory:
     """Integrate the confined flow; initial mass is renormalized to the
     profile mass when within 1e-6 relative, rejected otherwise."""
-    opts = opts or SolverOptions()
-    ex = v0.exponents
-    mt = closed_form_moments(ex)
-    mass0 = v0.mass()
-    if abs(mass0 - mt.mass) > 1e-6 * mt.mass:
-        raise ValueError(f"initial mass {mass0} is not the profile mass {mt.mass}")
-    v = v0.v * (mt.mass / mass0)
-    r = v0.r
-    ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
-    scheme = _RadialScheme(ex, r, confined=True, ghost_value=ghost)
-    return _run(scheme, v, t_end, opts, n_saves)
+    scheme, v = _confined_start(v0)
+    return _run(scheme, v, t_end, opts or SolverOptions(), n_saves)
 
 
 def solve_fd_original(u0: RadialField, t_end: float,
@@ -364,7 +359,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
          delay: bool = False) -> Trajectory:
     ex = scheme.ex
     r = scheme.r
-    ref = _reference_field(ex, r)
+    ref = barenblatt_field(ex, r)
     mt = closed_form_moments(ex)
     stepper = _Stepper(scheme, opts)
     save_times = np.linspace(0.0, t_end, n_saves + 1)
@@ -435,17 +430,8 @@ def solve_fdr_delayed(v0: RadialField, t_end: float,
     """Confined flow plus the delay equation; emits tau, r-factor and the
     matching scale along the trajectory and checks the reconstruction
     conservation at every save."""
-    opts = opts or SolverOptions()
-    ex = v0.exponents
-    mt = closed_form_moments(ex)
-    mass0 = v0.mass()
-    if abs(mass0 - mt.mass) > 1e-6 * mt.mass:
-        raise ValueError(f"initial mass {mass0} is not the profile mass {mt.mass}")
-    v = v0.v * (mt.mass / mass0)
-    r = v0.r
-    ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
-    scheme = _RadialScheme(ex, r, confined=True, ghost_value=ghost)
-    traj = _run(scheme, v, t_end, opts, n_saves, delay=True)
+    scheme, v = _confined_start(v0)
+    traj = _run(scheme, v, t_end, opts or SolverOptions(), n_saves, delay=True)
     assert traj.delay is not None
     for rec in traj.delay:
         if rec.lam <= 0.0:

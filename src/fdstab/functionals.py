@@ -113,20 +113,31 @@ def fisher_information(field: RadialField) -> float:
     return ex.m / (1.0 - ex.m) * val
 
 
-def entropy_report(field: RadialField) -> EntropyReport:
+def entropy_report(field: RadialField, ref: RadialField | None = None) -> EntropyReport:
+    """Entropy bookkeeping of one field.
+
+    Without ``ref`` the relative quantities are taken against the closed
+    forms of the profile.  With a reference sampled on the same mesh they
+    are differenced against it (free energy through
+    :func:`relative_entropy_pair`, K and S against the reference's own
+    quadrature), so the shared quadrature bias cancels.
+    """
     ex = field.exponents
-    mt = closed_form_moments(ex)
-    f_val = relative_entropy(field)
+    if ref is None:
+        mt = closed_form_moments(ex)
+        f_val = relative_entropy(field)
+        xsq_ref, s_ref = mt.second_moment, mt.entropy
+    else:
+        f_val = relative_entropy_pair(field, ref)
+        xsq_ref, s_ref = ref.second_moment(), ref.entropy_integral()
     i_val = fisher_information(field)
-    mass = field.mass()
     xsq = field.second_moment()
-    s_rel = field.entropy_integral() - mt.entropy
-    quotient = i_val / f_val if f_val > 0.0 else math.inf
     return EntropyReport(
-        free_energy=f_val, fisher=i_val, quotient=quotient,
-        mass=mass, second_moment=xsq,
-        rel_second_moment=xsq - mt.second_moment,
-        rel_entropy=s_rel,
+        free_energy=f_val, fisher=i_val,
+        quotient=i_val / f_val if f_val > 0.0 else math.inf,
+        mass=field.mass(), second_moment=xsq,
+        rel_second_moment=xsq - xsq_ref,
+        rel_entropy=field.entropy_integral() - s_ref,
         deficit=(1.0 - ex.m) / ex.m * (i_val - 4.0 * f_val),
     )
 

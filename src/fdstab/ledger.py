@@ -57,6 +57,16 @@ class ConstantLedger:
         payload = [e.to_json_dict() for e in self.entries.values()]
         return json.dumps(payload, indent=indent)
 
+    @classmethod
+    def from_json(cls, text: str) -> "ConstantLedger":
+        """Rebuild a ledger from :meth:`to_json` output via the exact
+        leveled ``log_scale`` form (the plain values are not read)."""
+        led = cls()
+        for e in json.loads(text):
+            led.entries[e["name"]] = LedgerEntry(
+                e["name"], LogReal(**e["log_scale"]), e["formula"])
+        return led
+
     def close_to(self, other: "ConstantLedger", rel: float = 1e-12) -> list[str]:
         """Names of entries that disagree beyond ``rel`` in leveled log form."""
         bad = []

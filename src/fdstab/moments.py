@@ -95,41 +95,26 @@ def xy_closed_form(state0: PhaseState, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def xy_integrate(state0: PhaseState, t_end: float, dt: float = 1e-3) -> dict:
-    """Classical RK4 path of the comparison system on a fixed grid.
+    """Classical RK4 path of one state: the batch integrator on a batch of one.
 
     Returns arrays t, x, y and the energy level along the path.  The
     closed form is the accuracy oracle; RK4 at dt = 1e-3 sits far below
     the 1e-8 comparison tolerance.
     """
-    n = max(1, int(math.ceil(t_end / dt)))
-    t = np.linspace(0.0, n * dt, n + 1)
-    x = np.empty(n + 1)
-    y = np.empty(n + 1)
-    x[0], y[0] = state0.x, state0.y
-    a, b = state0.a, state0.b
-
-    def rhs(xv, yv):
-        return a * yv - 4.0 * xv, -b * yv
-
-    for i in range(n):
-        xi, yi = x[i], y[i]
-        k1 = rhs(xi, yi)
-        k2 = rhs(xi + 0.5 * dt * k1[0], yi + 0.5 * dt * k1[1])
-        k3 = rhs(xi + 0.5 * dt * k2[0], yi + 0.5 * dt * k2[1])
-        k4 = rhs(xi + dt * k3[0], yi + dt * k3[1])
-        x[i + 1] = xi + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y[i + 1] = yi + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    st = [PhaseState(xv, yv, a, b) for xv, yv in zip(x, y)]
-    return {"t": t, "x": x, "y": y,
-            "energy": np.array([s.energy() for s in st])}
+    path = _rk4(state0.a, state0.b, [state0.x], [state0.y], t_end, dt)
+    return {"t": path["t"], "x": path["x"][:, 0], "y": path["y"][:, 0],
+            "energy": path["energy"][:, 0]}
 
 
 def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
                        dt: float = 1e-3) -> dict:
     """Vectorized RK4 over a batch of initial states (same fixed grid)."""
+    return _rk4(ex.a_param, ex.b_param, x0, y0, t_end, dt)
+
+
+def _rk4(a: float, b: float, x0, y0, t_end: float, dt: float) -> dict:
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    a, b = ex.a_param, ex.b_param
     n = max(1, int(math.ceil(t_end / dt)))
     t = np.linspace(0.0, n * dt, n + 1)
     xs = np.empty((n + 1,) + x.shape)

@@ -33,6 +33,8 @@ class ShootResult:
     constant: float
     residual: float
     sign_changes: int
+    # the scan that bracketed a_star: (a, f'(1), sign changes) per height
+    scan: tuple[tuple[float, float, int], ...] = ()
 
 
 def _disk_rhs(r, y):
@@ -69,15 +71,15 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
 
     Scans the initial height for a bracket of s(a) = f'(1) restricted to
     the branch with exactly one sign change, refines the root by
-    bracketing bisection and extracts the radial optimal constant.
-    a = 1 solves the ODE trivially (f == 1, no sign change) and is
-    excluded by the scan range.
+    bracketing bisection and extracts the radial optimal constant; the
+    scan trace is returned with the result.  a = 1 solves the ODE
+    trivially (f == 1, no sign change) and is excluded by the scan range.
     """
     grid = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
     trace = []
     for a in grid:
         sol = _integrate_disk(a, rtol=rtol)
-        trace.append((a, float(sol.y[1][-1]), _sign_changes(sol)))
+        trace.append((float(a), float(sol.y[1][-1]), _sign_changes(sol)))
     bracket = None
     for (a0, s0, n0), (a1, s1, n1) in zip(trace, trace[1:]):
         if n0 == 1 and n1 == 1 and s0 * s1 < 0.0:
@@ -100,7 +102,8 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
     source = cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
     residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
     return ShootResult(a_star=float(a_star), constant=constant,
-                       residual=residual, sign_changes=_sign_changes(sol))
+                       residual=residual, sign_changes=_sign_changes(sol),
+                       scan=tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -101,3 +101,20 @@ def test_harnack_command(capsys):
     payload = json.loads(out)
     assert payload["bound_satisfied"] is True
     assert payload["ratio"] >= 1.0
+
+
+def test_shoot_scan_out(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    code, out = run(["shoot", "--problem", "disk", "--scan-out", str(scan)],
+                    capsys)
+    assert code == 0
+    a_star = json.loads(out)["a_star"]
+    lines = scan.read_text().splitlines()
+    assert lines[0] == "a,slope_at_one,sign_changes"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert len(rows) == 75
+    # the scan holds the bracket that located a*: adjacent rows on the
+    # one-sign-change branch whose slopes f'(1) change sign around it
+    brackets = [(a0, a1) for (a0, s0, n0), (a1, s1, n1) in zip(rows, rows[1:])
+                if n0 == n1 == 1 and s0 * s1 < 0.0]
+    assert [b for b in brackets if b[0] < a_star < b[1]]

@@ -1,21 +1,19 @@
 """Constant chains: exact anchors, scalings and the golden regression."""
 
+import importlib.resources
 import json
 import math
-import os
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from fdstab import constants as C
-from fdstab.ledger import ConstantLedger, LedgerEntry
-from fdstab.logscale import LogReal, logreal
+from fdstab.ledger import ConstantLedger
+from fdstab.logscale import logreal
 from fdstab.params import derive_exponents
 
 mp.mp.dps = 40
-GOLDEN = os.path.join(os.path.dirname(__file__), "data",
-                      "golden_ledger_d3_m075.json")
 
 
 def test_embedding_constants():
@@ -217,14 +215,8 @@ def test_critical_stability_constants():
 
 def test_ledger_regression_against_golden():
     led = C.build_ledger(3, 0.75, 0.5, 2.0, 1.0, 1.0)
-    with open(GOLDEN) as fh:
-        entries = json.load(fh)
-    golden = ConstantLedger()
-    for e in entries:
-        ls = e["log_scale"]
-        golden.entries[e["name"]] = LedgerEntry(
-            e["name"], LogReal(ls["lnsign"], ls["lndepth"], ls["lnmag"]),
-            e["formula"])
+    golden = ConstantLedger.from_json(importlib.resources.files("fdstab").joinpath(
+        "data/golden_ledger_d3_m075.json").read_text())
     bad = led.close_to(golden, rel=1e-12)
     assert not bad, f"ledger drifted from golden values: {bad}"
 

@@ -5,7 +5,8 @@ import pytest
 
 from fdstab.fields import (DivergentTailError, RadialField, TailModel,
                            barenblatt_field, field_from_function,
-                           gradient_integral, graded_mesh, quadrature_mesh)
+                           gradient_integral, graded_mesh, moment_matched_field,
+                           normalized_to_profile_mass, quadrature_mesh)
 from fdstab.params import derive_exponents
 from fdstab.profiles import closed_form_moments, g_norms
 
@@ -70,3 +71,20 @@ def test_scaled_field_mass_invariant():
         # second moment scales linearly in the dilation
         assert abs(fld.second_moment() - lam * mt.second_moment) \
             < 1e-5 * mt.second_moment
+
+
+def test_moment_matched_field_matches_profile_moments():
+    mesh = quadrature_mesh()
+    for m in (2.0 / 3.0, 0.75):
+        ex = derive_exponents(3, m=m)
+        mt = closed_form_moments(ex)
+        profile = barenblatt_field(ex, mesh)
+        for l1, l2 in [(0.8, 1.3), (0.7, 1.5), (0.5, 2.0)]:
+            fld = moment_matched_field(ex, mesh, l1, l2)
+            # a genuine two-dilation mix, not the profile itself
+            assert np.max(np.abs(fld.v / profile.v - 1.0)) > 1e-2
+            assert abs(fld.mass() - mt.mass) < 1e-6 * mt.mass
+            assert abs(fld.second_moment() - mt.second_moment) \
+                < 1e-6 * mt.second_moment
+            normed = normalized_to_profile_mass(fld)
+            assert abs(normed.mass() - mt.mass) <= 1e-14 * mt.mass

@@ -6,30 +6,18 @@ import numpy as np
 import pytest
 
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
-                           graded_mesh, normalized_to_profile_mass)
+                           graded_mesh, moment_matched_field,
+                           normalized_to_profile_mass)
 from fdstab.flow import (default_flow_mesh, entropy_growth_floor,
                          map_fd_to_selfsimilar, reconstruct_delayed,
                          solve_fd_original, solve_fdr, solve_fdr_delayed)
 from fdstab.moments import delay_bound
 from fdstab.params import derive_exponents
-from fdstab.profiles import (BarenblattSpec, barenblatt_scaled,
-                             closed_form_moments, eval_barenblatt)
+from fdstab.profiles import (BarenblattSpec, closed_form_moments,
+                             eval_barenblatt)
 
 EX34 = derive_exponents(3, m=0.75)
 EX23 = derive_exponents(3, m=2.0 / 3.0)
-
-
-def _moment_matched_field(ex, mesh, l1, l2):
-    mt = closed_form_moments(ex)
-    c = (l2 - 1.0) / (l2 - l1)
-    vals = c * barenblatt_scaled(ex, l1, mesh) \
-        + (1 - c) * barenblatt_scaled(ex, l2, mesh)
-    amp = c * l1 ** (1 / (1 - ex.m) - ex.d / 2) \
-        + (1 - c) * l2 ** (1 / (1 - ex.m) - ex.d / 2)
-    fld = RadialField(ex, mesh, vals, TailModel(amp, 2 / (ex.m - 1)))
-    scale = mt.mass / fld.mass()
-    return RadialField(ex, mesh, vals * scale,
-                       TailModel(amp * scale, 2 / (ex.m - 1)))
 
 
 def test_profile_is_stationary():
@@ -134,10 +122,8 @@ def test_selfsimilar_round_trip():
     bump = 1.0 + 0.2 * np.exp(-((mesh * ex.lambda_bullet) ** 2))
     vals = base * bump
     amp = float(vals[-1] / mesh[-1] ** (2 / (ex.m - 1)))
-    u0 = RadialField(ex, mesh, vals, TailModel(amp, 2 / (ex.m - 1)))
-    mass_scale = closed_form_moments(ex).mass / u0.mass()
-    u0 = RadialField(ex, mesh, vals * mass_scale,
-                     TailModel(amp * mass_scale, 2 / (ex.m - 1)))
+    u0 = normalized_to_profile_mass(
+        RadialField(ex, mesh, vals, TailModel(amp, 2 / (ex.m - 1))))
     t_fd = 1.5
     traj_fd = solve_fd_original(u0, t_fd, n_saves=6)
 
@@ -145,12 +131,10 @@ def test_selfsimilar_round_trip():
     lb = ex.lambda_bullet
     fmesh = default_flow_mesh(500)
     v0_vals = np.interp(fmesh, mesh * lb, u0.v * lb ** -ex.d)
-    v0 = RadialField(ex, fmesh, v0_vals,
-                     TailModel(u0.tail.amplitude * lb ** (-ex.d - u0.tail.power),
-                               u0.tail.power))
-    scale = closed_form_moments(ex).mass / v0.mass()
-    v0 = RadialField(ex, fmesh, v0_vals * scale,
-                     TailModel(v0.tail.amplitude * scale, v0.tail.power))
+    v0 = normalized_to_profile_mass(RadialField(
+        ex, fmesh, v0_vals,
+        TailModel(u0.tail.amplitude * lb ** (-ex.d - u0.tail.power),
+                  u0.tail.power)))
     s_end = 0.5 * math.log((1.0 + ex.alpha * t_fd) ** (1.0 / ex.alpha))
     traj_v = solve_fdr(v0, s_end, n_saves=6)
 
@@ -168,7 +152,7 @@ def test_selfsimilar_round_trip():
 def test_delayed_flow_tau_bound():
     mesh = default_flow_mesh(400)
     tau_star = delay_bound(EX23, 0.0, 0.0).tau_bullet
-    fld = _moment_matched_field(EX23, mesh, 0.8, 1.3)
+    fld = normalized_to_profile_mass(moment_matched_field(EX23, mesh, 0.8, 1.3))
     traj = solve_fdr_delayed(fld, 2.5, n_saves=25)
     taus = np.array([rec.tau for rec in traj.delay])
     assert np.max(np.abs(taus)) <= tau_star
@@ -216,7 +200,7 @@ def test_second_moment_tail_norm_bound():
 def test_mass_gate():
     fld = barenblatt_field(EX34, default_flow_mesh(300))
     bad = RadialField(EX34, fld.r, fld.v * 1.01, fld.tail)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normalized_to_profile_mass"):
         solve_fdr(bad, 0.1)
 
 
