@@ -19,7 +19,7 @@ from .functionals import (EntropyReport, best_match, csiszar_kullback_gap,
                           normalization_map, relative_entropy,
                           rigidity_residual, xm_norm)
 from .counterexample import counterexample_report
-from .flow import (SolverOptions, Trajectory, default_flow_mesh,
+from .flow import (SolverOptions, SolverStats, Trajectory, default_flow_mesh,
                    solve_fd_original, solve_fdr, solve_fdr_delayed)
 from .parabolic import harnack_ratio, solve_linear_parabolic
 from .spectral import SpectrumQuery, critical_gap_parameters, eigenvalue, spectral_gap
@@ -40,7 +40,8 @@ __all__ = [
     "entropy_report", "fisher_information", "normalization_map",
     "relative_entropy", "rigidity_residual", "xm_norm",
     "counterexample_report",
-    "SolverOptions", "Trajectory", "default_flow_mesh", "solve_fd_original",
+    "SolverOptions", "SolverStats", "Trajectory", "default_flow_mesh",
+    "solve_fd_original",
     "solve_fdr", "solve_fdr_delayed",
     "harnack_ratio", "solve_linear_parabolic",
     "SpectrumQuery", "critical_gap_parameters", "eigenvalue", "spectral_gap",

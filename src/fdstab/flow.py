@@ -13,11 +13,12 @@ midpoints, control volumes around nodes):
   equation dtau/dt = (moment ratio)^{-alpha/2} - 1 integrated with Heun
   steps on the same grid.
 
-Time stepping is implicit Euler with a damped Newton solve of the
-tridiagonal system per step and step-doubling error control; a
-lagged-mobility linear step is used as a fallback when Newton stalls.
-Mass is bookkept as the scheme's cell-volume sum corrected by the flux
-through the outer face, so the reported drift isolates solver error.
+Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
+Newton solve of a tridiagonal system, with the embedded local error
+estimate of Hosea and Shampine controlling the step; a step that cannot
+meet the tolerance raises RuntimeError.  Mass is bookkept as the scheme's
+cell-volume sum corrected by the flux through the outer face, weighted as
+the stages apply it, so the reported drift isolates solver error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .fields import RadialField, TailModel, barenblatt_field, graded_mesh
 from .functionals import EntropyReport, entropy_report
@@ -35,15 +36,36 @@ from .profiles import barenblatt, closed_form_moments, omega_d
 
 _FLOOR = 1e-300
 
+# TR-BDF2: the trapezoid stage reaches t + _GAMMA dt, both stages carry the
+# implicit weight _D dt, and the BDF2 stage is v1 = v0 + _A (vg - v0) + _D dt f1
+_GAMMA = 2.0 - math.sqrt(2.0)
+_D = 0.5 * _GAMMA
+_A = 1.0 / (_GAMMA * (2.0 - _GAMMA))
+# local error weights on rhs at (t, t + _GAMMA dt, t + dt)
+_E0, _E1, _E2 = (_GAMMA - 1.0) / 3.0, 1.0 / 3.0, -_GAMMA / 3.0
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-12
     newton_max_iter: int = 30
-    step_tol: float = 1e-8       # target local error of one implicit step
+    step_tol: float = 1e-8       # local error of one step, max norm over max v
     dt_init: float = 1e-4
     dt_max: float = 0.05
     max_steps: int = 2_000_000
+
+
+@dataclass
+class SolverStats:
+    """Work counts of one run; machine independent, so runs compare by them."""
+
+    accepted: int = 0            # accepted time steps
+    rejected: int = 0            # steps retried with a smaller dt
+    stage_solves: int = 0        # implicit stage solves, failed ones included
+    newton_iters: int = 0        # Newton iterations (tridiagonal solves) in them
+    dt_min: float = math.inf     # over accepted steps
+    dt_max: float = 0.0
+    dt_last: float = math.nan
 
 
 @dataclass
@@ -65,6 +87,7 @@ class Trajectory:
     sup_rel_err: list[float]             # sup |v/B - 1| per snapshot
     conserved_mass: list[float] | None = None
     delay: list["DelaySample"] | None = None
+    stats: SolverStats | None = None
 
     def to_csv(self) -> str:
         header = "t,F,I,Q,mass,second_moment,K,S,tau,lambda,sup_rel_err"
@@ -139,8 +162,8 @@ class _RadialScheme:
         flux = self.fluxes(v)
         return (self.area[1:] * flux[1:] - self.area[:-1] * flux[:-1]) / self.vol
 
-    def jacobian_bands(self, v: np.ndarray) -> np.ndarray:
-        """Tridiagonal d(rhs)/dv in solve_banded layout (3, n)."""
+    def jacobian_diagonals(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Tridiagonal d(rhs)/dv as its (sub, main, super) diagonals."""
         m = self.ex.m
         n = v.size
         vc = np.maximum(v, _FLOOR)
@@ -165,134 +188,122 @@ class _RadialScheme:
             dflux_right = dwm[1:] / self.h
             dflux_out_left = 0.0
 
-        diag = np.zeros(n)
-        lower = np.zeros(n)
-        upper = np.zeros(n)
-        a_in = self.area[:-1]
-        a_out = self.area[1:]
         # face i+1/2 (index i+1 in flux array) adds to rows i and i+1
-        diag[:-1] += a_out[:-1] * dflux_left / self.vol[:-1]
-        upper[1:] += a_out[:-1] * dflux_right / self.vol[:-1]
-        lower[:-1] += -a_in[1:] * dflux_left / self.vol[1:]
-        diag[1:] += -a_in[1:] * dflux_right / self.vol[1:]
-        diag[-1] += a_out[-1] * dflux_out_left / self.vol[-1]
-        bands = np.zeros((3, n))
-        bands[0, :] = upper
-        bands[1, :] = diag
-        bands[2, :] = lower
-        return bands
+        face = self.area[1:n]
+        diag = np.zeros(n)
+        diag[:-1] += face * dflux_left / self.vol[:-1]
+        diag[1:] += -face * dflux_right / self.vol[1:]
+        diag[-1] += self.area[-1] * dflux_out_left / self.vol[-1]
+        upper = face * dflux_right / self.vol[:-1]
+        lower = -face * dflux_left / self.vol[1:]
+        return lower, diag, upper
 
 
-def _implicit_step(scheme: _RadialScheme, v_old: np.ndarray, dt: float,
-                   opts: SolverOptions,
-                   v_init: np.ndarray | None = None) -> np.ndarray | None:
-    """One implicit-Euler step via damped Newton; None when not converged."""
-    v = v_old.copy() if v_init is None else v_init.copy()
-    scale = float(np.max(v_old)) + 1e-30
+def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float,
+                   v: np.ndarray, opts: SolverOptions,
+                   stats: SolverStats) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve v - h rhs(v) = base by damped Newton from the guess v.
+
+    Returns (v, rhs(v)), or None when Newton does not converge.
+    """
+    stats.stage_solves += 1
+    scale = float(np.max(base)) + 1e-30
+    f = scheme.rhs(v)
+    res = v - h * f - base
+    norm = float(np.max(np.abs(res))) / scale
     for _ in range(opts.newton_max_iter):
-        res = v - v_old - dt * scheme.rhs(v)
-        norm = float(np.max(np.abs(res))) / scale
         if norm < opts.newton_tol:
-            return v
-        bands = -dt * scheme.jacobian_bands(v)
-        bands[1, :] += 1.0
-        try:
-            delta = solve_banded((1, 1), bands, -res)
-        except (np.linalg.LinAlgError, ValueError):
+            return v, f
+        lower, diag, upper = scheme.jacobian_diagonals(v)
+        stats.newton_iters += 1
+        *_, delta, info = dgtsv(-h * lower, 1.0 - h * diag, -h * upper, -res)
+        if info != 0:
             return None
         lam = 1.0
         for _ in range(12):
             trial = np.maximum(v + lam * delta, 0.0)
-            res_t = trial - v_old - dt * scheme.rhs(trial)
-            if float(np.max(np.abs(res_t))) / scale < norm:
-                v = trial
+            f_t = scheme.rhs(trial)
+            res_t = trial - h * f_t - base
+            norm_t = float(np.max(np.abs(res_t))) / scale
+            if norm_t < norm:
+                v, f, res, norm = trial, f_t, res_t, norm_t
                 break
             lam *= 0.5
         else:
             return None
-    res = v - v_old - dt * scheme.rhs(v)
-    if float(np.max(np.abs(res))) / scale < opts.newton_tol * 100.0:
-        return v
-    return None
+    return (v, f) if norm < opts.newton_tol * 100.0 else None
 
 
-def _lagged_step(scheme: _RadialScheme, v_old: np.ndarray, dt: float) -> np.ndarray:
-    """Semi-implicit fallback: one linear step with the mobility frozen.
-
-    Confined flow: the pressure slope in the flux is evaluated at the old
-    state, leaving a flux linear in the face average of v.  Unconfined
-    flow: u^m is linearized as u * u_old^{m-1}.  Used as a Newton rescue
-    guess, not as a primary integrator.
-    """
-    n = v_old.size
-    m = scheme.ex.m
-    diag = np.ones(n)
-    upper = np.zeros(n)
-    lower = np.zeros(n)
-    const = v_old.copy()
-    a_over_v_out = scheme.area[1:] / scheme.vol
-    a_over_v_in = scheme.area[:-1] / scheme.vol
-    if scheme.confined:
-        w_old = np.maximum(v_old, _FLOOR) ** (m - 1.0)
-        coeff = 2.0 * scheme.faces[1:n] - (w_old[1:] - w_old[:-1]) / scheme.h
-        # interior face i+1/2: flux = (v_i + v_{i+1})/2 * coeff_i
-        diag[:-1] -= dt * a_over_v_out[:-1] * 0.5 * coeff
-        upper[1:] -= dt * a_over_v_out[:-1] * 0.5 * coeff
-        diag[1:] += dt * a_over_v_in[1:] * 0.5 * coeff
-        lower[:-1] += dt * a_over_v_in[1:] * 0.5 * coeff
-        if scheme.ghost_value is not None:
-            vg = scheme.ghost_value
-            wg = max(vg, _FLOOR) ** (m - 1.0)
-            c_out = 2.0 * scheme.faces[n] - (wg - w_old[-1]) / scheme.h_ghost
-            diag[-1] -= dt * a_over_v_out[-1] * 0.5 * c_out
-            const[-1] += dt * a_over_v_out[-1] * 0.5 * c_out * vg
-    else:
-        mob = np.maximum(v_old, _FLOOR) ** (m - 1.0)
-        inv_h = 1.0 / scheme.h
-        diag[:-1] += dt * a_over_v_out[:-1] * mob[:-1] * inv_h
-        upper[1:] -= dt * a_over_v_out[:-1] * mob[1:] * inv_h
-        diag[1:] += dt * a_over_v_in[1:] * mob[1:] * inv_h
-        lower[:-1] -= dt * a_over_v_in[1:] * mob[:-1] * inv_h
-    bands = np.vstack([upper, diag, lower])
-    return np.maximum(solve_banded((1, 1), bands, const), 0.0)
-
-
-@dataclass
 class _Stepper:
-    scheme: _RadialScheme
-    opts: SolverOptions
-    t: float = 0.0
-    boundary_mass: float = 0.0   # integral of the outer-face flux
+    """TR-BDF2 time stepping with an embedded error estimate.
 
-    def advance(self, v: np.ndarray, dt: float) -> tuple[np.ndarray, float, float]:
-        """Step with local error control; returns (v_new, dt_taken, dt_next)."""
-        opts = self.opts
+    A step is a trapezoid stage to t + gamma dt and a BDF2 stage to t + dt,
+    gamma = 2 - sqrt(2), so both stages solve v - h rhs(v) = base with the
+    same h = gamma dt / 2 (Bank et al., IEEE Trans. CAD 4, 1985; Hosea and
+    Shampine, Appl. Numer. Math. 20, 1996).  The rhs at the end of a step
+    is the first stage value of the next one.
+    """
+
+    def __init__(self, scheme: _RadialScheme, opts: SolverOptions, v: np.ndarray):
+        self.scheme = scheme
+        self.opts = opts
+        self.stats = SolverStats()
+        self.t = 0.0
+        self.v = v
+        self.f = scheme.rhs(v)
+        self.outer = scheme.fluxes(v)[-1]   # outer-face flux at v
+        self.boundary_mass = 0.0            # integral of the outer-face flux
+
+    def advance(self, dt: float) -> tuple[float, float]:
+        """One step with local error control; returns (dt_taken, dt_next)."""
+        scheme, opts, stats = self.scheme, self.opts, self.stats
+        v0, f0 = self.v, self.f
         while True:
-            full = _implicit_step(self.scheme, v, dt, opts)
-            if full is None:  # rescue from a lagged-mobility predictor
-                guess = _lagged_step(self.scheme, v, dt)
-                full = _implicit_step(self.scheme, v, dt, opts, v_init=guess)
-            half1 = _implicit_step(self.scheme, v, 0.5 * dt, opts)
-            half2 = None if half1 is None else \
-                _implicit_step(self.scheme, half1, 0.5 * dt, opts)
-            if full is None or half2 is None:
+            if dt < 1e-14:
+                raise RuntimeError(
+                    f"time step fell below 1e-14 near t = {self.t} without "
+                    f"meeting step_tol = {opts.step_tol}")
+            h = _D * dt
+            # Newton starts from an explicit Euler predictor for the
+            # trapezoid stage and from the line through v0 and vg for BDF2,
+            # each kept only where it stays positive
+            guess = v0 + 2.0 * h * f0
+            stage = _implicit_step(scheme, v0 + h * f0, h,
+                                   np.where(guess > 0.0, guess, v0), opts, stats)
+            if stage is not None:
+                vg, fg = stage
+                guess = v0 + (vg - v0) / _GAMMA
+                stage = _implicit_step(scheme, v0 + _A * (vg - v0), h,
+                                       np.where(guess > 0.0, guess, vg), opts, stats)
+            if stage is None:
+                stats.rejected += 1
                 dt *= 0.25
-                if dt < 1e-14:
-                    raise RuntimeError(
-                        f"nonlinear step failed to converge near t = {self.t}")
                 continue
-            err = float(np.max(np.abs(full - half2))) / (np.max(np.abs(half2)) + 1e-30)
-            if err <= opts.step_tol or dt < 1e-12:
-                v_new = half2
-                # bookkeeping of the outer flux (implicit evaluation)
-                flux = self.scheme.fluxes(v_new)
-                self.boundary_mass += dt * self.scheme.area[-1] * flux[-1] \
-                    * omega_d(self.scheme.ex.d)
-                self.t += dt
-                grow = 0.9 * math.sqrt(opts.step_tol / max(err, 1e-30))
-                dt_next = min(opts.dt_max, dt * min(4.0, max(0.2, grow)))
-                return v_new, dt, dt_next
-            dt *= max(0.2, 0.7 * math.sqrt(opts.step_tol / err))
+            v1, f1 = stage
+            # local error C dt^3 y''' with y''' from the second divided
+            # difference of rhs over the stage points, filtered through
+            # (I - h J)^{-1} so that stiff modes do not inflate it
+            lower, diag, upper = scheme.jacobian_diagonals(v1)
+            *_, est, info = dgtsv(-h * lower, 1.0 - h * diag, -h * upper,
+                                  dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
+            err = math.inf if info != 0 else \
+                float(np.max(np.abs(est))) / (float(np.max(np.abs(v1))) + 1e-30)
+            if err <= opts.step_tol:
+                break
+            stats.rejected += 1
+            dt *= max(0.2, 0.7 * (opts.step_tol / err) ** (1.0 / 3.0))
+        # the outer-face flux weighted as the two stages apply it
+        outer_g, outer1 = scheme.fluxes(vg)[-1], scheme.fluxes(v1)[-1]
+        self.boundary_mass += h * (_A * (self.outer + outer_g) + outer1) \
+            * scheme.area[-1] * omega_d(scheme.ex.d)
+        self.v, self.f, self.outer = v1, f1, outer1
+        self.t += dt
+        stats.accepted += 1
+        stats.dt_min = min(stats.dt_min, dt)
+        stats.dt_max = max(stats.dt_max, dt)
+        stats.dt_last = dt
+        grow = 0.9 * (opts.step_tol / max(err, 1e-30)) ** (1.0 / 3.0)
+        return dt, min(opts.dt_max, dt * min(4.0, max(0.2, grow)))
 
 
 def _mesh_mass(scheme: _RadialScheme, v: np.ndarray) -> float:
@@ -361,8 +372,8 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     r = scheme.r
     ref = barenblatt_field(ex, r)
     mt = closed_form_moments(ex)
-    stepper = _Stepper(scheme, opts)
-    save_times = np.linspace(0.0, t_end, n_saves + 1)
+    stepper = _Stepper(scheme, opts, v)
+    save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
 
     def bookkept_mass(vv):
         # mesh mass corrected by the outer-face flux; the analytic tail is
@@ -371,10 +382,12 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
 
     times, snaps, reps, rel_errs, delays, fv_mass = [], [], [], [], [], []
     tau = 0.0
-    k_ratio_prev = None
 
     def moment_ratio(vv):
         return _make_field(ex, r, vv).second_moment() / mt.second_moment
+
+    # the moment ratio of the current state, carried from step to step
+    ratio = moment_ratio(v) if delay else math.nan
 
     def save(vv):
         times.append(stepper.t)
@@ -385,7 +398,6 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
             reps.append(rep)
             rel_errs.append(rel)
         if delay:
-            ratio = moment_ratio(vv)
             lam = ratio / math.exp(4.0 * tau)
             delays.append(DelaySample(t=stepper.t, tau=tau,
                                       r_factor=math.exp(2.0 * tau), lam=lam))
@@ -395,19 +407,17 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     save(v)
     next_save = 1
     dt = opts.dt_init
-    steps = 0
-    while stepper.t < t_end - 1e-12 and steps < opts.max_steps:
+    while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
         dt = min(dt, t_end - stepper.t)
         if next_save <= n_saves:
             dt = min(dt, max(1e-12, save_times[next_save] - stepper.t))
-        if delay:
-            k_ratio_prev = moment_ratio(v)
-        v, dt_taken, dt = stepper.advance(v, dt)
-        steps += 1
+        dt_taken, dt = stepper.advance(dt)
+        v = stepper.v
         if delay:
             # Heun update of the delay equation on the PDE grid
-            g0 = k_ratio_prev ** (-0.5 * ex.alpha) - 1.0
-            g1 = moment_ratio(v) ** (-0.5 * ex.alpha) - 1.0
+            g0 = ratio ** (-0.5 * ex.alpha) - 1.0
+            ratio = moment_ratio(v)
+            g1 = ratio ** (-0.5 * ex.alpha) - 1.0
             dtau = 0.5 * dt_taken * (g0 + g1)
             if dtau <= -dt_taken:
                 raise RuntimeError("delay rate reached ds/dt <= 0")
@@ -422,7 +432,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     return Trajectory(exponents=ex, times=times, snapshots=snaps,
                       reports=reps, mass_drift=drift, sup_rel_err=rel_errs,
                       conserved_mass=fv_mass,
-                      delay=delays if delay else None)
+                      delay=delays if delay else None, stats=stepper.stats)
 
 
 def solve_fdr_delayed(v0: RadialField, t_end: float,
