@@ -16,9 +16,10 @@ midpoints, control volumes around nodes):
 Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
 estimate of Hosea and Shampine controlling the step; a step that cannot
-meet the tolerance raises RuntimeError.  Mass is bookkept as the scheme's
-cell-volume sum corrected by the flux through the outer face, weighted as
-the stages apply it, so the reported drift isolates solver error.
+meet the tolerance, or a run that takes max_steps steps short of t_end,
+raises RuntimeError.  Mass is bookkept as the scheme's cell-volume sum
+corrected by the flux through the outer face, weighted as the stages
+apply it, so the reported drift isolates solver error.
 """
 
 from __future__ import annotations
@@ -426,6 +427,10 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
         if next_save <= n_saves and stepper.t >= save_times[next_save] - 1e-12:
             save(v)
             next_save += 1
+    if stepper.t < t_end - 1e-12:
+        raise RuntimeError(
+            f"stopped at t = {stepper.t} short of t_end = {t_end}: "
+            f"max_steps = {opts.max_steps} accepted steps taken")
     if not reports:
         reps = [None] * len(times)  # type: ignore[list-item]
         rel_errs = [math.nan] * len(times)

@@ -42,7 +42,13 @@ class PhaseState:
 
     def energy(self) -> float:
         """Lyapunov level L = (aY - 4X)^2 + 4 b X^2."""
-        return (self.a * self.y - 4.0 * self.x) ** 2 + 4.0 * self.b * self.x ** 2
+        return _energy(self.a, self.b, self.x, self.y)
+
+
+def _energy(a: float, b: float, x, y):
+    # squares written x*x, so that scalars and arrays round alike
+    e = a * y - 4.0 * x
+    return e * e + 4.0 * b * (x * x)
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,7 @@ def _rk4(a: float, b: float, x0, y0, t_end: float, dt: float) -> dict:
         x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         y = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
         xs[i + 1], ys[i + 1] = x, y
-    energy = (a * ys - 4.0 * xs) ** 2 + 4.0 * b * xs ** 2
-    return {"t": t, "x": xs, "y": ys, "energy": energy}
+    return {"t": t, "x": xs, "y": ys, "energy": _energy(a, b, xs, ys)}
 
 
 # -- regions ----------------------------------------------------------------
@@ -159,7 +164,7 @@ def classify_region(ex: ExponentSet, k0: float, s0: float) -> RegionInfo:
 
     if k0 <= 0.0 and 4.0 * k0 / a <= s0 <= psi_upper(ex, k0) + 1e-15:
         return RegionInfo("A", k_bullet=k0, x_star=x_star)
-    level0 = (a * s0 - 4.0 * k0) ** 2 + 4.0 * b * k0 ** 2
+    level0 = _energy(a, b, k0, s0)
     inside_special = level0 <= level_special * (1.0 + 1e-12)
     if inside_special or k0 > -a * s_star / (4.0 + b):
         return RegionInfo("B", k_bullet=x_star, x_star=x_star)

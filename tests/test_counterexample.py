@@ -1,5 +1,7 @@
 """Escape-family behavior: exact invariants and the published limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,40 @@ from fdstab.params import derive_exponents
 from fdstab.profiles import barenblatt_mass
 
 EX = derive_exponents(3, p=1.5)
+
+# (deficit, entropy, xm_norm, ratio) at the default centers k^2, as the
+# full-grid quadrature computed them before the row-blocked kernel
+PINNED = {
+    4: (0.7458119467172586, 344.55163006732454,
+        12918187927.794437, 1.9512846152952448),
+    8: (0.5609585713206711, 2762.8397366718486,
+        2124126066676817.0, 1.0847149592369099),
+    16: (0.3849517913771936, 22107.48306516144,
+         3.015818072199522e+20, 0.6216706743131168),
+    32: (0.2538157669457979, 176863.03790704918,
+         4.096462019305572e+25, 0.3597415909452143),
+    64: (0.16362198511423953, 1414906.3185877982,
+         5.369598189059758e+30, 0.2098223433664423),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED))
+def test_pinned_battery_values(k):
+    rep = counterexample_report(EX, k)
+    got = (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio)
+    assert got == pytest.approx(PINNED[k], rel=1e-12)
+
+
+def test_quadrature_memory_is_blocked():
+    # the k = 4 grid has 3449 x 999 points, 27.6 MB per full-grid array;
+    # the quadrature works on blocks of z rows and holds none of those
+    tracemalloc.start()
+    try:
+        counterexample_report(EX, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_moment_bookkeeping():

@@ -77,6 +77,13 @@ def test_unreachable_step_tol_raises():
         solve_fdr(fld, 0.1, SolverOptions(step_tol=0.0))
 
 
+def test_max_steps_raises():
+    fld = normalized_to_profile_mass(
+        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    with pytest.raises(RuntimeError, match="max_steps"):
+        solve_fdr(fld, 3.0, SolverOptions(max_steps=10))
+
+
 def test_quotient_differential_bound():
     traj = solve_fdr(barenblatt_field(EX34, default_flow_mesh(400), lam=1.2),
                      2.0, n_saves=40)

@@ -51,6 +51,16 @@ def test_energy_dissipation_identity():
     assert np.all(np.diff(L) <= 1e-12)
 
 
+def test_state_energy_matches_path_energy():
+    # one formula for L: the point-wise level equals the path's column
+    # bit for bit (the phase command's path from (0, 1))
+    st = M.PhaseState.make(EX, 0.0, 1.0)
+    path = M.xy_integrate(st, 10.0)
+    levels = [M.PhaseState.make(EX, float(x), float(y)).energy()
+              for x, y in zip(path["x"], path["y"])]
+    assert levels == path["energy"].tolist()
+
+
 def test_region_classification():
     info = M.classify_region(EX, 0.0, 0.0)
     assert info.region == "A" and info.k_bullet == 0.0
