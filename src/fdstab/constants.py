@@ -764,18 +764,6 @@ def stability_constants_critical(d: int, A: float) -> CriticalStability:
                              c_alpha=cal, threshold_base=thr)
 
 
-def critical_time_bound(stab: CriticalStability, eps: float, A: float,
-                        d: int) -> LogReal:
-    """T(eps, A) = (1/(2 alpha)) log(1 + alpha c_frak (1 + A^{1-m})/eps^a)."""
-    ex = derive_exponents(d, m=(d - 1.0) / d)
-    al = ex.alpha
-    a_exp = stab.threshold_base.a_exp
-    arg = LogReal(0, 0, 0.0).add(
-        logreal(al) * stab.c_frak_star * logreal(1.0 + A ** (1.0 - ex.m))
-        * logreal(1.0 / eps).pow_logreal(a_exp))
-    return arg.ln_logreal() / logreal(2.0 * al)
-
-
 def critical_time_margin(stab: CriticalStability, eps: float, A: float,
                          d: int) -> tuple[float, float]:
     """(T(eps,A) - T_star(q eps, A, S_star/(1-m)), tau_bullet) as floats.

@@ -162,4 +162,4 @@ def _xm_norm_three_bumps(ex: ExponentSet, k: int, X: float) -> float:
     for r in r_grid:
         t_r = c0 * beyond_centered(r) + 2.0 * c1 * beyond_shifted(r)
         best = max(best, r ** expo * t_r)
-    return best
+    return float(best)

@@ -72,11 +72,6 @@ class LogReal:
             depth -= 1
         return LogReal(sign, depth, mag)
 
-    @staticmethod
-    def from_ln_deep(sign: int, ln_abs_ln_x: float) -> "LogReal":
-        """Build from ln|ln x| when ln(x) = sign * exp(ln_abs_ln_x)."""
-        return LogReal._build(sign, 1, ln_abs_ln_x)
-
     # -- the two tower primitives --------------------------------------
 
     def ln_signed(self) -> tuple[int, "LogReal"]:

@@ -51,10 +51,6 @@ class ExponentSet:
         """Exponent alpha/(1-m) of the tail-decay norm."""
         return self.alpha / (1.0 - self.m)
 
-    def is_subcritical(self) -> bool:
-        """Strictly above the critical exponent m_1 (p < p_star)."""
-        return self.m > self.m_1
-
 
 def derive_exponents(d: int, m: float | None = None, p: float | None = None) -> ExponentSet:
     """Populate an :class:`ExponentSet` from dimension and either m or p.

@@ -4,9 +4,10 @@ Two self-contained boundary-value problems are solved here:
 
 * the radial optimizer on the unit disk, -f'' - f'/r + f = f^3 with
   f'(0) = 0, shot on the initial height f(0) = a with the Neumann
-  criterion f'(1) = 0 on the one-sign-change branch; the optimal
-  interpolation constant on radial functions is then
-  (2 pi int_0^1 f^4 r dr)^{-1/2};
+  criterion f'(1) = 0 on the one-sign-change branch; the heights of the
+  bracketing scan are integrated together as one stacked system, the
+  root and the profile one height at a time; the optimal interpolation
+  constant on radial functions is then (2 pi int_0^1 f^4 r dr)^{-1/2};
 
 * the line problem -g'' + ((d-2)^2/4) g = g^{(d+2)/(d-2)}, whose even
   solution is g(s) = A sech(B s)^{2/(d-2)}; the coefficients are fixed by
@@ -25,6 +26,7 @@ from scipy.optimize import brentq
 
 _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
+_SIGN_GRID = np.linspace(_R0, 1.0, 2000)  # where sign changes are counted
 
 
 @dataclass(frozen=True)
@@ -37,28 +39,62 @@ class ShootResult:
     scan: tuple[tuple[float, float, int], ...] = ()
 
 
+def _disk_field(r, f, fp):
+    return fp, -fp / r + f - f ** 3
+
+
 def _disk_rhs(r, y):
-    f, fp = y
-    return [fp, -fp / r + f - f ** 3]
+    # one height: f and f' are numpy scalars, so f ** 3 rounds as C pow,
+    # which fixes the digits of a* and the profile; numpy's vectorized
+    # array power may round differently
+    return list(_disk_field(r, *y))
+
+
+def _stacked_disk_rhs(r, y):
+    # the whole scan: y holds every height's f ahead of every height's f'
+    return np.concatenate(_disk_field(r, *np.split(y, 2)))
+
+
+def _series_start(a: float) -> list[float]:
+    """Two-term series start f = a + (a - a^3) r^2 / 4 at r = _R0: (f, f')."""
+    return [a + (a - a ** 3) * _R0 ** 2 / 4.0, (a - a ** 3) * _R0 / 2.0]
 
 
 def _integrate_disk(a: float, rtol: float = _RTOL, atol: float = _ATOL):
-    """Solve from the two-term series start f = a + (a - a^3) r^2 / 4."""
-    f0 = a + (a - a ** 3) * _R0 ** 2 / 4.0
-    fp0 = (a - a ** 3) * _R0 / 2.0
-    sol = solve_ivp(_disk_rhs, (_R0, 1.0), [f0, fp0], method="RK45",
+    """Solve one height from the series start."""
+    sol = solve_ivp(_disk_rhs, (_R0, 1.0), _series_start(a), method="RK45",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"disk ODE integration failed at a = {a}: {sol.message}")
     return sol
 
 
-def _sign_changes(sol, n: int = 2000) -> int:
-    r = np.linspace(_R0, 1.0, n)
-    f = sol.sol(r)[0]
-    s = np.sign(f)
-    s = s[s != 0]
-    return int(np.sum(s[1:] != s[:-1]))
+def _sign_changes(f: np.ndarray) -> list[int]:
+    """Sign changes along each row of sampled values f, zeros skipped."""
+    counts = []
+    for row in f:
+        s = np.sign(row)
+        s = s[s != 0]
+        counts.append(int(np.sum(s[1:] != s[:-1])))
+    return counts
+
+
+def _disk_scan(grid: np.ndarray, rtol: float):
+    """(a, f'(1), sign changes) for every height of the grid.
+
+    All heights are integrated as one stacked system, so they share one
+    RK45 step sequence and one RMS error norm over the 2 N components.
+    """
+    n = len(grid)
+    y0 = np.array([_series_start(a) for a in grid]).T.ravel()
+    sol = solve_ivp(_stacked_disk_rhs, (_R0, 1.0), y0, method="RK45",
+                    rtol=rtol, atol=_ATOL, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"stacked disk scan over a in [{grid[0]}, {grid[-1]}] "
+                           f"failed: {sol.message}")
+    slopes = sol.y[n:, -1]
+    changes = _sign_changes(sol.sol(_SIGN_GRID)[:n])
+    return [(float(a), float(s), c) for a, s, c in zip(grid, slopes, changes)]
 
 
 def _slope_at_one(a: float, rtol: float = _RTOL) -> float:
@@ -76,10 +112,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
     trivially (f == 1, no sign change) and is excluded by the scan range.
     """
     grid = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
-    trace = []
-    for a in grid:
-        sol = _integrate_disk(a, rtol=rtol)
-        trace.append((float(a), float(sol.y[1][-1]), _sign_changes(sol)))
+    trace = _disk_scan(grid, rtol)
     bracket = None
     for (a0, s0, n0), (a1, s1, n1) in zip(trace, trace[1:]):
         if n0 == 1 and n1 == 1 and s0 * s1 < 0.0:
@@ -101,8 +134,8 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
     # which avoids re-differentiating the dense output
     source = cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
     residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
-    return ShootResult(a_star=float(a_star), constant=constant,
-                       residual=residual, sign_changes=_sign_changes(sol),
+    return ShootResult(a_star=float(a_star), constant=constant, residual=residual,
+                       sign_changes=_sign_changes(sol.sol(_SIGN_GRID)[:1])[0],
                        scan=tuple(trace))
 
 

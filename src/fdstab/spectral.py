@@ -55,9 +55,6 @@ class SpectrumQuery:
     def p(self) -> float:
         return self.a / (self.a + 2.0)
 
-    def has_finite_measure(self) -> bool:
-        return self.a < -self.d / 2.0
-
 
 def lambda_ess(query: SpectrumQuery) -> float:
     """Bottom of the essential spectrum, (a + (d-2)/2)^2 (Persson form)."""

@@ -105,11 +105,15 @@ def test_ellipse_tangency():
 def test_region_invariance_under_flow():
     rng = np.random.default_rng(7)
     a = EX.a_param
+    starts = []
     for _ in range(40):
         x0 = rng.uniform(-0.9 * MT.second_moment, 2.0)
         y0 = rng.uniform(-0.9 * MT.entropy, min(M.psi_upper(EX, x0), 1.0))
-        path = M.xy_integrate_batch(EX, np.array([x0]), np.array([y0]), 6.0)
-        xs, ys = path["x"][:, 0], path["y"][:, 0]
+        starts.append((x0, y0))
+    x0s, y0s = np.array(starts).T
+    path = M.xy_integrate_batch(EX, x0s, y0s, 6.0)
+    for j, (x0, y0) in enumerate(starts):
+        xs, ys = path["x"][:, j], path["y"][:, j]
         assert np.all(xs >= -MT.second_moment - 1e-9)
         assert np.all(ys >= -MT.entropy - 1e-9)
         if y0 >= 0:
