@@ -233,7 +233,7 @@ def check_ledger_regression(golden: ConstantLedger | None = None) -> CheckResult
     exc = derive_exponents(3, m=2.0 / 3.0)
     mc = C.moser_chain(3, 0.5, 2.0)
     ok &= mc.c2 == 2592.0
-    _, kappa_star = C.positivity_constants(exc)
+    _, kappa_star = C.positivity_constants(exc, C.smoothing_constant(exc))
     ok &= kappa_star == 96.0
     ok &= C.c_alpha_min(2.0) == 1.0
     # nu in (0,1) and nu >= 1/hbar at log-space resolution

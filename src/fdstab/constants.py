@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ledger import ConstantLedger
-from .logscale import LogReal, logreal
+from .logscale import ONE, LogReal, logreal
 from .moments import delay_bound
 from .params import ExponentSet, derive_exponents
 from .profiles import barenblatt_mass, closed_form_moments, omega_d
@@ -67,60 +67,20 @@ def holder_lp_interp_constant(d: int, nu: LogReal | float, p: float = 1.0) -> Lo
     """
     if not isinstance(nu, LogReal):
         nu = logreal(float(nu))
-    one = LogReal(0, 0, 0.0)
     pnu = nu * logreal(p)
     dn = logreal(float(d)) / pnu                     # d/(p nu)
     denom = logreal(float(d)).add(pnu)               # d + p nu
     exp_small = pnu / denom                          # p nu/(d+p nu)
     exp_big = logreal(float(d)) / denom              # d/(d+p nu)
-    denom_f = _to_float_or_inf(denom)
+    denom_f = _to_float_or_zero(denom)
     lead = logreal(2.0).powf(((p - 1.0) * denom_f + d * p) / (p * denom_f)
                              if math.isfinite(denom_f) else (p - 1.0) / p)
     vol = logreal(1.0 + d / omega_d(d)).powf(1.0 / p)
-    mid = _pow_with_logreal_exponent(one.add(dn.powf(1.0 / p)), exp_big)
-    t1 = _pow_with_logreal_exponent(dn, exp_small)
-    t2 = _pow_with_logreal_exponent(one / dn, exp_big)
+    mid = ONE.add(dn.powf(1.0 / p)).pow_logreal(exp_big)
+    t1 = dn.pow_logreal(exp_small)
+    t2 = (ONE / dn).pow_logreal(exp_big)
     last = (t1.add(t2)).powf(1.0 / p)
     return lead * vol * mid * last
-
-
-def interpolation_constants(d: int, p: float | None = None,
-                            nu: LogReal | float | None = None,
-                            p_holder: float = 1.0) -> dict:
-    """The embedding constant K and, when nu is given, the L^p/C^nu
-    interpolation constant (as a LogReal)."""
-    out = {"K": embedding_constant(d, p=p)}
-    if nu is not None:
-        out["C_holder"] = holder_lp_interp_constant(d, nu, p=p_holder)
-    return out
-
-
-def auxiliary_lemma_constants(d: int, supp_volume: float | None = None,
-                              sup_b: float | None = None,
-                              integral_b: float | None = None,
-                              diam: float | None = None,
-                              beta: float | None = None,
-                              c1: LogReal | float | None = None,
-                              c2: float | None = None,
-                              theta: float = 0.5,
-                              r0: float | None = None,
-                              r1: float | None = None) -> dict:
-    """Grab-bag of the small lemma constants, keyed by what was supplied.
-
-    Always contains ``A_d``; adds ``lambda_b`` when a weight descriptor
-    (support volume, sup, integral, diameter) is given, ``kappa0`` when
-    the iteration constants (beta, c1, c2, theta) are given, and the
-    truncation bounds when the two radii are given.
-    """
-    out: dict = {"A_d": aleksandrov_constant(d)}
-    if None not in (supp_volume, sup_b, integral_b, diam):
-        out["lambda_b"] = weighted_poincare_constant(supp_volume, sup_b,
-                                                     integral_b, diam)
-    if None not in (beta, c1, c2):
-        out["kappa0"] = bombieri_giusti_kappa0(beta, c1, c2, theta)
-    if None not in (r0, r1):
-        out["grad_bound"], out["laplacian_bound"] = truncation_bounds(d, r0, r1)
-    return out
 
 
 def _to_float_or_zero(x: LogReal) -> float:
@@ -128,22 +88,6 @@ def _to_float_or_zero(x: LogReal) -> float:
         return x.to_float()
     except OverflowError:
         return 0.0 if x.lnsign < 0 else math.inf
-
-
-def _to_float_or_inf(x: LogReal) -> float:
-    return _to_float_or_zero(x)
-
-
-def _pow_with_logreal_exponent(base: LogReal, expo: LogReal) -> LogReal:
-    """base**expo with both operands LogReal (positive exponent)."""
-    if expo.lnsign == 0:
-        return base
-    if base.lnsign == 0:
-        return LogReal(0, 0, 0.0)
-    t = base.ln_logreal() * expo if base.lnsign > 0 else \
-        (LogReal(0, 0, 0.0) / base).ln_logreal() * expo
-    sign = 1 if base.lnsign > 0 else -1
-    return LogReal.exp_of(t, sign=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +129,12 @@ class MoserChain:
     nu: LogReal
     vartheta: LogReal
 
-    @property
-    def mu_float(self) -> float:
-        return self.mu.to_float()
 
-
-def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal,
-                p_one_d: float = 8.0, sigma_tail: float = 1e-40) -> MoserChain:
+def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal) -> MoserChain:
     """Assemble sigma, c0, c1, c2, h, hbar, nu and vartheta = nu/(d+nu).
 
-    The d = 1 branch of the embedding constant uses p = 8 (the exponent
-    the iteration fixes in low dimension) unless overridden.  The
+    The d = 1 branch of the embedding constant uses p = 8, the exponent
+    the iteration fixes in low dimension.  The
     ellipticity bounds may be given as LogReal because the normalized
     fast-diffusion coefficients themselves overflow float64 for some
     admissible exponents.
@@ -206,9 +145,9 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal,
         lam1 = logreal(float(lam1))
     if lam1 < lam0:
         raise ValueError("need 0 < lam0 <= lam1")
-    mu = lam1.add(LogReal(0, 0, 0.0) / lam0)
-    K = embedding_constant(d, p=p_one_d if d == 1 else None)
-    sig = sigma_series(d, rel_tail=sigma_tail)
+    mu = lam1.add(ONE / lam0)
+    K = embedding_constant(d, p=8.0 if d == 1 else None)
+    sig = sigma_series(d)
 
     ln_c0 = (2.0 / d) * math.log(3.0) \
         + ((d + 2.0) * (3.0 * d * d + 18.0 * d + 24.0) + 13.0) / (2.0 * d) * math.log(2.0) \
@@ -243,7 +182,7 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal,
 
 def _nu_from_hbar(hbar: LogReal) -> LogReal:
     """nu = log_4(hbar/(hbar-1)), stable for astronomically large hbar."""
-    inv = LogReal(0, 0, 0.0) / hbar
+    inv = ONE / hbar
     x = _to_float_or_zero(inv)
     if 1e-8 < x < 1.0:
         return logreal(-math.log1p(-x) / math.log(4.0))
@@ -298,12 +237,12 @@ def aleksandrov_constant(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mass_displacement_constant(ex: ExponentSet, rho0: float = 1.0) -> LogReal:
-    """c3 = 2^{m/(1-m)} omega_d (16(d+1)(3+m)/(1-m))^{1/(1-m)} (rho0+1)."""
+def mass_displacement_constant(ex: ExponentSet) -> LogReal:
+    """c3 = 2^{m/(1-m)} omega_d (16(d+1)(3+m)/(1-m))^{1/(1-m)} (rho0+1), rho0 = 1."""
     m, d = ex.m, ex.d
     ln = m / (1.0 - m) * math.log(2.0) + math.log(omega_d(d)) \
         + math.log(16.0 * (d + 1.0) * (3.0 + m) / (1.0 - m)) / (1.0 - m) \
-        + math.log(rho0 + 1.0)
+        + math.log(2.0)
     return LogReal.from_ln(ln)
 
 
@@ -350,11 +289,10 @@ def smoothing_constant(ex: ExponentSet) -> LogReal:
     return LogReal.from_ln(ln_k_pow_beta / beta + 2.0 * q / beta * math.log(K))
 
 
-def positivity_constants(ex: ExponentSet) -> tuple[LogReal, float]:
-    """(kappa, kappa_star) of the local lower bound."""
+def positivity_constants(ex: ExponentSet, kb: LogReal) -> tuple[LogReal, float]:
+    """(kappa, kappa_star) of the local lower bound, given kappa_bar = kb."""
     d, m, al = ex.d, ex.m, ex.alpha
     kappa_star = 2.0 ** (3.0 * al + 2.0) * d ** al
-    kb = smoothing_constant(ex)
     ln_inner = 4.0 * math.log(1.0 - m) - 38.0 * math.log(2.0) - 4.0 * math.log(d) \
         - 16.0 * (1.0 - m) * al * math.log(math.pi) \
         - al * al * (1.0 - m) * kb.ln_float()
@@ -382,7 +320,6 @@ class GHPChain:
 
     ex: ExponentSet
     A: float
-    G: float
     c3: LogReal
     kappa_bar: LogReal
     kappa: LogReal
@@ -400,11 +337,10 @@ class GHPChain:
     C_over: LogReal
     lam0: LogReal
     lam1: LogReal
-    mu: LogReal
     moser: MoserChain
     K_control: LogReal
     a_exp: LogReal
-    vartheta: LogReal
+    cbar_star: LogReal       # sup over eps of the three threshold terms
 
 
 def _profile_bounds_on_cylinders(ex: ExponentSet) -> tuple[LogReal, LogReal]:
@@ -432,20 +368,20 @@ def _profile_bounds_on_cylinders(ex: ExponentSet) -> tuple[LogReal, LogReal]:
     return LogReal.from_ln(max(ln_sup_q2, ln_sup_q4)), LogReal.from_ln(ln_inf_q2)
 
 
-def ghp_chain(ex: ExponentSet, A: float, G: float) -> GHPChain:
-    """Assemble the full two-sided-bound chain for tail bound A, energy G."""
+def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
+    """Assemble the full two-sided-bound chain for tail bound A."""
     d, m, al = ex.d, ex.m, ex.alpha
     if d >= 2 and not (ex.m_1 <= m < 1.0):
         raise ValueError(f"need m in [m_1, 1) = [{ex.m_1}, 1), got {m}")
     if d == 1 and not (ex.m_tilde1 < m < 1.0):
         raise ValueError(f"need m in (m~_1, 1) = ({ex.m_tilde1}, 1), got {m}")
-    if A <= 0.0 or G <= 0.0:
-        raise ValueError("A and G must be positive")
+    if A <= 0.0:
+        raise ValueError("A must be positive")
     mass = barenblatt_mass(ex)
     b = _b_delta(ex)
     c3 = mass_displacement_constant(ex)
     kb = smoothing_constant(ex)
-    kappa, kappa_star = positivity_constants(ex)
+    kappa, kappa_star = positivity_constants(ex, kb)
 
     kb_ln = kb.ln_float()
     c_shift = max(1.0, math.exp((5.0 - m) * math.log(2.0)
@@ -462,31 +398,30 @@ def ghp_chain(ex: ExponentSet, A: float, G: float) -> GHPChain:
     m_small = m_under_first if m_under_first < m_under_second else m_under_second
     M_under = m_small * logreal(kappa_star).powf(1.0 / (1.0 - m)) * logreal(mass ** 2)
 
-    eps_bar = (M_bar / logreal(mass)).powf(2.0 / al).sub(LogReal(0, 0, 0.0))
+    eps_bar = (M_bar / logreal(mass)).powf(2.0 / al).sub(ONE)
     one_minus_eps_under = (M_under / logreal(mass)).powf(2.0 / al)
     eps_under = 1.0 - _to_float_or_zero(one_minus_eps_under)
     eps_md = min(_to_float_or_zero(eps_bar), eps_under, 0.5)
 
     C_under = one_minus_eps_under / logreal(2.0 ** (2.0 / ((1.0 - m) * al)))
-    C_over = LogReal(0, 0, 0.0).add(eps_bar) \
+    C_over = ONE.add(eps_bar) \
         * logreal(1.5 ** (2.0 / ((1.0 - m) * al)))
 
     sup_b, inf_b = _profile_bounds_on_cylinders(ex)
     lam0 = (C_over * sup_b).powf(m - 1.0) * logreal(m)
     lam1 = (C_under * inf_b).powf(m - 1.0) * logreal(m)
     moser = moser_chain(d, lam0, lam1)
-    mu = moser.mu
-    vth = moser.vartheta
     K_control = _k_control(ex, moser, kb)
-    a_exp = logreal(al * (2.0 - m) / (1.0 - m)) / vth
-    return GHPChain(ex=ex, A=A, G=G, c3=c3, kappa_bar=kb, kappa=kappa,
+    a_exp = logreal(al * (2.0 - m) / (1.0 - m)) / moser.vartheta
+    cbar = cbar_star(ex, eps_md, c_shift, kappa_star, K_control, moser.vartheta)
+    return GHPChain(ex=ex, A=A, c3=c3, kappa_bar=kb, kappa=kappa,
                     kappa_star=kappa_star, c_shift=c_shift, t_bar=t_bar,
                     M_bar=M_bar, t_under_bound=t_under_bound, M_under=M_under,
                     eps_bar=eps_bar, eps_under=eps_under,
                     one_minus_eps_under=one_minus_eps_under, eps_md=eps_md,
                     C_under=C_under, C_over=C_over, lam0=lam0, lam1=lam1,
-                    mu=mu, moser=moser, K_control=K_control, a_exp=a_exp,
-                    vartheta=vth)
+                    moser=moser, K_control=K_control, a_exp=a_exp,
+                    cbar_star=cbar)
 
 
 def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogReal:
@@ -509,13 +444,13 @@ def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogRea
     if nu_f > 1e-8:
         osc = logreal(2.0 ** nu_f / (2.0 ** nu_f - 1.0))
     else:
-        osc = LogReal(0, 0, 0.0) / (nu * logreal(math.log(2.0)))
+        osc = ONE / (nu * logreal(math.log(2.0)))
     inner_exp = d / (d + nu_f)
     t_a = (kappa_bar * logreal(mass ** (2.0 / al)) * osc).add(logreal(cnu2)) \
         .powf(inner_exp)
     t_b = logreal(ex.lambda_bullet ** (2.0 * d) / al ** (d / al)
                   * mass ** inner_exp)
-    bracket = LogReal(0, 0, 0.0).add(logreal(b ** d) * c_holder * (t_a.add(t_b)))
+    bracket = ONE.add(logreal(b ** d) * c_holder * (t_a.add(t_b)))
     return LogReal.from_ln(lead_ln) * bracket
 
 
@@ -545,71 +480,60 @@ def outer_times_radii(chain: GHPChain, eps: float) -> dict:
 
 @dataclass(frozen=True)
 class ThresholdConstants:
-    a_exp: LogReal
-    cbar_star: LogReal
     c_star: LogReal
     t_star: LogReal
     T_star: LogReal
-    sup_eps: float    # maximizing epsilon of the bounded terms
 
 
-def threshold_time(chain: GHPChain, eps: float,
-                   A: float | None = None, G: float | None = None) -> ThresholdConstants:
-    """Threshold times in original and self-similar variables at one eps."""
+def threshold_time(chain: GHPChain, eps: float, G: float) -> ThresholdConstants:
+    """Threshold times in original and self-similar variables at one eps
+    and energy bound G."""
     ex = chain.ex
     al, m = ex.alpha, ex.m
-    A = chain.A if A is None else A
-    G = chain.G if G is None else G
     if not 0.0 < eps <= chain.eps_md:
         raise ValueError(f"eps must lie in (0, {chain.eps_md}]")
-    cbar, sup_eps = cbar_star(chain)
-    scale = logreal(1.0 + A ** (1.0 - m) + G ** (0.5 * al))
+    if G <= 0.0:
+        raise ValueError("G must be positive")
+    cbar = chain.cbar_star
+    scale = logreal(1.0 + chain.A ** (1.0 - m) + G ** (0.5 * al))
     inv_eps_pow = logreal(1.0 / eps).pow_logreal(chain.a_exp) if eps != 1.0 \
-        else LogReal(0, 0, 0.0)
+        else ONE
     t_star = cbar * scale * inv_eps_pow
     c_star = cbar * logreal(ex.lambda_bullet ** -al)
-    arg = LogReal(0, 0, 0.0).add(logreal(al) * c_star * scale * inv_eps_pow)
+    arg = ONE.add(logreal(al) * c_star * scale * inv_eps_pow)
     T_star = arg.ln_logreal() / logreal(2.0 * al)
-    return ThresholdConstants(a_exp=chain.a_exp, cbar_star=cbar, c_star=c_star,
-                              t_star=t_star, T_star=T_star, sup_eps=sup_eps)
+    return ThresholdConstants(c_star=c_star, t_star=t_star, T_star=T_star)
 
 
-def cbar_star(chain: GHPChain, n_samples: int = 10000) -> tuple[LogReal, float]:
-    """sup over eps of the three threshold terms, with the maximizing eps.
+def cbar_star(ex: ExponentSet, eps_md: float, c_shift: float, kappa_star: float,
+              K_control: LogReal, vartheta: LogReal) -> LogReal:
+    """sup over eps in (0, eps_md] of the three threshold terms.
 
     The middle term eps^a kappa_2(eps) is constant in eps and equals
     (4 alpha)^{alpha-1} K^{alpha/vartheta}; the other two are bounded and
-    sampled densely (log-spaced) with local refinement.  In practice the
-    middle term dominates by an enormous margin.
+    sampled densely (10 000 log-spaced points) with local refinement.  In
+    practice the middle term dominates by an enormous margin.
     """
-    ex = chain.ex
     m, al = ex.m, ex.alpha
 
     def bounded_terms(eps: np.ndarray) -> np.ndarray:
         up = (1.0 + eps) ** (1.0 - m)
         dn = (1.0 - eps) ** (1.0 - m)
-        k1 = np.maximum(8.0 * chain.c_shift / (up - 1.0),
-                        2.0 ** (3.0 - m) * chain.kappa_star / (1.0 - dn))
+        k1 = np.maximum(8.0 * c_shift / (up - 1.0),
+                        2.0 ** (3.0 - m) * kappa_star / (1.0 - dn))
         k3 = 8.0 / (al * (1.0 - dn))
         return np.maximum(eps * k1, eps * k3)
 
-    grid = np.exp(np.linspace(math.log(chain.eps_md) - 18.0,
-                              math.log(chain.eps_md), n_samples))
-    vals = bounded_terms(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(n_samples - 1, i + 1)]
-    fine = np.linspace(lo, hi, 2001)
-    vals_f = bounded_terms(fine)
-    j = int(np.argmax(vals_f))
-    best_bounded = logreal(float(vals_f[j]))
-    sup_eps = float(fine[j])
+    grid = np.exp(np.linspace(math.log(eps_md) - 18.0, math.log(eps_md), 10000))
+    i = int(np.argmax(bounded_terms(grid)))
+    fine = np.linspace(grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], 2001)
+    best_bounded = logreal(float(np.max(bounded_terms(fine))))
 
     k2_term = logreal((4.0 * al) ** (al - 1.0)) \
-        * chain.K_control.pow_logreal(logreal(al) / chain.vartheta)
+        * K_control.pow_logreal(logreal(al) / vartheta)
     if best_bounded < k2_term:
-        return k2_term, sup_eps
-    return best_bounded, sup_eps
+        return k2_term
+    return best_bounded
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +541,12 @@ def cbar_star(chain: GHPChain, n_samples: int = 10000) -> tuple[LogReal, float]:
 # ---------------------------------------------------------------------------
 
 
-def c_alpha_min(alpha: float, n_grid: int = 200, tol: float = 1e-10) -> float:
+def c_alpha_min(alpha: float) -> float:
     """inf over x>0, y>=0 of (1 + x^{2/alpha} + y)/(1 + x + y^{alpha/2})^{2/alpha}.
 
-    Coarse log-grid (including the y = 0 edge) followed by coordinatewise
-    golden-section refinement; at alpha = 2 the quotient is identically 1.
+    Coarse 200-point log-grid (including the y = 0 edge) followed by
+    coordinatewise golden-section refinement to relative tolerance 1e-10;
+    at alpha = 2 the quotient is identically 1.
     """
     if alpha == 2.0:
         return 1.0
@@ -631,7 +556,8 @@ def c_alpha_min(alpha: float, n_grid: int = 200, tol: float = 1e-10) -> float:
     def f(x, y):
         return (1.0 + x ** (2.0 / alpha) + y) / (1.0 + x + y ** (0.5 * alpha)) ** (2.0 / alpha)
 
-    xs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), n_grid))
+    tol = 1e-10
+    xs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 200))
     ys = np.concatenate([[0.0], xs])
     vals = f(xs[:, None], ys[None, :])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
@@ -680,24 +606,24 @@ class SubcriticalStability:
     threshold: ThresholdConstants
 
 
-def stability_constants_subcritical(ex: ExponentSet, A: float, G: float) -> SubcriticalStability:
+def stability_constants_subcritical(chain: GHPChain, G: float) -> SubcriticalStability:
     """Improved entropy-production constants in the strictly subcritical range."""
+    ex = chain.ex
     if ex.d >= 2 and not ex.m > ex.m_1:
         raise ValueError("subcritical chain requires m > m_1; "
                          "use the critical chain at m = m_1")
     if ex.d == 1 and not ex.m > 0.5:
         raise ValueError("need m > 1/2 for d = 1")
     eta = 2.0 * ex.d * (ex.m - ex.m_1)
-    chain = ghp_chain(ex, A, G)
     eps_star = 0.5 * min(chain.eps_md, CHI * eta)
-    thr = threshold_time(chain, eps_star)
+    thr = threshold_time(chain, eps_star, G)
     zeta = _zeta_from_T(eta, thr.T_star)
     cal = c_alpha_min(ex.alpha)
     zeta_star = logreal(4.0 * eta / (4.0 + eta)) \
         * (logreal(eps_star).pow_logreal(chain.a_exp)
            / (logreal(2.0 * ex.alpha) * thr.c_star)).powf(2.0 / ex.alpha) \
         * logreal(cal)
-    Z = zeta_star / logreal(1.0 + A ** (2.0 * (1.0 - ex.m) / ex.alpha) + G)
+    Z = zeta_star / logreal(1.0 + chain.A ** (2.0 * (1.0 - ex.m) / ex.alpha) + G)
     C_stab = zeta * logreal((ex.p - 1.0) / (ex.p + 1.0))
     return SubcriticalStability(eta=eta, chi=CHI, eps_star=eps_star, c_alpha=cal,
                                 zeta=zeta, zeta_star=zeta_star, Z=Z,
@@ -725,19 +651,20 @@ class CriticalStability:
     threshold_base: ThresholdConstants
 
 
-def stability_constants_critical(d: int, A: float) -> CriticalStability:
-    """Stability constants in the critical regime m = (d-1)/d, d >= 3.
+def stability_constants_critical(chain: GHPChain) -> CriticalStability:
+    """Stability constants in the critical regime m = m_1 = (d-1)/d, d >= 3.
 
-    eta follows the low branch of the published pair for d <= 6 and the
+    The energy bound is G = S_star/(1-m), which enters only the threshold
+    time.  eta follows the low branch of the published pair for d <= 6 and the
     high branch above; both are carried so the d = 6 mismatch stays
     visible.  tau_bullet comes from the delay analysis with vanishing
     relative second moment.
     """
-    if d < 3:
-        raise ValueError("the critical chain requires d >= 3")
-    if A <= 0.0:
-        raise ValueError("A must be positive")
-    ex = derive_exponents(d, m=(d - 1.0) / d)
+    ex, A = chain.ex, chain.A
+    d = ex.d
+    # m = m_1 = (d-1)/d is admissible only for d >= 3
+    if abs(ex.m - ex.m_1) >= 1e-12:
+        raise ValueError(f"the critical chain requires m = m_1 = {ex.m_1}, got {ex.m}")
     crit = critical_gap_parameters(d)
     eta = crit.eta
     mt = closed_form_moments(ex)
@@ -745,8 +672,7 @@ def stability_constants_critical(d: int, A: float) -> CriticalStability:
     assert tau_b is not None
     q = 2.0 ** (1.0 - 0.5 * d) / (d + 2.0)
     G_crit = mt.entropy / (1.0 - ex.m)
-    chain = ghp_chain(ex, A, G_crit)
-    thr = threshold_time(chain, min(CHI * eta, chain.eps_md))
+    thr = threshold_time(chain, min(CHI * eta, chain.eps_md), G_crit)
     al = ex.alpha
     c_frak = logreal(al) * thr.c_star * logreal(1.0 / q).pow_logreal(chain.a_exp) \
         * logreal((1.0 + G_crit) ** (0.5 * al)) \
@@ -764,15 +690,15 @@ def stability_constants_critical(d: int, A: float) -> CriticalStability:
                              c_alpha=cal, threshold_base=thr)
 
 
-def critical_time_margin(stab: CriticalStability, eps: float, A: float,
+def critical_time_margin(stab: CriticalStability, A: float,
                          d: int) -> tuple[float, float]:
     """(T(eps,A) - T_star(q eps, A, S_star/(1-m)), tau_bullet) as floats.
 
     The two times agree to within an O(1) additive term that sits far
     below float64 resolution of their common magnitude, so the difference
     is evaluated symbolically from the definitions: the q^{-a} factors
-    cancel against the epsilon rescaling and what remains is the plain
-    number below, which must exceed tau_bullet.
+    cancel against the epsilon rescaling, so eps drops out, and what
+    remains is the plain number below, which must exceed tau_bullet.
     """
     ex = derive_exponents(d, m=(d - 1.0) / d)
     al = ex.alpha
@@ -781,7 +707,6 @@ def critical_time_margin(stab: CriticalStability, eps: float, A: float,
     lead = math.log(al) + 0.5 * al * math.log1p(G) \
         + math.log1p(math.exp(2.0 * al * stab.tau_bullet)) \
         - math.log1p(G ** (0.5 * al) / (1.0 + A ** (1.0 - ex.m)))
-    del eps  # the epsilon dependence cancels exactly in the difference
     return lead / (2.0 * al), stab.tau_bullet
 
 
@@ -811,7 +736,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
             "exp[max(2 c2, 8 c1^3/(1-theta)^(2 beta))] at theta=1/2, beta=d+2")
     led.put("A_d", aleksandrov_constant(d), "omega_d 4^(d-1)")
 
-    chain = ghp_chain(ex, A, G)
+    chain = ghp_chain(ex, A)
     led.put("c3", chain.c3, "2^(m/(1-m)) omega_d (16(d+1)(3+m)/(1-m))^(1/(1-m)) (rho0+1)")
     led.put("kappa_bar", chain.kappa_bar, "local L1->Linf smoothing constant")
     led.put("kappa", chain.kappa, "local positivity constant")
@@ -840,14 +765,14 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
     led.put("T_over_eps", rr["T_over"], "outer upper comparison time at pinned eps")
     led.put("rho_under_eps", rr["rho_under"], "outer lower comparison radius at pinned eps")
     led.put("rho_over_eps", rr["rho_over"], "outer upper comparison radius at pinned eps")
-    thr = threshold_time(chain, eps)
-    led.put("cbar_star", thr.cbar_star, "sup over eps of the three threshold terms")
+    thr = threshold_time(chain, eps, G)
+    led.put("cbar_star", chain.cbar_star, "sup over eps of the three threshold terms")
     led.put("c_star", thr.c_star, "cbar_star lambda_bullet^(-alpha)")
     led.put("t_star", thr.t_star, "cbar_star (1+A^(1-m)+G^(alpha/2))/eps^a")
     led.put("T_star", thr.T_star, "(1/(2 alpha)) log(1 + alpha c_star (1+A^(1-m)+G^(alpha/2))/eps^a)")
 
     if m > ex.m_1:
-        stab = stability_constants_subcritical(ex, A, G)
+        stab = stability_constants_subcritical(chain, G)
         led.put("eta", stab.eta, "2 d (m - m_1)")
         led.put("chi", stab.chi, "1/580")
         led.put("eps_star", stab.eps_star, "min{eps_md, chi eta}/2")
@@ -858,7 +783,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
         led.put("Z", stab.Z, "zeta_star/(1 + A^(2(1-m)/alpha) + G)")
         led.put("C_stab", stab.C_stab, "((p-1)/(p+1)) zeta")
     if d >= 3 and abs(m - ex.m_1) < 1e-12:
-        cs = stability_constants_critical(d, A)
+        cs = stability_constants_critical(chain)
         led.put("eta_crit", cs.eta, "(d-2)^2/(8d) for d<=6, 2(d-4)/d above")
         led.put("tau_bullet", cs.tau_bullet, "delay bound at vanishing relative second moment")
         led.put("c_frak_star", cs.c_frak_star,

@@ -24,9 +24,6 @@ from dataclasses import dataclass
 # |ln x| below this is kept at depth 0; above, the plain value of x would
 # overflow/underflow a float64
 _LN_PLAIN_MAX = 700.0
-# additive terms further apart than this (in ln units) do not change the
-# dominant term at float64 resolution
-_NEGLIGIBLE_GAP = 40.0
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,14 @@ class LogReal:
         if not math.isfinite(ln_x):
             raise ValueError(f"ln(x) must be finite, got {ln_x}")
         if ln_x == 0.0:
-            return LogReal(0, 0, 0.0)
+            return ONE
         return LogReal(1 if ln_x > 0 else -1, 0, abs(ln_x))
 
     @staticmethod
     def _build(sign: int, depth: int, mag: float) -> "LogReal":
         """Normalize a tower representation to minimal depth."""
         if sign == 0 or mag == -math.inf:
-            return LogReal(0, 0, 0.0)
+            return ONE
         while depth >= 1 and mag <= _LN_PLAIN_MAX:
             mag = math.exp(mag)
             depth -= 1
@@ -77,7 +74,7 @@ class LogReal:
     def ln_signed(self) -> tuple[int, "LogReal"]:
         """(sign of ln x, |ln x| as a LogReal)."""
         if self.lnsign == 0:
-            return (0, LogReal(0, 0, 0.0))
+            return (0, ONE)
         if self.lndepth == 0:
             return (self.lnsign, LogReal.from_float(self.lnmag))
         # |ln x| = E(lndepth, lnmag) is the value whose own ln is
@@ -85,24 +82,19 @@ class LogReal:
         return (self.lnsign, LogReal._build(1, self.lndepth - 1, self.lnmag))
 
     @staticmethod
-    def exp_signed(sign: int, mag: "LogReal") -> "LogReal":
-        """The positive real with ln = sign * mag (mag a positive LogReal)."""
-        if sign == 0:
-            return LogReal(0, 0, 0.0)
-        if mag.lnsign < 0:
-            # mag <= 1: exp(+-mag) is plain, possibly exactly 1
-            if mag.lndepth >= 1 or mag.lnmag > _LN_PLAIN_MAX:
-                return LogReal(0, 0, 0.0)
-            return LogReal.from_ln(sign * math.exp(-mag.lnmag))
-        if mag.lnsign == 0:
-            return LogReal.from_ln(float(sign))
-        # mag = E(lndepth + 1, lnmag) as a value
-        return LogReal._build(sign, mag.lndepth + 1, mag.lnmag)
-
-    @staticmethod
     def exp_of(t: "LogReal", sign: int = 1) -> "LogReal":
         """exp(sign * t) for a positive LogReal t."""
-        return LogReal.exp_signed(sign, t)
+        if sign == 0:
+            return ONE
+        if t.lnsign < 0:
+            # t <= 1: exp(+-t) is plain, possibly exactly 1
+            if t.lndepth >= 1 or t.lnmag > _LN_PLAIN_MAX:
+                return ONE
+            return LogReal.from_ln(sign * math.exp(-t.lnmag))
+        if t.lnsign == 0:
+            return LogReal.from_ln(float(sign))
+        # t = E(lndepth + 1, lnmag) as a value
+        return LogReal._build(sign, t.lndepth + 1, t.lnmag)
 
     # -- conversions ---------------------------------------------------
 
@@ -150,7 +142,7 @@ class LogReal:
         if la is not None and lb is not None:
             return LogReal.from_ln(la + lb)
         s, m = _signed_add(*self.ln_signed(), *other.ln_signed())
-        return LogReal.exp_signed(s, m)
+        return LogReal.exp_of(m, s)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
         la, lb = self._plain_ln(), other._plain_ln()
@@ -158,48 +150,34 @@ class LogReal:
             return LogReal.from_ln(la - lb)
         so, mo = other.ln_signed()
         s, m = _signed_add(*self.ln_signed(), -so, mo)
-        return LogReal.exp_signed(s, m)
+        return LogReal.exp_of(m, s)
 
     def powf(self, c: float) -> "LogReal":
         """x**c for a plain float exponent."""
         if c == 0.0:
-            return LogReal(0, 0, 0.0)
+            return ONE
         s, m = self.ln_signed()
-        return LogReal.exp_signed(s * (1 if c > 0 else -1),
-                                  m * LogReal.from_float(abs(c)))
+        return LogReal.exp_of(m * LogReal.from_float(abs(c)),
+                              s * (1 if c > 0 else -1))
 
     def pow_logreal(self, c: "LogReal") -> "LogReal":
         """x**c where the positive exponent c is itself a LogReal."""
-        if c.lnsign == 0 and c.lndepth == 0 and c.lnmag == 0.0:
+        if c == ONE:
             return self
         s, m = self.ln_signed()
-        return LogReal.exp_signed(s, m * c)
+        return LogReal.exp_of(m * c, s)
 
     def add(self, other: "LogReal") -> "LogReal":
         """x + y for positive reals, exact at float64 resolution."""
         a, b = (self, other) if not self.__lt__(other) else (other, self)
-        # a >= b: a + b = a * (1 + b/a)
-        ratio = b / a
-        try:
-            r = ratio.to_float()
-        except OverflowError:
-            return a
-        if r < 1e-17:
-            return a
-        return a * LogReal.from_float(1.0 + r)
+        return _dominant_sum(1, a, 1, b)[1]
 
     def sub(self, other: "LogReal") -> "LogReal":
         """x - y for positive reals with x > y, exact at float64 resolution."""
-        if not other.__lt__(self):
+        s, m = _dominant_sum(1, self, -1, other) if other.__lt__(self) else (0, ONE)
+        if s <= 0:
             raise ValueError("sub requires the left operand to be larger")
-        ratio = other / self
-        try:
-            r = ratio.to_float()
-        except OverflowError:
-            return self
-        if r < 1e-17:
-            return self
-        return self * LogReal.from_float(1.0 - r)
+        return m
 
     # -- ordering -------------------------------------------------------
 
@@ -226,7 +204,6 @@ class LogReal:
 
 def _signed_add(s1: int, m1: LogReal, s2: int, m2: LogReal) -> tuple[int, LogReal]:
     """s1*m1 + s2*m2 for signed magnitudes carried as LogReal values."""
-    zero = LogReal(0, 0, 0.0)
     if s1 == 0:
         return (s2, m2)
     if s2 == 0:
@@ -234,18 +211,26 @@ def _signed_add(s1: int, m1: LogReal, s2: int, m2: LogReal) -> tuple[int, LogRea
     try:
         t = s1 * m1.to_float() + s2 * m2.to_float()
         if t == 0.0:
-            return (0, zero)
+            return (0, ONE)
         if math.isfinite(t):
             return (1 if t > 0 else -1, LogReal.from_float(abs(t)))
     except OverflowError:
         pass
     if m2.__lt__(m1) or (not m1.__lt__(m2) and s1 == s2):
-        big_s, big, small, small_s = s1, m1, m2, s2
-    else:
-        big_s, big, small, small_s = s2, m2, m1, s1
-    ratio = small / big
+        return _dominant_sum(s1, m1, s2, m2)
+    return _dominant_sum(s2, m2, s1, m1)
+
+
+def _dominant_sum(big_s: int, big: LogReal, small_s: int,
+                  small: LogReal) -> tuple[int, LogReal]:
+    """big_s*big + small_s*small for big >= small, as big (1 +- small/big).
+
+    Once small/big < 1e-17 the dominant term is the sum at float64
+    resolution; this is the level-index rule of Clenshaw & Olver (J. ACM
+    31, 1984).  Terms that cancel at that resolution return sign 0.
+    """
     try:
-        r = ratio.to_float()
+        r = (small / big).to_float()
     except OverflowError:
         return (big_s, big)
     if r < 1e-17:
@@ -253,7 +238,7 @@ def _signed_add(s1: int, m1: LogReal, s2: int, m2: LogReal) -> tuple[int, LogRea
     if big_s == small_s:
         return (big_s, big * LogReal.from_float(1.0 + r))
     if r == 1.0:
-        return (0, zero)
+        return (0, ONE)
     return (big_s, big * LogReal.from_float(1.0 - r))
 
 

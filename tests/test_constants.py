@@ -40,7 +40,7 @@ def test_sigma_series_truncation_stability():
 def test_moser_chain_anchors():
     mc = C.moser_chain(3, 0.5, 2.0)
     assert mc.c2 == 2592.0
-    assert mc.mu_float == 4.0
+    assert mc.mu.to_float() == 4.0
     # nu stays in (0, 1) and matches 1/hbar at log-space resolution
     assert mc.nu.lnsign < 0
     assert mc.nu.lndepth == 0 and mc.hbar.lndepth == 0
@@ -94,22 +94,9 @@ def test_kappa0_and_small_lemma_constants():
     assert math.isclose(C.aleksandrov_constant(1), 2.0, rel_tol=1e-14)
 
 
-def test_combined_operation_wrappers():
-    out = C.interpolation_constants(3, nu=0.5)
-    assert math.isclose(out["K"], C.embedding_constant(3), rel_tol=1e-15)
-    assert out["C_holder"].to_float() > 0
-    aux = C.auxiliary_lemma_constants(3, supp_volume=2.0 ** 3 * 4.19,
-                                      sup_b=1.0, integral_b=4.19, diam=6.0,
-                                      beta=5.0, c1=2.0, c2=2592.0,
-                                      r0=1.0, r1=0.5)
-    assert set(aux) == {"A_d", "lambda_b", "kappa0", "grad_bound",
-                        "laplacian_bound"}
-    assert math.isclose(aux["A_d"], C.aleksandrov_constant(3), rel_tol=1e-15)
-
-
 def test_positivity_constants_exact_anchor():
     ex = derive_exponents(3, m=2.0 / 3.0)
-    _, kappa_star = C.positivity_constants(ex)
+    _, kappa_star = C.positivity_constants(ex, C.smoothing_constant(ex))
     assert kappa_star == 96.0
 
 
@@ -124,7 +111,7 @@ def test_c_alpha():
 
 def test_ghp_chain_values_and_scalings():
     ex = derive_exponents(3, m=0.75)
-    chain = C.ghp_chain(ex, 1.0, 1.0)
+    chain = C.ghp_chain(ex, 1.0)
     assert math.isclose(chain.kappa_star, 2.0 ** (3 * ex.alpha + 2) * 3 ** ex.alpha,
                         rel_tol=1e-13)
     assert chain.eps_md == 0.5
@@ -140,23 +127,23 @@ def test_ghp_chain_values_and_scalings():
     with pytest.raises(ValueError):
         C.outer_times_radii(chain, 0.9)
     with pytest.raises(ValueError):
-        C.ghp_chain(derive_exponents(3, m=0.75), -1.0, 1.0)
+        C.ghp_chain(derive_exponents(3, m=0.75), -1.0)
     with pytest.raises(ValueError):
-        C.ghp_chain(derive_exponents(3, m=0.6), 1.0, 1.0)  # below m_1
+        C.ghp_chain(derive_exponents(3, m=0.6), 1.0)  # below m_1
 
 
 def test_threshold_time_structure():
     ex = derive_exponents(3, m=0.75)
-    chain = C.ghp_chain(ex, 1.0, 1.0)
-    thr = C.threshold_time(chain, 1e-3)
+    chain = C.ghp_chain(ex, 1.0)
+    thr = C.threshold_time(chain, 1e-3, 1.0)
     # Monotonicity in A, G and eps.  The A/G dependence enters through the
     # factor 1 + A^{1-m} + G^{alpha/2}, which sits below the resolution of
     # the astronomically large leading term, so the representation-level
     # statement is "never smaller", with the driving factor checked as a
     # plain float.
-    up_a = C.threshold_time(chain, 1e-3, A=4.0)
-    up_g = C.threshold_time(chain, 1e-3, G=9.0)
-    dn_e = C.threshold_time(chain, 1e-2)
+    up_a = C.threshold_time(C.ghp_chain(ex, 4.0), 1e-3, 1.0)
+    up_g = C.threshold_time(chain, 1e-3, 9.0)
+    dn_e = C.threshold_time(chain, 1e-2, 1.0)
     assert not (up_a.t_star < thr.t_star)
     assert not (up_g.t_star < thr.t_star)
     assert not (thr.t_star < dn_e.t_star)
@@ -164,52 +151,61 @@ def test_threshold_time_structure():
     assert 1 + 4.0 ** (1 - m) + 1 > 1 + 1 + 1          # A-factor grows
     assert 1 + 1 + 9.0 ** (ex.alpha / 2) > 1 + 1 + 1   # G-factor grows
     # T_star consistency: c_star = cbar_star lambda_bullet^{-alpha}
-    want = thr.cbar_star * logreal(ex.lambda_bullet ** -ex.alpha)
+    want = chain.cbar_star * logreal(ex.lambda_bullet ** -ex.alpha)
     assert thr.c_star.close_to(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        C.threshold_time(chain, 1e-3, 0.0)
 
 
 def test_cbar_star_divergence_near_m_one():
     # the eps kappa_3 term alone forces cbar >= 8/(alpha(1-m))
     for m in (0.75, 0.9):
         ex = derive_exponents(3, m=m)
-        chain = C.ghp_chain(ex, 1.0, 1.0)
-        cbar, _ = C.cbar_star(chain)
+        cbar = C.ghp_chain(ex, 1.0).cbar_star
         floor = logreal(8.0 / (ex.alpha * (1.0 - m)))
         assert floor < cbar
 
 
 def test_subcritical_stability_constants():
     ex = derive_exponents(3, m=0.75)
-    stab = C.stability_constants_subcritical(ex, 1.0, 1.0)
+    stab = C.stability_constants_subcritical(C.ghp_chain(ex, 1.0), 1.0)
     assert math.isclose(stab.eta, 0.5, rel_tol=1e-12)
     assert math.isclose(stab.chi, 1.0 / 580.0, rel_tol=1e-15)
     assert stab.zeta.lnsign < 0            # zeta is (astronomically) small
     assert stab.zeta_star.lnsign < 0
     # Z(A, G) never increases in A (the divisor change sits below the
     # resolution of the leading magnitude)
-    z_big_a = C.stability_constants_subcritical(ex, 100.0, 1.0).Z
+    z_big_a = C.stability_constants_subcritical(C.ghp_chain(ex, 100.0), 1.0).Z
     assert not (stab.Z < z_big_a)
     with pytest.raises(ValueError):
-        C.stability_constants_subcritical(derive_exponents(3, m=2.0 / 3.0),
-                                          1.0, 1.0)
+        C.stability_constants_subcritical(
+            C.ghp_chain(derive_exponents(3, m=2.0 / 3.0), 1.0), 1.0)
+
+
+def _critical(d, A):
+    return C.stability_constants_critical(
+        C.ghp_chain(derive_exponents(d, m=(d - 1.0) / d), A))
 
 
 def test_critical_stability_constants():
-    cs = C.stability_constants_critical(3, 1.0)
+    cs = _critical(3, 1.0)
     assert math.isclose(cs.eta, 1.0 / 24.0, rel_tol=1e-12)
     assert cs.tau_bullet > 0
     assert math.isclose(cs.q_scale, 2.0 ** -0.5 / 5.0, rel_tol=1e-13)
     # C_star(A) never increases in A, and the dividing factor
     # 1 + A^{1/(2d)} is strictly increasing (the ratio itself saturates
     # at the representation's resolution)
-    cs_big = C.stability_constants_critical(3, 64.0)
+    cs_big = _critical(3, 64.0)
     assert not (cs.C_star < cs_big.C_star)
     assert not (cs.F_frak_star < cs.C_star)   # dividing by 1+A^{..} >= 1
     assert 1.0 + 64.0 ** (1.0 / 6.0) > 2.0
+    # m = m_1 is not admissible for d = 2, so the critical chain rejects it
     with pytest.raises(ValueError):
-        C.stability_constants_critical(2, 1.0)
+        C.stability_constants_critical(C.ghp_chain(derive_exponents(2, m=0.7), 1.0))
+    with pytest.raises(ValueError):
+        C.stability_constants_critical(C.ghp_chain(derive_exponents(3, m=0.75), 1.0))
     # the refined time bound dominates the base one by more than the delay
-    lead, tau_b = C.critical_time_margin(cs, 1e-3, 1.0, 3)
+    lead, tau_b = C.critical_time_margin(cs, 1.0, 3)
     assert lead > tau_b
 
 
@@ -219,6 +215,22 @@ def test_ledger_regression_against_golden():
         "data/golden_ledger_d3_m075.json").read_text())
     bad = led.close_to(golden, rel=1e-12)
     assert not bad, f"ledger drifted from golden values: {bad}"
+
+
+def test_ledger_evaluates_one_chain(monkeypatch):
+    # one GHP chain per (exponents, A), shared by the threshold time and the
+    # stability constants; moser_chain runs for the pinned (lam0, lam1) and
+    # once inside the chain
+    calls = dict.fromkeys(("ghp_chain", "smoothing_constant", "cbar_star",
+                           "moser_chain"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(C, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(C, name, counted)
+    C.build_ledger(3, 0.75, 0.5, 2.0, 1.0, 1.0)
+    assert calls == {"ghp_chain": 1, "smoothing_constant": 1, "cbar_star": 1,
+                     "moser_chain": 2}
 
 
 def test_ledger_json_schema():
