@@ -273,8 +273,7 @@ def check_harnack() -> CheckResult:
     hist = solve_linear_parabolic(cb, 0.5, 2.0, (-4.0, 4.0), 2.2)
     ratio = harnack_ratio(hist, 1.1, 0.0, 1.0)
     mc = C.moser_chain(1, 0.5, 2.0)
-    mu = 2.0 + 1.0 / 0.5
-    bound = mu * mc.h.ln_float()
+    bound = hist.mu * mc.h.ln_float()
     ok = math.isfinite(ratio) and ratio >= 1.0 and math.log(ratio) <= bound
     return _result("harnack-sanity", ok,
                    f"log ratio {math.log(ratio):.4f} <= mu ln h = {bound:.3e} "

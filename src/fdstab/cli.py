@@ -333,7 +333,7 @@ def _dispatch(args) -> int:
                                       (-4.0, 4.0), 2.2)
         ratio = harnack_ratio(hist, 1.1, 0.0, 1.0)
         mc = moser_chain(1, args.lam0, args.lam1)
-        mu = args.lam1 + 1.0 / args.lam0
+        mu = hist.mu
         payload = {
             "ratio": ratio,
             "log_ratio": _math.log(ratio),

@@ -458,7 +458,11 @@ def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogRea
 
 
 def outer_times_radii(chain: GHPChain, eps: float) -> dict:
-    """T and rho of the outer comparison, both branches, at one epsilon."""
+    """T and rho of the outer comparison, both branches, at one epsilon.
+
+    The times are floats; the radii are LogReals, because rho_under
+    overflows float64 wherever 1 - eps_under is astronomically small.
+    """
     ex = chain.ex
     m, al = ex.m, ex.alpha
     if not 0.0 < eps < chain.eps_md:
@@ -468,11 +472,13 @@ def outer_times_radii(chain: GHPChain, eps: float) -> dict:
     dn = (1.0 - eps) ** (1.0 - m)
     t_under = (chain.kappa_star * (2.0 * chain.A) ** (1.0 - m) + 2.0 / al) / (1.0 - dn)
     t_over = 2.0 * chain.t_bar / (up - 1.0)
-    # ((1-eps)/(1-eps_under))^{1-m} - 1 with the denominator kept in log form
-    ratio_pow = math.exp((1.0 - m) * (math.log1p(-eps)
-                                      - chain.one_minus_eps_under.ln_float()))
-    rho_under = math.sqrt((1.0 + up) * (ratio_pow - 1.0) / (1.0 - dn)) / lb
-    rho_over = math.sqrt((up + 1.0) / (up - 1.0)) / lb
+    # ((1-eps)/(1-eps_under))^{1-m} - 1 = expm1(x), with
+    # ln expm1(x) = x + log1p(-e^{-x}) so that nothing overflows
+    x = (1.0 - m) * (math.log1p(-eps) - chain.one_minus_eps_under.ln_float())
+    rho_under = LogReal.from_ln(
+        0.5 * (math.log(1.0 + up) + x + math.log1p(-math.exp(-x))
+               - math.log(1.0 - dn)) - math.log(lb))
+    rho_over = logreal(math.sqrt((up + 1.0) / (up - 1.0)) / lb)
     return {"T_under": t_under, "T_over": t_over,
             "rho_under": rho_under, "rho_over": rho_over,
             "T": max(t_under, t_over), "rho": max(rho_under, rho_over)}

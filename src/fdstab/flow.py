@@ -32,6 +32,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .fields import RadialField, TailModel, barenblatt_field, graded_mesh
 from .functionals import EntropyReport, entropy_report
+from .moments import DelayRecord
 from .params import ExponentSet
 from .profiles import barenblatt, closed_form_moments, omega_d
 
@@ -87,7 +88,7 @@ class Trajectory:
     mass_drift: float                    # max relative drift of bookkept mass
     sup_rel_err: list[float]             # sup |v/B - 1| per snapshot
     conserved_mass: list[float] | None = None
-    delay: list["DelaySample"] | None = None
+    delay: list[DelayRecord] | None = None
     stats: SolverStats | None = None
 
     def to_csv(self) -> str:
@@ -102,14 +103,6 @@ class Trajectory:
                 rep.second_moment, rep.rel_second_moment, rep.rel_entropy,
                 tau, lam, self.sup_rel_err[i])))
         return "\n".join(rows) + "\n"
-
-
-@dataclass(frozen=True)
-class DelaySample:
-    t: float
-    tau: float
-    r_factor: float
-    lam: float
 
 
 class _RadialScheme:
@@ -400,7 +393,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
             rel_errs.append(rel)
         if delay:
             lam = ratio / math.exp(4.0 * tau)
-            delays.append(DelaySample(t=stepper.t, tau=tau,
+            delays.append(DelayRecord(t=stepper.t, tau=tau,
                                       r_factor=math.exp(2.0 * tau), lam=lam))
 
     mass_ref = bookkept_mass(v)
@@ -446,12 +439,7 @@ def solve_fdr_delayed(v0: RadialField, t_end: float,
     matching scale along the trajectory and checks the reconstruction
     conservation at every save."""
     scheme, v = _confined_start(v0)
-    traj = _run(scheme, v, t_end, opts or SolverOptions(), n_saves, delay=True)
-    assert traj.delay is not None
-    for rec in traj.delay:
-        if rec.lam <= 0.0:
-            raise AssertionError("matching scale lost positivity")
-    return traj
+    return _run(scheme, v, t_end, opts or SolverOptions(), n_saves, delay=True)
 
 
 def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialField]:

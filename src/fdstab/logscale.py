@@ -132,21 +132,20 @@ class LogReal:
     # -- arithmetic ----------------------------------------------------
 
     def _plain_ln(self) -> float | None:
-        """ln(x) as a float when that is safe for direct arithmetic."""
-        if self.lndepth == 0 and self.lnmag < 4e307:
-            return self.lnsign * self.lnmag
-        return None
+        """ln(x) as a float at depth 0, else None."""
+        return self.lnsign * self.lnmag if self.lndepth == 0 else None
 
     def __mul__(self, other: "LogReal") -> "LogReal":
         la, lb = self._plain_ln(), other._plain_ln()
-        if la is not None and lb is not None:
+        # one level up only when the plain sum of logs overflows
+        if la is not None and lb is not None and math.isfinite(la + lb):
             return LogReal.from_ln(la + lb)
         s, m = _signed_add(*self.ln_signed(), *other.ln_signed())
         return LogReal.exp_of(m, s)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
         la, lb = self._plain_ln(), other._plain_ln()
-        if la is not None and lb is not None:
+        if la is not None and lb is not None and math.isfinite(la - lb):
             return LogReal.from_ln(la - lb)
         so, mo = other.ln_signed()
         s, m = _signed_add(*self.ln_signed(), -so, mo)
@@ -229,17 +228,20 @@ def _dominant_sum(big_s: int, big: LogReal, small_s: int,
     resolution; this is the level-index rule of Clenshaw & Olver (J. ACM
     31, 1984).  Terms that cancel at that resolution return sign 0.
     """
+    ratio = small / big
     try:
-        r = (small / big).to_float()
+        r = ratio.to_float()
     except OverflowError:
         return (big_s, big)
     if r < 1e-17:
         return (big_s, big)
     if big_s == small_s:
         return (big_s, big * LogReal.from_float(1.0 + r))
-    if r == 1.0:
+    # 1 - r from ln r: 1.0 - r would lose all digits as r -> 1
+    one_minus_r = -math.expm1(ratio.ln_float())
+    if one_minus_r == 0.0:
         return (0, ONE)
-    return (big_s, big * LogReal.from_float(1.0 - r))
+    return (big_s, big * LogReal.from_float(one_minus_r))
 
 
 ONE = LogReal(0, 0, 0.0)

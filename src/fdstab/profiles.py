@@ -203,11 +203,7 @@ def eval_barenblatt(spec: BarenblattSpec, t: float, r) -> np.ndarray | float:
     pow_R = 1.0 + ex.alpha * (t + spec.time_shift)
     R = pow_R ** (1.0 / ex.alpha)
     lb = ex.lambda_bullet
-    y = mass_ratio ** ((1.0 - ex.m) / ex.alpha) * lb * r / R
-    core = mass_ratio ** (2.0 / ex.alpha) * (lb / R) ** ex.d * barenblatt(ex, y)
-    if spec.lam == 1.0:
-        return core
-    # dilation acts on the spatial snapshot
-    y_l = mass_ratio ** ((1.0 - ex.m) / ex.alpha) * lb * (r / math.sqrt(spec.lam)) / R
+    # dilation acts on the spatial snapshot; at lam = 1 both factors are exact
+    y = mass_ratio ** ((1.0 - ex.m) / ex.alpha) * lb * (r / math.sqrt(spec.lam)) / R
     return spec.lam ** (-ex.d / 2.0) * mass_ratio ** (2.0 / ex.alpha) \
-        * (lb / R) ** ex.d * barenblatt(ex, y_l)
+        * (lb / R) ** ex.d * barenblatt(ex, y)

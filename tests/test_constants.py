@@ -121,8 +121,10 @@ def test_ghp_chain_values_and_scalings():
     rr = [C.outer_times_radii(chain, float(e)) for e in eps]
     for key, slope_want in (("rho_under", -0.5), ("rho_over", -0.5),
                             ("T_under", -1.0), ("T_over", -1.0)):
-        vals = np.array([r[key] for r in rr])
-        slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
+        # the radii are LogReals, the times floats
+        log_vals = np.array([r[key].ln_float() if key.startswith("rho")
+                             else math.log(r[key]) for r in rr])
+        slope = np.polyfit(np.log(eps), log_vals, 1)[0]
         assert abs(slope - slope_want) <= 0.05
     with pytest.raises(ValueError):
         C.outer_times_radii(chain, 0.9)
@@ -231,6 +233,16 @@ def test_ledger_evaluates_one_chain(monkeypatch):
     C.build_ledger(3, 0.75, 0.5, 2.0, 1.0, 1.0)
     assert calls == {"ghp_chain": 1, "smoothing_constant": 1, "cbar_star": 1,
                      "moser_chain": 2}
+
+
+@pytest.mark.parametrize("d, m", [(1, 0.58), (1, 0.9), (2, 0.56), (2, 0.93),
+                                  (3, 0.99), (8, 0.99)])
+def test_ledger_builds_where_rho_under_overflowed_float64(d, m):
+    # 1 - eps_under is astronomically small here, so rho_under only fits
+    # in log form
+    led = C.build_ledger(d, m, 0.5, 2.0, 1.0, 1.0)
+    assert all(math.isfinite(led[name].lnmag) for name in led.names())
+    assert led["rho_under_eps"].lnsign == 1
 
 
 def test_ledger_json_schema():
