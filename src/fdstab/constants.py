@@ -134,10 +134,9 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal) -> MoserCh
     """Assemble sigma, c0, c1, c2, h, hbar, nu and vartheta = nu/(d+nu).
 
     The d = 1 branch of the embedding constant uses p = 8, the exponent
-    the iteration fixes in low dimension.  The
-    ellipticity bounds may be given as LogReal because the normalized
-    fast-diffusion coefficients themselves overflow float64 for some
-    admissible exponents.
+    the iteration fixes in low dimension.  The ellipticity bounds may be
+    given as LogReal because the normalized fast-diffusion coefficients
+    themselves overflow float64 for some admissible exponents.
     """
     if not isinstance(lam0, LogReal):
         lam0 = logreal(float(lam0))

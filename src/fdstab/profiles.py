@@ -203,7 +203,8 @@ def eval_barenblatt(spec: BarenblattSpec, t: float, r) -> np.ndarray | float:
     pow_R = 1.0 + ex.alpha * (t + spec.time_shift)
     R = pow_R ** (1.0 / ex.alpha)
     lb = ex.lambda_bullet
-    # dilation acts on the spatial snapshot; at lam = 1 both factors are exact
+    # the dilation lam acts on the spatial snapshot; r/sqrt(1) and 1**x are
+    # exact, so lam = 1 needs no separate branch
     y = mass_ratio ** ((1.0 - ex.m) / ex.alpha) * lb * (r / math.sqrt(spec.lam)) / R
     return spec.lam ** (-ex.d / 2.0) * mass_ratio ** (2.0 / ex.alpha) \
         * (lb / R) ** ex.d * barenblatt(ex, y)

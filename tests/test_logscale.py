@@ -98,9 +98,9 @@ def test_ln_logreal():
 # in mpmath at 50 digits.  Where |L| stays below e^700 (depth-0 values) the
 # plain L are compared, with an absolute floor for results at or near 1;
 # deeper values are compared through l = ln|L|, i.e. relatively in L.  Each
-# bound is K float64 roundings of the magnitudes the operation handles in
-# float arithmetic (times the condition number of x - y for sub), plus the
-# rounding of the result's own stored magnitude; none is fitted to the code.
+# bound is K float64 roundings of the magnitudes the operation rounds (times
+# the condition number of x - y for sub, and at the level of the logs for a
+# deep exponent), plus the rounding of the result's own stored magnitude.
 
 _EPS = 2.0 ** -52
 _K = 16
