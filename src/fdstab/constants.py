@@ -479,8 +479,7 @@ def outer_times_radii(chain: GHPChain, eps: float) -> dict:
                - math.log(1.0 - dn)) - math.log(lb))
     rho_over = logreal(math.sqrt((up + 1.0) / (up - 1.0)) / lb)
     return {"T_under": t_under, "T_over": t_over,
-            "rho_under": rho_under, "rho_over": rho_over,
-            "T": max(t_under, t_over), "rho": max(rho_under, rho_over)}
+            "rho_under": rho_under, "rho_over": rho_over}
 
 
 @dataclass(frozen=True)
@@ -653,6 +652,7 @@ class CriticalStability:
     F_frak_star: LogReal
     C_star: LogReal
     c_alpha: float
+    G: float                  # S_star/(1-m), the threshold time's energy bound
     threshold_base: ThresholdConstants
 
 
@@ -692,11 +692,11 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
                              eta_branches=(crit.eta_low, crit.eta_high),
                              tau_bullet=tau_b, q_scale=q, c_frak_star=c_frak,
                              F_frak_star=f_frak, C_star=c_star_of_A,
-                             c_alpha=cal, threshold_base=thr)
+                             c_alpha=cal, G=G_crit, threshold_base=thr)
 
 
-def critical_time_margin(stab: CriticalStability, A: float,
-                         d: int) -> tuple[float, float]:
+def critical_time_margin(chain: GHPChain,
+                         stab: CriticalStability) -> tuple[float, float]:
     """(T(eps,A) - T_star(q eps, A, S_star/(1-m)), tau_bullet) as floats.
 
     The two times agree to within an O(1) additive term that sits far
@@ -704,14 +704,13 @@ def critical_time_margin(stab: CriticalStability, A: float,
     is evaluated symbolically from the definitions: the q^{-a} factors
     cancel against the epsilon rescaling, so eps drops out, and what
     remains is the plain number below, which must exceed tau_bullet.
+    alpha, m and A come from the chain the constants were built on, G from
+    the constants themselves.
     """
-    ex = derive_exponents(d, m=(d - 1.0) / d)
-    al = ex.alpha
-    mt = closed_form_moments(ex)
-    G = mt.entropy / (1.0 - ex.m)
+    al, m, G = chain.ex.alpha, chain.ex.m, stab.G
     lead = math.log(al) + 0.5 * al * math.log1p(G) \
         + math.log1p(math.exp(2.0 * al * stab.tau_bullet)) \
-        - math.log1p(G ** (0.5 * al) / (1.0 + A ** (1.0 - ex.m)))
+        - math.log1p(G ** (0.5 * al) / (1.0 + chain.A ** (1.0 - m)))
     return lead / (2.0 * al), stab.tau_bullet
 
 

@@ -3,11 +3,14 @@
 A :class:`RadialField` is the discrete home of the densities u, v and
 f^{2p}: nonnegative nodal values on a strictly increasing radial mesh
 starting at r = 0, plus an optional power-law model ``v ~ amplitude *
-r**power`` describing the field beyond the last node.  All integrals are
-composite trapezoid sums with the weight omega_d r^{d-1}, corrected by the
-analytic integral of the tail model; the profiles handled here have fat
-tails and the correction is what keeps truncation errors at the 1e-6
-level required by the closed-form cross-checks.
+r**power`` describing the field beyond the last node.  The radial measure
+lives in one place: every integral is a composite trapezoid sum with the
+weight omega_d r^{d-1+k} (:meth:`RadialField.quad`), corrected by the
+analytic integral of its power-law tail (:meth:`RadialField.power_tail`,
+which alone flags divergence); the profile tail r^{2/(m-1)} is built by
+:func:`profile_tail`.  The profiles handled here have fat tails and the
+correction is what keeps truncation errors at the 1e-6 level required by
+the closed-form cross-checks.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ class TailModel:
         if self.power >= 0.0:
             raise ValueError("tail power must be negative (decaying tail)")
 
+    def through(self, r: np.ndarray, v: np.ndarray) -> "TailModel":
+        """The same power law, with the amplitude fitted at the last node."""
+        return TailModel(max(float(v[-1]), 0.0) / float(r[-1]) ** self.power,
+                         self.power)
+
+
+def profile_tail(ex: ExponentSet, amplitude: float = 1.0) -> TailModel:
+    """The profile's decay amplitude * r^{2/(m-1)}; amplitude 1 is B's own."""
+    return TailModel(amplitude, 2.0 / (ex.m - 1.0))
+
 
 @dataclass(frozen=True)
 class RadialField:
@@ -63,26 +76,41 @@ class RadialField:
         if np.any(~np.isfinite(v)) or np.any(v < 0.0):
             raise ValueError("values must be finite and nonnegative")
 
+    # -- the radial measure ---------------------------------------------
+
+    def weight(self, moment: int = 0) -> np.ndarray:
+        """Nodal weight omega_d r^{d-1+moment} of the radial measure."""
+        d = self.exponents.d
+        return omega_d(d) * self.r ** (d - 1 + moment)
+
+    def quad(self, integrand: np.ndarray, moment: int = 0) -> float:
+        """Trapezoid sum of int integrand |x|^moment dx over the mesh."""
+        return float(np.trapezoid(integrand * self.weight(moment), self.r))
+
+    def power_tail(self, coeff: float, expo: float) -> float:
+        """int_{|x| > r_max} coeff |x|^{expo-d} dx for a power-law integrand.
+
+        The only divergence check of the tail bookkeeping: raises
+        :class:`DivergentTailError` unless expo < 0.
+        """
+        if expo >= 0.0:
+            raise DivergentTailError(
+                f"tail integral diverges (exponent {expo} >= 0)")
+        return omega_d(self.exponents.d) * coeff * float(self.r[-1]) ** expo / (-expo)
+
     # -- integrals -----------------------------------------------------
 
     def integrate_power(self, q: float, moment: int = 0) -> float:
         """int v^q |x|^moment dx over R^d (quadrature plus tail)."""
-        d = self.exponents.d
-        w = omega_d(d) * self.r ** (d - 1 + moment)
-        val = float(np.trapezoid(np.maximum(self.v, 0.0) ** q * w, self.r))
-        return val + self.tail_integral(q, moment)
+        return self.quad(np.maximum(self.v, 0.0) ** q, moment) \
+            + self.tail_integral(q, moment)
 
     def tail_integral(self, q: float, moment: int = 0) -> float:
-        """Analytic integral of the tail model beyond the last node."""
+        """Analytic integral of the tail model beyond the last node (0 without one)."""
         if self.tail is None or self.tail.amplitude == 0.0:
             return 0.0
-        d = self.exponents.d
-        expo = d + moment + self.tail.power * q
-        if expo >= 0.0:
-            raise DivergentTailError(
-                f"tail integral diverges (exponent {expo} >= 0)")
-        r_max = float(self.r[-1])
-        return omega_d(d) * self.tail.amplitude ** q * r_max ** expo / (-expo)
+        return self.power_tail(self.tail.amplitude ** q,
+                               self.exponents.d + moment + self.tail.power * q)
 
     def mass(self) -> float:
         return self.integrate_power(1.0)
@@ -96,8 +124,7 @@ class RadialField:
 
     def mass_beyond(self) -> np.ndarray:
         """Tail mass int_{|x|>r_i} v dx at every node."""
-        d = self.exponents.d
-        integrand = self.v * omega_d(d) * self.r ** (d - 1)
+        integrand = self.v * self.weight()
         seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(self.r)
         beyond = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         return beyond + self.tail_integral(1.0)
@@ -125,21 +152,15 @@ class RadialField:
 
 def gradient_integral(field: RadialField) -> float:
     """||grad f||_2^2 for f = v^{1/(2p)}, with analytic tail correction."""
-    ex = field.exponents
-    f = field.f_values()
-    df = np.gradient(f, field.r)
+    p = field.exponents.p
+    df = np.gradient(field.f_values(), field.r)
     df[0] = 0.0
-    d = ex.d
-    w = omega_d(d) * field.r ** (d - 1)
-    val = float(np.trapezoid(df ** 2 * w, field.r))
+    val = field.quad(df ** 2)
     if field.tail is not None and field.tail.amplitude > 0.0:
         # f ~ A^{1/(2p)} r^{rho/(2p)} => |f'|^2 ~ (rho/2p)^2 A^{1/p} r^{rho/p - 2}
         rho, A = field.tail.power, field.tail.amplitude
-        expo = d - 2 + rho / ex.p
-        if expo >= 0.0:
-            raise DivergentTailError("gradient tail integral diverges")
-        val += omega_d(d) * (rho / (2.0 * ex.p)) ** 2 * A ** (1.0 / ex.p) \
-            * field.r[-1] ** expo / (-expo)
+        val += field.power_tail((rho / (2.0 * p)) ** 2 * A ** (1.0 / p),
+                                field.exponents.d - 2 + rho / p)
     return val
 
 
@@ -168,9 +189,8 @@ def barenblatt_field(ex: ExponentSet, mesh: np.ndarray | None = None,
     """Sampled dilated profile with its exact power-law tail model."""
     r = mesh if mesh is not None else graded_mesh()
     v = barenblatt_scaled(ex, lam, r)
-    power = 2.0 / (ex.m - 1.0)
-    amplitude = lam ** (1.0 / (1.0 - ex.m) - ex.d / 2.0)
-    return RadialField(ex, r, v, TailModel(amplitude, power))
+    return RadialField(ex, r, v,
+                       profile_tail(ex, lam ** (1.0 / (1.0 - ex.m) - ex.d / 2.0)))
 
 
 def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
@@ -186,7 +206,7 @@ def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
         + (1 - c) * barenblatt_scaled(ex, l2, mesh)
     expo = 1.0 / (1.0 - ex.m) - ex.d / 2.0
     amp = c * l1 ** expo + (1 - c) * l2 ** expo
-    return RadialField(ex, mesh, vals, TailModel(amp, 2.0 / (ex.m - 1.0)))
+    return RadialField(ex, mesh, vals, profile_tail(ex, amp))
 
 
 def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray | None = None,
@@ -194,10 +214,7 @@ def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray | None = None,
     """Sample fn(r) on the mesh; fit the tail amplitude at the last node."""
     r = mesh if mesh is not None else graded_mesh()
     v = np.asarray(fn(r), dtype=float)
-    tail = None
-    if tail_power is not None:
-        amp = float(v[-1]) / float(r[-1]) ** tail_power
-        tail = TailModel(amp, tail_power)
+    tail = None if tail_power is None else TailModel(1.0, tail_power).through(r, v)
     return RadialField(ex, r, v, tail)
 
 

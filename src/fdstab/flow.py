@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .fields import RadialField, TailModel, barenblatt_field, graded_mesh
+from .fields import (RadialField, TailModel, barenblatt_field, graded_mesh,
+                     profile_tail)
 from .functionals import EntropyReport, entropy_report
 from .moments import DelayRecord
 from .params import ExponentSet
@@ -47,13 +48,17 @@ _A = 1.0 / (_GAMMA * (2.0 - _GAMMA))
 _E0, _E1, _E2 = (_GAMMA - 1.0) / 3.0, 1.0 / 3.0, -_GAMMA / 3.0
 
 
+# Newton stops at max|residual| < NEWTON_TOL max(base); the time step
+# starts at DT_INIT and never grows past DT_MAX
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
+DT_INIT = 1e-4
+DT_MAX = 0.05
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 30
     step_tol: float = 1e-8       # local error of one step, max norm over max v
-    dt_init: float = 1e-4
-    dt_max: float = 0.05
     max_steps: int = 2_000_000
 
 
@@ -106,9 +111,11 @@ class Trajectory:
 
 
 class _RadialScheme:
-    """Geometry and flux assembly shared by the two nonlinear flows."""
+    """Geometry and flux assembly shared by the two nonlinear flows: the
+    confined flow when given an outer ghost value, the free flow with a
+    zero-flux outer boundary when not."""
 
-    def __init__(self, ex: ExponentSet, mesh: np.ndarray, confined: bool,
+    def __init__(self, ex: ExponentSet, mesh: np.ndarray,
                  ghost_value: float | None):
         self.ex = ex
         self.r = np.asarray(mesh, dtype=float)
@@ -122,8 +129,8 @@ class _RadialScheme:
         self.vol = (self.faces[1:] ** d - self.faces[:-1] ** d) / d
         self.h = np.diff(self.r)
         self.h_ghost = r_ghost - self.r[-1]
-        self.confined = confined
-        self.ghost_value = ghost_value  # None => zero outer flux
+        self.confined = ghost_value is not None
+        self.ghost_value = ghost_value
 
     # -- flux and Jacobian ------------------------------------------------
 
@@ -141,12 +148,11 @@ class _RadialScheme:
             vbar = 0.5 * (v[1:] + v[:-1])
             slope = (w[1:] - w[:-1]) / self.h
             flux[1:n] = vbar * (2.0 * self.faces[1:n] - slope)
-            if self.ghost_value is not None:
-                vg = self.ghost_value
-                wg = max(vg, _FLOOR) ** (self.ex.m - 1.0)
-                vbar_o = 0.5 * (v[-1] + vg)
-                slope_o = (wg - w[-1]) / self.h_ghost
-                flux[n] = vbar_o * (2.0 * self.faces[n] - slope_o)
+            vg = self.ghost_value
+            wg = max(vg, _FLOOR) ** (self.ex.m - 1.0)
+            vbar_o = 0.5 * (v[-1] + vg)
+            slope_o = (wg - w[-1]) / self.h_ghost
+            flux[n] = vbar_o * (2.0 * self.faces[n] - slope_o)
         else:
             flux[1:n] = (w[1:] - w[:-1]) / self.h
             # zero-flux outer boundary for the free flow
@@ -169,13 +175,11 @@ class _RadialScheme:
             vbar = 0.5 * (v[1:] + v[:-1])
             dflux_left = 0.5 * base + vbar * dw[:-1] / self.h
             dflux_right = 0.5 * base - vbar * dw[1:] / self.h
-            dflux_out_left = 0.0
-            if self.ghost_value is not None:
-                vg = self.ghost_value
-                wg = max(vg, _FLOOR) ** (m - 1.0)
-                slope_o = (wg - w[-1]) / self.h_ghost
-                dflux_out_left = 0.5 * (2.0 * self.faces[n] - slope_o) \
-                    + 0.5 * (v[-1] + vg) * dw[-1] / self.h_ghost
+            vg = self.ghost_value
+            wg = max(vg, _FLOOR) ** (m - 1.0)
+            slope_o = (wg - w[-1]) / self.h_ghost
+            dflux_out_left = 0.5 * (2.0 * self.faces[n] - slope_o) \
+                + 0.5 * (v[-1] + vg) * dw[-1] / self.h_ghost
         else:
             dwm = m * vc ** (m - 1.0)
             dflux_left = -dwm[:-1] / self.h
@@ -193,20 +197,23 @@ class _RadialScheme:
         return lower, diag, upper
 
 
-def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float,
-                   v: np.ndarray, opts: SolverOptions,
+def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndarray,
                    stats: SolverStats) -> tuple[np.ndarray, np.ndarray] | None:
     """Solve v - h rhs(v) = base by damped Newton from the guess v.
 
-    Returns (v, rhs(v)), or None when Newton does not converge.
+    Newton ends when the residual falls below NEWTON_TOL, after
+    NEWTON_MAX_ITER iterations, or when the line search finds no decrease
+    (the residual sits at the rounding floor); the last two are accepted
+    when the residual is below 100 NEWTON_TOL.  Returns (v, rhs(v)), or
+    None when Newton does not converge.
     """
     stats.stage_solves += 1
     scale = float(np.max(base)) + 1e-30
     f = scheme.rhs(v)
     res = v - h * f - base
     norm = float(np.max(np.abs(res))) / scale
-    for _ in range(opts.newton_max_iter):
-        if norm < opts.newton_tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm < NEWTON_TOL:
             return v, f
         lower, diag, upper = scheme.jacobian_diagonals(v)
         stats.newton_iters += 1
@@ -224,8 +231,8 @@ def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float,
                 break
             lam *= 0.5
         else:
-            return None
-    return (v, f) if norm < opts.newton_tol * 100.0 else None
+            break
+    return (v, f) if norm < NEWTON_TOL * 100.0 else None
 
 
 class _Stepper:
@@ -263,12 +270,12 @@ class _Stepper:
             # each kept only where it stays positive
             guess = v0 + 2.0 * h * f0
             stage = _implicit_step(scheme, v0 + h * f0, h,
-                                   np.where(guess > 0.0, guess, v0), opts, stats)
+                                   np.where(guess > 0.0, guess, v0), stats)
             if stage is not None:
                 vg, fg = stage
                 guess = v0 + (vg - v0) / _GAMMA
                 stage = _implicit_step(scheme, v0 + _A * (vg - v0), h,
-                                       np.where(guess > 0.0, guess, vg), opts, stats)
+                                       np.where(guess > 0.0, guess, vg), stats)
             if stage is None:
                 stats.rejected += 1
                 dt *= 0.25
@@ -297,30 +304,16 @@ class _Stepper:
         stats.dt_max = max(stats.dt_max, dt)
         stats.dt_last = dt
         grow = 0.9 * (opts.step_tol / max(err, 1e-30)) ** (1.0 / 3.0)
-        return dt, min(opts.dt_max, dt * min(4.0, max(0.2, grow)))
+        return dt, min(DT_MAX, dt * min(4.0, max(0.2, grow)))
 
 
 def _mesh_mass(scheme: _RadialScheme, v: np.ndarray) -> float:
     return float(np.sum(scheme.vol * v)) * omega_d(scheme.ex.d)
 
 
-def _tail_amplitude(ex: ExponentSet, r_last: float, v_last: float) -> TailModel:
-    power = 2.0 / (ex.m - 1.0)
-    return TailModel(max(v_last, 0.0) / r_last ** power, power)
-
-
 def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
-    return RadialField(ex, r, np.maximum(v, 0.0),
-                       _tail_amplitude(ex, float(r[-1]), float(v[-1])))
-
-
-def _report(ex: ExponentSet, r: np.ndarray, v: np.ndarray,
-            ref: RadialField) -> tuple[EntropyReport, float]:
-    # relative quantities are differenced against the discretized profile
-    # (the scheme's own fixed point), which cancels the shared quadrature
-    # bias; they vanish exactly at convergence
-    rep = entropy_report(_make_field(ex, r, v), ref)
-    return rep, float(np.max(np.abs(v / ref.v - 1.0)))
+    v = np.maximum(v, 0.0)
+    return RadialField(ex, r, v, profile_tail(ex).through(r, v))
 
 
 def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
@@ -339,7 +332,7 @@ def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
             "the datum with fields.normalized_to_profile_mass")
     r = v0.r
     ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
-    scheme = _RadialScheme(ex, r, confined=True, ghost_value=ghost)
+    scheme = _RadialScheme(ex, r, ghost)
     return scheme, v0.v * (mt.mass / mass0)
 
 
@@ -355,7 +348,7 @@ def solve_fd_original(u0: RadialField, t_end: float,
                       opts: SolverOptions | None = None, n_saves: int = 60) -> Trajectory:
     """Integrate the unconfined flow with a zero-flux outer boundary."""
     opts = opts or SolverOptions()
-    scheme = _RadialScheme(u0.exponents, u0.r, confined=False, ghost_value=None)
+    scheme = _RadialScheme(u0.exponents, u0.r, None)
     return _run(scheme, u0.v.copy(), t_end, opts, n_saves, reports=False)
 
 
@@ -384,13 +377,16 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     ratio = moment_ratio(v) if delay else math.nan
 
     def save(vv):
+        snap = _make_field(ex, r, vv)
         times.append(stepper.t)
-        snaps.append(_make_field(ex, r, vv))
+        snaps.append(snap)
         fv_mass.append(bookkept_mass(vv))
         if reports:
-            rep, rel = _report(ex, r, vv, ref)
-            reps.append(rep)
-            rel_errs.append(rel)
+            # relative quantities are differenced against the discretized
+            # profile (the scheme's own fixed point), which cancels the
+            # shared quadrature bias; they vanish exactly at convergence
+            reps.append(entropy_report(snap, ref))
+            rel_errs.append(float(np.max(np.abs(snap.v / ref.v - 1.0))))
         if delay:
             lam = ratio / math.exp(4.0 * tau)
             delays.append(DelayRecord(t=stepper.t, tau=tau,
@@ -400,7 +396,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     drift = 0.0
     save(v)
     next_save = 1
-    dt = opts.dt_init
+    dt = DT_INIT
     while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
         dt = min(dt, t_end - stepper.t)
         if next_save <= n_saves:

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DivergentTailError, RadialField, TailModel, gradient_integral
-from .profiles import (barenblatt_mass, closed_form_moments, g_norms,
-                       gns_optimal_constants, log_integral_inv_power, omega_d)
+from .fields import (DivergentTailError, RadialField, TailModel, gradient_integral,
+                     profile_tail)
+from .profiles import (barenblatt, barenblatt_mass, closed_form_moments, g_norms,
+                       gns_optimal_constants, log_integral_inv_power)
 
 
 @dataclass(frozen=True)
@@ -71,21 +72,12 @@ def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
     if ref.r.shape != field.r.shape or np.any(ref.r != field.r):
         raise ValueError("reference must share the mesh")
     m = ex.m
-    d = ex.d
-    w = omega_d(d) * field.r ** (d - 1)
-    ent = float(np.trapezoid((np.maximum(field.v, 0.0) ** m
-                              - np.maximum(ref.v, 0.0) ** m) * w, field.r))
-    lin = float(np.trapezoid((1.0 + field.r ** 2) * (field.v - ref.v) * w, field.r))
-    ent += _tail_pair(field, ref, m, 0)
-    lin += _tail_pair(field, ref, 1.0, 0) + _tail_pair(field, ref, 1.0, 2)
+    ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref.v, 0.0) ** m)
+    lin = field.quad((1.0 + field.r ** 2) * (field.v - ref.v))
+    ent += field.tail_integral(m) - ref.tail_integral(m)
+    lin += (field.tail_integral(1.0) - ref.tail_integral(1.0)) \
+        + (field.tail_integral(1.0, 2) - ref.tail_integral(1.0, 2))
     return (ent - m * lin) / (m - 1.0)
-
-
-def _tail_pair(field: RadialField, ref: RadialField, q: float, moment: int) -> float:
-    """Difference of the two analytic tail integrals of v^q |x|^moment."""
-    t1 = field.tail_integral(q, moment) if field.tail is not None else 0.0
-    t2 = ref.tail_integral(q, moment) if ref.tail is not None else 0.0
-    return t1 - t2
 
 
 def fisher_information(field: RadialField) -> float:
@@ -96,20 +88,15 @@ def fisher_information(field: RadialField) -> float:
     """
     ex = field.exponents
     slope = field.pressure_slope() - 2.0 * field.r
-    d = ex.d
-    w = omega_d(d) * field.r ** (d - 1)
-    val = float(np.trapezoid(field.v * slope ** 2 * w, field.r))
+    val = field.quad(field.v * slope ** 2)
     if field.tail is not None and field.tail.amplitude > 0.0:
-        A, rho = field.tail.amplitude, field.tail.power
+        A, rho, d = field.tail.amplitude, field.tail.power, ex.d
         c1 = rho * (ex.m - 1.0) * A ** (ex.m - 1.0)
-        r_max = float(field.r[-1])
         for coeff, expo in (
                 (A * c1 ** 2, d - 2 + rho * (2.0 * ex.m - 1.0)),
                 (-4.0 * A * c1, d + rho * ex.m),
                 (4.0 * A, d + 2 + rho)):
-            if expo >= 0.0:
-                raise DivergentTailError("Fisher tail integral diverges")
-            val += omega_d(d) * coeff * r_max ** expo / (-expo)
+            val += field.power_tail(coeff, expo)
     return ex.m / (1.0 - ex.m) * val
 
 
@@ -222,9 +209,7 @@ def csiszar_kullback_gap(field: RadialField) -> tuple[float, float]:
     mass_b = barenblatt_mass(ex)
     if abs(field.mass() - mass_b) > 1e-6 * mass_b:
         raise ValueError("Csiszar-Kullback comparison requires mass int B")
-    diff = np.abs(field.v - (1.0 + field.r ** 2) ** (1.0 / (ex.m - 1.0)))
-    w = omega_d(ex.d) * field.r ** (ex.d - 1)
-    l1 = float(np.trapezoid(diff * w, field.r))
+    l1 = field.quad(np.abs(field.v - barenblatt(ex, field.r)))
     l1 += _tail_l1_difference(field)
     rhs = 4.0 * ex.alpha / ex.m * mass_b * relative_entropy(field)
     return l1 * l1, rhs
@@ -236,16 +221,10 @@ def _tail_l1_difference(field: RadialField) -> float:
     Exact when the field tail has the profile decay power; otherwise the
     two tails are added, which overestimates but keeps the bound safe.
     """
-    ex = field.exponents
-    rho_b = 2.0 / (ex.m - 1.0)
-    d = ex.d
-    r_max = float(field.r[-1])
-    b_tail = omega_d(d) * r_max ** (d + rho_b) / (-(d + rho_b))
-    if field.tail is None:
-        return b_tail
-    A, rho = field.tail.amplitude, field.tail.power
-    if abs(rho - rho_b) < 1e-12:
-        return abs(A - 1.0) * b_tail
+    rho_b = profile_tail(field.exponents).power
+    b_tail = field.power_tail(1.0, field.exponents.d + rho_b)
+    if field.tail is not None and abs(field.tail.power - rho_b) < 1e-12:
+        return abs(field.tail.amplitude - 1.0) * b_tail
     return field.tail_integral(1.0) + b_tail
 
 
@@ -393,7 +372,7 @@ def rigidity_residual(field: RadialField) -> tuple[float, float]:
     grad_sq = gradient_integral(field)
     target = (p + 1.0) ** 2 * grad_sq / lp1
 
-    w = omega_d(d) * r ** (d - 1)
+    w = field.weight()
     fp1 = f ** (p + 1.0)
     trace_term = fp1 * (lap - target) ** 2 * w
     hess_term = fp1 * (d - 1.0) / d * (d2p - dp_over_r) ** 2 * w

@@ -207,8 +207,11 @@ def test_critical_stability_constants():
     with pytest.raises(ValueError):
         C.stability_constants_critical(C.ghp_chain(derive_exponents(3, m=0.75), 1.0))
     # the refined time bound dominates the base one by more than the delay
-    lead, tau_b = C.critical_time_margin(cs, 1.0, 3)
+    chain = C.ghp_chain(derive_exponents(3, m=2.0 / 3.0), 1.0)
+    lead, tau_b = C.critical_time_margin(chain, cs)
     assert lead > tau_b
+    assert math.isclose(lead, 1.8360565660333492, rel_tol=1e-14)
+    assert math.isclose(tau_b, 1.618422593162074, rel_tol=1e-14)
 
 
 def test_ledger_regression_against_golden():

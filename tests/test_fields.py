@@ -7,6 +7,7 @@ from fdstab.fields import (DivergentTailError, RadialField, TailModel,
                            barenblatt_field, field_from_function,
                            gradient_integral, graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, quadrature_mesh)
+from fdstab.functionals import fisher_information
 from fdstab.params import derive_exponents
 from fdstab.profiles import closed_form_moments, g_norms
 
@@ -46,12 +47,22 @@ def test_gradient_integral_matches_g_norm():
 
 
 def test_divergent_tail_flagged():
-    ex = derive_exponents(3, m=0.75)
+    ex = derive_exponents(3, m=0.75)  # d = 3, p = 2
     r = graded_mesh()
-    fld = field_from_function(ex, lambda rr: (1.0 + rr ** 2) ** -1.6,
-                              r, tail_power=-3.2)
+
+    def field(power):
+        return field_from_function(ex, lambda rr: (1.0 + rr ** 2) ** (0.5 * power),
+                                   r, tail_power=power)
+
+    fld = field(-3.2)
     with pytest.raises(DivergentTailError):
         fld.second_moment()  # d + 2 + power = 1.8 > 0
+    with pytest.raises(DivergentTailError):
+        fisher_information(fld)  # second term: d + m power = 0.6 > 0
+    with pytest.raises(DivergentTailError):
+        field(-2.5).tail_integral(1.0)  # mass: d + power = 0.5 > 0
+    with pytest.raises(DivergentTailError):
+        gradient_integral(field(-1.5))  # d - 2 + power / p = 0.25 > 0
 
 
 def test_mass_beyond_monotone():
