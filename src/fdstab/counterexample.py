@@ -11,11 +11,20 @@ axisymmetric, so every integral reduces to a 2D (z, s) quadrature in
 d = 3.  The bulk of each integral is carried by the exact single-bump
 values; only the superposition corrector, which is concentrated where
 the bumps interact, is integrated numerically.
+
+The corrector is integrated in blocks of z rows.  The blocks are split
+into contiguous ranges over up to ``_MAX_WORKERS`` threads (numpy
+releases the GIL inside each block's ufuncs); every worker computes its
+blocks in buffers the caller preallocated, so the workers allocate
+nothing, and each row is computed the same way whichever worker runs
+it, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +35,10 @@ from .profiles import barenblatt_mass, g_norms, gns_optimal_constants
 # z rows per block of the fused quadrature: 32 rows of the ~1000-point
 # s grid make arrays of about 256 KB, which stay in cache
 _BLOCK_ROWS = 32
+# (rows, s) buffers one worker needs for a block
+_N_BIG = 15
+# the z blocks are split over at most this many threads
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -62,38 +75,85 @@ def counterexample_report(ex: ExponentSet, k: int,
 
     z, s = _axisym_grids(X)
     s2 = s ** 2
-    centers = (0.0, X, -X)
+    w = _s_weights(s)
     cm = (c0 ** m, c1 ** m, c1 ** m)
     # |grad (c_i g^{2p})^{1/(2p)}|^2 = c_i^{1/p} (2/(p-1))^2 u2 (1+u2)^(-q2p)
     cg = tuple(c ** (1.0 / p) * (2.0 / (p - 1.0)) ** 2 for c in (c0, c1, c1))
+    grad_scale = -2.0 * q2p
     rows_p, rows_g = np.empty_like(z), np.empty_like(z)
-    for lo in range(0, z.size, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        dzs = [z[rows, None] - dz for dz in centers]
-        u2s = [dzi ** 2 + s2 for dzi in dzs]
-        ts = [1.0 + u2 for u2 in u2s]
-        bs = [t ** (-q2p) for t in ts]
-        big_a = c0 * bs[0] + c1 * bs[1] + c1 * bs[2]
 
-        # L^{p+1} part: int A^m with the single-bump contributions exact
-        corr_p = big_a ** m - (cm[0] * bs[0] ** m + cm[1] * bs[1] ** m
-                               + cm[2] * bs[2] ** m)
+    # axial offsets to the three bumps, (3, z, 1), and their squares
+    dz_all = z[None, :, None] - np.array([0.0, X, -X])[:, None, None]
+    dz2_all = dz_all ** 2
 
-        # gradient part: |grad f|^2 = (1/2p)^2 A^{1/p-2} |grad A|^2; the
-        # bump gradient is -2 q2p (1+u2)^(-q2p-1) (dz, s), and
-        # (1+u2)^(-q2p-1) = b / t
-        ws = [-2.0 * q2p * (b / t) for b, t in zip(bs, ts)]
-        da_z = c0 * (ws[0] * dzs[0]) + c1 * (ws[1] * dzs[1]) \
-            + c1 * (ws[2] * dzs[2])
-        da_s = c0 * (ws[0] * s) + c1 * (ws[1] * s) + c1 * (ws[2] * s)
-        safe_a = np.maximum(big_a, 1e-280)
-        f_grad_sq = (1.0 / (2.0 * p)) ** 2 * safe_a ** (1.0 / p - 2.0) \
-            * (da_z ** 2 + da_s ** 2)
-        corr_g = f_grad_sq - (cg[0] * u2s[0] * bs[0] + cg[1] * u2s[1] * bs[1]
-                              + cg[2] * u2s[2] * bs[2])
+    def span(lo: int, hi: int, big: np.ndarray) -> None:
+        # rows lo..hi-1 block by block, every temporary a view of this
+        # worker's _N_BIG (rows, s) buffers; sums and products are taken
+        # left to right as in the formulas (c0 b0 + c1 b1 + c1 b2, ...),
+        # the order the pinned values were computed in
+        for b_lo in range(lo, hi, _BLOCK_ROWS):
+            b_hi = min(b_lo + _BLOCK_ROWS, hi)
+            n = b_hi - b_lo
+            u2s, ts, bs = big[0:3, :n], big[3:6, :n], big[6:9, :n]
+            big_a, pw, tmp, acc, da_z, da_s = big[9:15, :n]
+            dzs = dz_all[:, b_lo:b_hi]
+            for i in range(3):
+                np.add(dz2_all[i, b_lo:b_hi], s2, out=u2s[i])
+                np.add(1.0, u2s[i], out=ts[i])
+                np.power(ts[i], -q2p, out=bs[i])
+            np.multiply(c0, bs[0], out=big_a)
+            big_a += np.multiply(c1, bs[1], out=tmp)
+            big_a += np.multiply(c1, bs[2], out=tmp)
 
-        rows_p[rows] = np.trapezoid(corr_p * s, s, axis=1)
-        rows_g[rows] = np.trapezoid(corr_g * s, s, axis=1)
+            # L^{p+1} part: int A^m with the single-bump contributions exact
+            np.power(big_a, m, out=pw)
+            np.power(bs[0], m, out=acc)
+            acc *= cm[0]
+            for i in (1, 2):
+                np.power(bs[i], m, out=tmp)
+                tmp *= cm[i]
+                acc += tmp
+            pw -= acc
+            np.einsum("ij,j->i", pw, w, out=rows_p[b_lo:b_hi])
+
+            # gradient part: |grad f|^2 = (1/2p)^2 A^{1/p-2} |grad A|^2; the
+            # bump gradient is -2 q2p (1+u2)^(-q2p-1) (dz, s), and
+            # (1+u2)^(-q2p-1) = b / t, kept in place of t
+            ws = ts
+            for i in range(3):
+                np.divide(bs[i], ts[i], out=ws[i])
+                ws[i] *= grad_scale
+            for da, x in ((da_z, dzs), (da_s, (s, s, s))):
+                np.multiply(ws[0], x[0], out=da)
+                da *= c0
+                for i in (1, 2):
+                    np.multiply(ws[i], x[i], out=tmp)
+                    tmp *= c1
+                    da += tmp
+            safe_a = np.maximum(big_a, 1e-280, out=big_a)
+            f_grad_sq = np.power(safe_a, 1.0 / p - 2.0, out=safe_a)
+            f_grad_sq *= (1.0 / (2.0 * p)) ** 2
+            np.square(da_z, out=da_z)
+            da_z += np.square(da_s, out=da_s)
+            f_grad_sq *= da_z
+            for i in range(3):
+                u2s[i] *= cg[i]
+                u2s[i] *= bs[i]
+            u2s[0] += u2s[1]
+            u2s[0] += u2s[2]
+            f_grad_sq -= u2s[0]
+            np.einsum("ij,j->i", f_grad_sq, w, out=rows_g[b_lo:b_hi])
+
+    # contiguous block-aligned row ranges, one per worker; the buffers
+    # are allocated here, so the workers allocate nothing
+    n_workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    n_blocks = -(-z.size // _BLOCK_ROWS)
+    edges = [min(z.size, (j * n_blocks // n_workers) * _BLOCK_ROWS)
+             for j in range(n_workers + 1)]
+    bigs = [np.empty((_N_BIG, _BLOCK_ROWS, s.size)) for _ in range(n_workers)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        # reading every result re-raises a worker's exception here
+        list(pool.map(span, edges[:-1], edges[1:], bigs))
 
     # 2 pi * 2 * int_{z>=0} int F(z,s) s ds dz for the z-even correctors
     p_int = (c0 ** m + 2.0 * c1 ** m) * gn["lp1"] \
@@ -113,6 +173,15 @@ def counterexample_report(ex: ExponentSet, k: int,
     ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)
     return EscapeFamilyReport(k=k, center=X, deficit=deficit, entropy=entropy,
                               xm_norm=xm, ratio=ratio)
+
+
+def _s_weights(s: np.ndarray) -> np.ndarray:
+    """Trapezoid weights along s with the measure factor s folded in."""
+    half = 0.5 * np.diff(s)
+    w = np.zeros_like(s)
+    w[:-1] += half
+    w[1:] += half
+    return w * s
 
 
 def _axisym_grids(center: float, reach: float = 50.0):

@@ -59,7 +59,30 @@ def relative_entropy(field: RadialField) -> float:
             - ex.m * ((mv - mt.mass) + (xv - mt.second_moment))) / (ex.m - 1.0)
 
 
-def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
+@dataclass(frozen=True)
+class FixedReference:
+    """A reference field with the integrals the differenced reports read.
+
+    A flow reports every saved snapshot against one fixed reference, so
+    the reference's integrals are taken once, by :meth:`of`.
+    """
+
+    field: RadialField
+    second_moment: float
+    entropy: float            # int v^m
+    tail_entropy: float       # tail integrals of v^m, v and |x|^2 v
+    tail_mass: float
+    tail_moment: float
+
+    @classmethod
+    def of(cls, field: RadialField) -> "FixedReference":
+        m = field.exponents.m
+        return cls(field, field.second_moment(), field.entropy_integral(),
+                   field.tail_integral(m), field.tail_integral(1.0),
+                   field.tail_integral(1.0, 2))
+
+
+def relative_entropy_pair(field: RadialField, ref: FixedReference) -> float:
     """F[v] against a reference sampled on the same mesh.
 
     Both integrands are differenced nodally before quadrature, so the
@@ -69,14 +92,15 @@ def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
     whose discrete stationary state is the nodal profile.
     """
     ex = field.exponents
-    if ref.r.shape != field.r.shape or np.any(ref.r != field.r):
+    ref_r, ref_v = ref.field.r, ref.field.v
+    if ref_r.shape != field.r.shape or np.any(ref_r != field.r):
         raise ValueError("reference must share the mesh")
     m = ex.m
-    ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref.v, 0.0) ** m)
-    lin = field.quad((1.0 + field.r ** 2) * (field.v - ref.v))
-    ent += field.tail_integral(m) - ref.tail_integral(m)
-    lin += (field.tail_integral(1.0) - ref.tail_integral(1.0)) \
-        + (field.tail_integral(1.0, 2) - ref.tail_integral(1.0, 2))
+    ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref_v, 0.0) ** m)
+    lin = field.quad((1.0 + field.r ** 2) * (field.v - ref_v))
+    ent += field.tail_integral(m) - ref.tail_entropy
+    lin += (field.tail_integral(1.0) - ref.tail_mass) \
+        + (field.tail_integral(1.0, 2) - ref.tail_moment)
     return (ent - m * lin) / (m - 1.0)
 
 
@@ -100,7 +124,8 @@ def fisher_information(field: RadialField) -> float:
     return ex.m / (1.0 - ex.m) * val
 
 
-def entropy_report(field: RadialField, ref: RadialField | None = None) -> EntropyReport:
+def entropy_report(field: RadialField,
+                   ref: FixedReference | None = None) -> EntropyReport:
     """Entropy bookkeeping of one field.
 
     Without ``ref`` the relative quantities are taken against the closed
@@ -116,7 +141,7 @@ def entropy_report(field: RadialField, ref: RadialField | None = None) -> Entrop
         xsq_ref, s_ref = mt.second_moment, mt.entropy
     else:
         f_val = relative_entropy_pair(field, ref)
-        xsq_ref, s_ref = ref.second_moment(), ref.entropy_integral()
+        xsq_ref, s_ref = ref.second_moment, ref.entropy
     i_val = fisher_information(field)
     xsq = field.second_moment()
     return EntropyReport(

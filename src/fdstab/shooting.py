@@ -27,6 +27,7 @@ from scipy.optimize import brentq
 _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
 _SIGN_GRID = np.linspace(_R0, 1.0, 2000)  # where sign changes are counted
+_SIGN_CHUNK = 100  # grid points per dense-output evaluation
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,26 @@ def _integrate_disk(a: float, rtol: float = _RTOL, atol: float = _ATOL):
     return sol
 
 
-def _sign_changes(f: np.ndarray) -> list[int]:
-    """Sign changes along each row of sampled values f, zeros skipped."""
+def _sign_changes(signs: np.ndarray) -> list[int]:
+    """Sign changes along each row of sampled signs, zeros skipped."""
     counts = []
-    for row in f:
-        s = np.sign(row)
-        s = s[s != 0]
+    for row in signs:
+        s = row[row != 0]
         counts.append(int(np.sum(s[1:] != s[:-1])))
     return counts
+
+
+def _signs_on_grid(sol, n: int) -> np.ndarray:
+    """Signs of the n f rows of a dense output on _SIGN_GRID, as int8.
+
+    The grid is evaluated a chunk at a time, so the f' rows and scipy's
+    intermediate copies are never held for the whole grid.
+    """
+    signs = np.empty((n, _SIGN_GRID.size), dtype=np.int8)
+    for lo in range(0, _SIGN_GRID.size, _SIGN_CHUNK):
+        hi = lo + _SIGN_CHUNK
+        np.sign(sol.sol(_SIGN_GRID[lo:hi])[:n], out=signs[:, lo:hi], casting="unsafe")
+    return signs
 
 
 def _disk_scan(grid: np.ndarray, rtol: float):
@@ -93,7 +106,7 @@ def _disk_scan(grid: np.ndarray, rtol: float):
         raise RuntimeError(f"stacked disk scan over a in [{grid[0]}, {grid[-1]}] "
                            f"failed: {sol.message}")
     slopes = sol.y[n:, -1]
-    changes = _sign_changes(sol.sol(_SIGN_GRID)[:n])
+    changes = _sign_changes(_signs_on_grid(sol, n))
     return [(float(a), float(s), c) for a, s, c in zip(grid, slopes, changes)]
 
 
@@ -135,7 +148,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
     source = cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
     residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
     return ShootResult(a_star=float(a_star), constant=constant, residual=residual,
-                       sign_changes=_sign_changes(sol.sol(_SIGN_GRID)[:1])[0],
+                       sign_changes=_sign_changes(_signs_on_grid(sol, 1))[0],
                        scan=tuple(trace))
 
 

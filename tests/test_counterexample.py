@@ -1,6 +1,9 @@
 """Escape-family behavior: exact invariants and the published limits."""
 
 import functools
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -54,6 +57,29 @@ def test_quadrature_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("k", [4, 64])
+def test_worker_split_cannot_move_a_bit(k, monkeypatch):
+    # every row block is computed the same way whichever worker runs it,
+    # so one worker, four workers and the default split agree bit for bit;
+    # four workers with a short switch interval interleave their blocks,
+    # and a block written into another worker's buffer or rows would show.
+    # The pool lives for one call and leaves no thread behind.
+    def fields(rep):
+        return [v.hex() for v in (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio)]
+
+    default = fields(_report(k))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            threads = threading.active_count()
+            assert fields(counterexample_report(EX, k)) == default
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_moment_bookkeeping():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_batched_scan_matches_serial_solves():
                 ref_slope, ref_changes = serial[a, rtol]
                 assert changes == ref_changes
                 assert slope == pytest.approx(ref_slope, rel=1e-6)
+
+
+def test_shoot_peak_memory():
+    # the sign grid is sampled in chunks and only the signs of the f rows
+    # are kept: the peak is the stacked dense output plus about 0.4 MB
+    # (7.0 MB when the whole grid was evaluated at once)
+    tracemalloc.start()
+    try:
+        shoot_disk_radial()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_disk_trivial_branch():
