@@ -218,16 +218,14 @@ def _golden_ledger() -> ConstantLedger:
         "data/golden_ledger_d3_m075.json").read_text())
 
 
-def check_ledger_regression(golden: ConstantLedger | None = None) -> CheckResult:
+def check_ledger_regression() -> CheckResult:
     t0 = time.perf_counter()
     led = C.build_ledger(3, 0.75, 0.5, 2.0, 1.0, 1.0)
     led2 = C.build_ledger(3, 0.75, 0.5, 2.0, 1.0, 1.0)
     bad = led.close_to(led2, rel=1e-12)
     ok = not bad
     detail = f"{len(led.names())} entries stable"
-    if golden is None:
-        golden = _golden_ledger()
-    bad_g = led.close_to(golden, rel=1e-12)
+    bad_g = led.close_to(_golden_ledger(), rel=1e-12)
     ok &= not bad_g
     detail += f"; golden diff: {bad_g if bad_g else 'none'}"
     exc = derive_exponents(3, m=2.0 / 3.0)

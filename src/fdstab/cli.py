@@ -267,10 +267,11 @@ def _dispatch(args) -> int:
                                improved_gap, lambda_ess, radial_oracle_mesh,
                                spectral_gap)
         q = SpectrumQuery.from_p(args.d, args.p)
+        gap = spectral_gap(q)
         payload = {
             "a": q.a,
-            "lambda_mass_gap": spectral_gap(q).rayleigh,
-            "flow_gap": spectral_gap(q).flow,
+            "lambda_mass_gap": gap.rayleigh,
+            "flow_gap": gap.flow,
             "lambda_ess": lambda_ess(q),
             "eigenvalues": {},
         }
@@ -319,8 +320,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "harnack-check":
-        import math as _math
-
         from .constants import moser_chain
         from .parabolic import (checkerboard_coefficient, harnack_ratio,
                                 solve_linear_parabolic)
@@ -336,10 +335,10 @@ def _dispatch(args) -> int:
         mu = hist.mu
         payload = {
             "ratio": ratio,
-            "log_ratio": _math.log(ratio),
+            "log_ratio": math.log(ratio),
             "mu": mu,
             "mu_log_h": mu * mc.h.ln_float(),
-            "bound_satisfied": _math.log(ratio) <= mu * mc.h.ln_float(),
+            "bound_satisfied": math.log(ratio) <= mu * mc.h.ln_float(),
         }
         _write(args.out, json.dumps(payload, indent=2, default=float))
         return 0

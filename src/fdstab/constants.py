@@ -514,24 +514,18 @@ def cbar_star(ex: ExponentSet, eps_md: float, c_shift: float, kappa_star: float,
     """sup over eps in (0, eps_md] of the three threshold terms.
 
     The middle term eps^a kappa_2(eps) is constant in eps and equals
-    (4 alpha)^{alpha-1} K^{alpha/vartheta}; the other two are bounded and
-    sampled densely (10 000 log-spaced points) with local refinement.  In
-    practice the middle term dominates by an enormous margin.
+    (4 alpha)^{alpha-1} K^{alpha/vartheta}.  The bounded terms are
+    monotone: (1+eps)^{1-m} - 1 is concave and vanishes at 0, so
+    eps/((1+eps)^{1-m} - 1) increases and is largest at eps_md, while
+    1 - (1-eps)^{1-m} is convex, so eps/(1 - (1-eps)^{1-m}) decreases to
+    its eps -> 0 limit 1/(1-m).  In practice the middle term dominates by
+    an enormous margin.
     """
     m, al = ex.m, ex.alpha
-
-    def bounded_terms(eps: np.ndarray) -> np.ndarray:
-        up = (1.0 + eps) ** (1.0 - m)
-        dn = (1.0 - eps) ** (1.0 - m)
-        k1 = np.maximum(8.0 * c_shift / (up - 1.0),
-                        2.0 ** (3.0 - m) * kappa_star / (1.0 - dn))
-        k3 = 8.0 / (al * (1.0 - dn))
-        return np.maximum(eps * k1, eps * k3)
-
-    grid = np.exp(np.linspace(math.log(eps_md) - 18.0, math.log(eps_md), 10000))
-    i = int(np.argmax(bounded_terms(grid)))
-    fine = np.linspace(grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], 2001)
-    best_bounded = logreal(float(np.max(bounded_terms(fine))))
+    best_bounded = logreal(max(
+        8.0 * c_shift * eps_md / math.expm1((1.0 - m) * math.log1p(eps_md)),
+        2.0 ** (3.0 - m) * kappa_star / (1.0 - m),
+        8.0 / (al * (1.0 - m))))
 
     k2_term = logreal((4.0 * al) ** (al - 1.0)) \
         * K_control.pow_logreal(logreal(al) / vartheta)
@@ -548,53 +542,14 @@ def cbar_star(ex: ExponentSet, eps_md: float, c_shift: float, kappa_star: float,
 def c_alpha_min(alpha: float) -> float:
     """inf over x>0, y>=0 of (1 + x^{2/alpha} + y)/(1 + x + y^{alpha/2})^{2/alpha}.
 
-    Coarse 200-point log-grid (including the y = 0 edge) followed by
-    coordinatewise golden-section refinement to relative tolerance 1e-10;
-    at alpha = 2 the quotient is identically 1.
+    With q = 2/alpha >= 1 and u = y^{alpha/2} the quotient reads
+    (1 + x^q + u^q)/(1 + x + u)^q, and the power-mean inequality
+    ((1 + x^q + u^q)/3)^{1/q} >= (1 + x + u)/3 bounds it below by
+    3^{1-q}, with equality at x = u = 1.
     """
-    if alpha == 2.0:
-        return 1.0
-    if not 0.0 < alpha < 2.0:
+    if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
-
-    def f(x, y):
-        return (1.0 + x ** (2.0 / alpha) + y) / (1.0 + x + y ** (0.5 * alpha)) ** (2.0 / alpha)
-
-    tol = 1e-10
-    xs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 200))
-    ys = np.concatenate([[0.0], xs])
-    vals = f(xs[:, None], ys[None, :])
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    x, y = float(xs[i]), float(ys[j])
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(fun, lo, hi):
-        a, b = lo, hi
-        c, d_ = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = fun(c), fun(d_)
-        while abs(b - a) > tol * max(1.0, abs(a) + abs(b)):
-            if fc < fd:
-                b, d_, fd = d_, c, fc
-                c = b - gr * (b - a)
-                fc = fun(c)
-            else:
-                a, c, fc = c, d_, fd
-                d_ = a + gr * (b - a)
-                fd = fun(d_)
-        return 0.5 * (a + b)
-
-    for _ in range(60):
-        x_new = golden(lambda t: f(t, y), x / 8.0, x * 8.0)
-        y_new = golden(lambda t: f(x_new, t), max(0.0, y / 8.0 if y > 0 else 0.0),
-                       (y * 8.0) if y > 0 else 1.0)
-        if f(x_new, 0.0) <= f(x_new, y_new):
-            y_new = 0.0
-        if abs(x_new - x) <= tol * max(1.0, x) and abs(y_new - y) <= tol * max(1.0, y):
-            x, y = x_new, y_new
-            break
-        x, y = x_new, y_new
-    return float(f(x, y))
+    return 3.0 ** (1.0 - 2.0 / alpha)
 
 
 @dataclass(frozen=True)

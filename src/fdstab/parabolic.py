@@ -1,7 +1,8 @@
 """1D linear parabolic solver for empirical Harnack-quotient checks.
 
 Solves dv/dt = d/dx( a(t,x) dv/dx ) on an interval with zero-flux ends,
-implicit Euler in time and harmonic-mean face coefficients in space.  The
+implicit Euler in time and, in space, the coefficient sampled at the face
+midpoints at mid-step; each step is one LAPACK tridiagonal solve.  The
 coefficient is an arbitrary callable pinched between two ellipticity
 constants; a space-time checkerboard builder is included.  The Harnack
 quotient sup over the backward cylinder divided by inf over the forward
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,9 @@ def solve_linear_parabolic(coeff, lam0: float, lam1: float,
         diag = np.ones(n_x)
         diag[:-1] += w
         diag[1:] += w
-        upper = np.zeros(n_x)
-        upper[1:] = -w
-        lower = np.zeros(n_x)
-        lower[:-1] = -w
-        bands = np.vstack([upper, diag, lower])
-        v = solve_banded((1, 1), bands, v)
+        *_, v, info = dgtsv(-w, diag, -w, v)
+        if info != 0:
+            raise RuntimeError(f"tridiagonal solve failed at step {k} (info={info})")
         hist[k + 1] = v
     return ParabolicHistory(t=t, x=x, v=hist, lam0=lam0, lam1=lam1)
 

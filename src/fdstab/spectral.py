@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .fields import graded_mesh
 from .params import ExponentSet
 
 
@@ -210,32 +211,32 @@ def critical_gap_parameters(d: int) -> CriticalGap:
 # -- discretized radial oracle ----------------------------------------------
 
 
-def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
-                            n_eigs: int = 6,
-                            check_refinement: bool = True) -> np.ndarray:
+def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray) -> np.ndarray:
     """Radial-sector eigenvalues from a P1 finite-element discretization.
 
     Assembles the quadratic forms int |u'|^2 (1+r^2)^a r^{d-1} dr against
     int u^2 (1+r^2)^{a-1} r^{d-1} dr with natural boundary conditions and
-    returns the lowest ``n_eigs`` generalized eigenvalues (the first is
-    the zero mode of the constants).  With ``check_refinement`` the first
-    nonzero eigenvalue is recomputed on the mesh thinned by half and a
-    disagreement above 5% raises, flagging a mesh too coarse to trust.
+    returns the lowest six generalized eigenvalues (the first is the zero
+    mode of the constants).  The first nonzero eigenvalue is recomputed on
+    the mesh thinned by half, and a disagreement above 5% raises, flagging
+    a mesh too coarse to trust.
     """
-    if check_refinement:
-        vals = discretized_radial_eigs(query, mesh, n_eigs,
-                                       check_refinement=False)
-        coarse_mesh = np.asarray(mesh, dtype=float)[::2]
-        if coarse_mesh[0] != 0.0:
-            coarse_mesh = np.concatenate([[0.0], coarse_mesh])
-        coarse = discretized_radial_eigs(query, coarse_mesh, min(n_eigs, 2),
-                                         check_refinement=False)
-        gap = abs(coarse[1] - vals[1]) / abs(vals[1])
-        if gap > 0.05:
-            raise ValueError(
-                f"mesh too coarse: refinement changes the first nonzero "
-                f"eigenvalue by {gap:.1%} (> 5%)")
-        return vals
+    vals = _fem_radial_eigs(query, mesh, 6)
+    coarse_mesh = np.asarray(mesh, dtype=float)[::2]
+    if coarse_mesh[0] != 0.0:
+        coarse_mesh = np.concatenate([[0.0], coarse_mesh])
+    coarse = _fem_radial_eigs(query, coarse_mesh, 2)
+    gap = abs(coarse[1] - vals[1]) / abs(vals[1])
+    if gap > 0.05:
+        raise ValueError(
+            f"mesh too coarse: refinement changes the first nonzero "
+            f"eigenvalue by {gap:.1%} (> 5%)")
+    return vals
+
+
+def _fem_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
+                     n_eigs: int) -> np.ndarray:
+    """The lowest ``n_eigs`` eigenvalues of the P1 pencil on one mesh."""
     if not query.a < -(query.d - 2.0) / 2.0:
         raise ValueError("no discrete spectrum for a >= -(d-2)/2")
     r = np.asarray(mesh, dtype=float)
@@ -244,32 +245,28 @@ def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
     d, a = query.d, query.a
     n = r.size
     h = np.diff(r)
+    lo, hi = r[:-1], r[1:]
 
-    def seg_integral(f, lo, hi, order=8):
-        # Gauss-Legendre per element
-        x, w = np.polynomial.legendre.leggauss(order)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * x[None, :]
-        return (f(pts) * w[None, :]).sum(axis=1) * half
+    # 8-point Gauss-Legendre per element
+    x, w = np.polynomial.legendre.leggauss(8)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    pts = mid[:, None] + half[:, None] * x[None, :]
 
-    w_stiff = seg_integral(lambda t: (1.0 + t ** 2) ** a * t ** (d - 1),
-                           r[:-1], r[1:])
+    def seg_integral(vals):
+        return (vals * w[None, :]).sum(axis=1) * half
+
+    w_stiff = seg_integral((1.0 + pts ** 2) ** a * pts ** (d - 1))
     stiff_diag = np.zeros(n)
     stiff_off = -w_stiff / h ** 2
     stiff_diag[:-1] += w_stiff / h ** 2
     stiff_diag[1:] += w_stiff / h ** 2
 
-    def wfun(t):
-        return (1.0 + t ** 2) ** (a - 1.0) * t ** (d - 1)
-
     # consistent P1 mass matrix entries per element
-    m_ll = seg_integral(lambda t: wfun(t) * ((r[1:][None].T - t) / h[:, None]) ** 2,
-                        r[:-1], r[1:])
-    m_rr = seg_integral(lambda t: wfun(t) * ((t - r[:-1][None].T) / h[:, None]) ** 2,
-                        r[:-1], r[1:])
-    m_lr = seg_integral(lambda t: wfun(t) * (r[1:][None].T - t)
-                        * (t - r[:-1][None].T) / h[:, None] ** 2,
-                        r[:-1], r[1:])
+    wmass = (1.0 + pts ** 2) ** (a - 1.0) * pts ** (d - 1)
+    m_ll = seg_integral(wmass * ((hi[None].T - pts) / h[:, None]) ** 2)
+    m_rr = seg_integral(wmass * ((pts - lo[None].T) / h[:, None]) ** 2)
+    m_lr = seg_integral(wmass * (hi[None].T - pts)
+                        * (pts - lo[None].T) / h[:, None] ** 2)
     mass_diag = np.zeros(n)
     mass_diag[:-1] += m_ll
     mass_diag[1:] += m_rr
@@ -281,14 +278,12 @@ def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
     B[np.arange(n - 1), np.arange(1, n)] = m_lr
     B[np.arange(1, n), np.arange(n - 1)] = m_lr
 
-    vals = scipy.linalg.eigh(A, B, eigvals_only=True,
+    return scipy.linalg.eigh(A, B, eigvals_only=True,
                              subset_by_index=[0, n_eigs - 1])
-    return vals
 
 
 def radial_oracle_mesh(r_max: float = 120.0, n: int = 900) -> np.ndarray:
-    """Graded mesh adapted to polynomial eigenfunctions with fat weights."""
-    core = np.linspace(0.0, 10.0, int(0.6 * n))
-    outer = 10.0 * (r_max / 10.0) ** (np.arange(1, n - int(0.6 * n) + 1)
-                                      / (n - int(0.6 * n)))
-    return np.concatenate([core, outer])
+    """Graded mesh adapted to polynomial eigenfunctions with fat weights:
+    uniform on [0, 10] with 0.6 n nodes, geometric out to r_max."""
+    k = int(0.6 * n)
+    return graded_mesh(10.0, k - 1, r_max, n - k)

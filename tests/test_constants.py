@@ -7,10 +7,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdstab import constants as C
 from fdstab.ledger import ConstantLedger
-from fdstab.logscale import logreal
+from fdstab.logscale import ONE, logreal
 from fdstab.params import derive_exponents
 
 mp.mp.dps = 40
@@ -104,9 +106,83 @@ def test_c_alpha():
     assert C.c_alpha_min(2.0) == 1.0
     # alpha = 1: the quotient at (x, y) = (1, 1) equals 1/3 and is optimal
     val = C.c_alpha_min(1.0)
-    assert math.isclose(val, 1.0 / 3.0, rel_tol=1e-8)
+    assert abs(val - 1.0 / 3.0) <= 2.0 * math.ulp(1.0 / 3.0)
     v125 = C.c_alpha_min(1.25)
     assert 0.0 < v125 < 1.0
+    for bad in (0.0, -1.0, 2.5):
+        with pytest.raises(ValueError):
+            C.c_alpha_min(bad)
+
+
+_CLOSED_FORM = settings(derandomize=True, max_examples=200, deadline=None)
+# alpha >= 0.01 keeps 3^{1-2/alpha} >= 3^-199 a normal float
+_ALPHA = st.floats(0.01, 2.0)
+
+
+def _mp_quotient(alpha, x, y):
+    """(1 + x^q + y)/(1 + x + y^{1/q})^q in 40 digits, at the float exponent
+    q = 2/alpha that c_alpha_min evaluates."""
+    q = mp.mpf(2.0 / alpha)
+    x, y = mp.mpf(x), mp.mpf(y)
+    return (1 + x ** q + y) / (1 + x + y ** (1 / q)) ** q
+
+
+@_CLOSED_FORM
+@given(_ALPHA, st.floats(1e-6, 1e6),
+       st.one_of(st.just(0.0), st.floats(1e-6, 1e6)))
+def test_c_alpha_bounds_the_quotient(alpha, x, y):
+    assert _mp_quotient(alpha, x, y) >= C.c_alpha_min(alpha) * (1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.2, 1.25, 1.5, 1.9, 2.0])
+def test_c_alpha_bounds_the_quotient_on_a_log_grid(alpha):
+    floor = C.c_alpha_min(alpha) * (1.0 - 1e-15)
+    xs = np.logspace(-6.0, 6.0, 25)
+    for x in xs:
+        for y in np.concatenate([[0.0], xs]):
+            assert _mp_quotient(alpha, x, y) >= floor, (x, y)
+
+
+@_CLOSED_FORM
+@given(_ALPHA)
+def test_c_alpha_is_the_quotient_at_one_one(alpha):
+    q = 2.0 / alpha
+    at_one = (1.0 + 1.0 ** q + 1.0) / (1.0 + 1.0 + 1.0 ** (0.5 * alpha)) ** q
+    val = C.c_alpha_min(alpha)
+    assert abs(at_one - val) <= 2.0 * math.ulp(val)
+
+
+@st.composite
+def _threshold_inputs(draw):
+    """Admissible (d, m) with eps_md and c_shift drawn over their ranges and
+    kappa_star as the chain sets it (it does not depend on kappa_bar)."""
+    d = draw(st.integers(1, 8))
+    lo = 0.5 if d == 1 else (d - 1.0) / d
+    ex = derive_exponents(d, m=lo + draw(st.floats(0.01, 0.99)) * (1.0 - lo))
+    return (ex, draw(st.floats(1e-8, 0.5)), draw(st.floats(1.0, 1e12)),
+            C.positivity_constants(ex, ONE)[1])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_threshold_inputs())
+def test_cbar_star_bounded_part_is_the_sampled_supremum(point):
+    # with K_control = 1 the eps-independent middle term is (4 alpha)^{alpha-1}
+    # whatever vartheta is, so the three bounded terms decide the supremum
+    ex, eps_md, c_shift, kappa_star = point
+    m, al = ex.m, ex.alpha
+    sup = C.cbar_star(ex, eps_md, c_shift, kappa_star, ONE,
+                      logreal(0.5)).ln_float()
+    worst = -math.inf
+    for eps in eps_md * np.logspace(-12.0, 0.0, 1201):
+        up = math.expm1((1.0 - m) * math.log1p(eps))      # (1+eps)^{1-m} - 1
+        dn = -math.expm1((1.0 - m) * math.log1p(-eps))    # 1 - (1-eps)^{1-m}
+        term = math.log(max(8.0 * c_shift * eps / up,
+                            2.0 ** (3.0 - m) * kappa_star * eps / dn,
+                            8.0 * eps / (al * dn)))
+        # near eps = 0 the terms meet their limit below float64 resolution
+        assert sup >= term - 4.0 * math.ulp(term), eps
+        worst = max(worst, term)
+    assert sup - worst <= 1e-6
 
 
 def test_ghp_chain_values_and_scalings():
