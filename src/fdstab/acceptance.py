@@ -149,12 +149,10 @@ def check_phase_system() -> CheckResult:
     x0 = np.array(x0)
     y0 = np.array(y0)
     path = Mo.xy_integrate_batch(ex, x0, y0, 10.0, dt=1e-3)
-    tgrid = path["t"][:, None]
-    yc = y0[None, :] * np.exp(-ex.b_param * tgrid)
-    mix = a / (4.0 - ex.b_param) * (np.exp(-ex.b_param * tgrid) - np.exp(-4.0 * tgrid))
-    xc = x0[None, :] * np.exp(-4.0 * tgrid) + mix * y0[None, :]
-    err = max(float(np.max(np.abs(path["x"][:, :20] - xc[:, :20]))),
-              float(np.max(np.abs(path["y"][:, :20] - yc[:, :20]))))
+    xc, yc = Mo.xy_closed_form(Mo.PhaseState.make(ex, x0[:20], y0[:20]),
+                               path["t"][:, None])
+    err = max(float(np.max(np.abs(path["x"][:, :20] - xc))),
+              float(np.max(np.abs(path["y"][:, :20] - yc))))
     ok = err < 1e-8
     ok &= bool(np.all(np.diff(path["energy"], axis=0)
                       <= 1e-10 * np.maximum(1.0, path["energy"][:-1])))

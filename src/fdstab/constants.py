@@ -172,8 +172,11 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal) -> MoserCh
     h = LogReal.exp_of(LogReal.from_ln(float(ln_h_log)))
     hbar = h.pow_logreal(mu)
 
+    # ln h >= 2^{d+4} 3^d d >= 96 and mu >= lam0 + 1/lam0 >= 2, so
+    # nu ~ 1/(hbar ln 4) < e^{-192}: vartheta = nu/(d + nu) is nu/d at
+    # float precision
     nu = _nu_from_hbar(hbar)
-    vartheta = _vartheta_from_nu(nu, d)
+    vartheta = nu / logreal(float(d))
     return MoserChain(d=d, lam0=lam0, lam1=lam1, mu=mu, embed_K=K,
                       sigma=sig, c0=c0, c1=c1, c2=c2, h=h, hbar=hbar,
                       nu=nu, vartheta=vartheta)
@@ -187,13 +190,6 @@ def _nu_from_hbar(hbar: LogReal) -> LogReal:
         return logreal(-math.log1p(-x) / math.log(4.0))
     # -log1p(-x) = x (1 + x/2 + ...) -> nu = x/ln4 exactly at float precision
     return inv / logreal(math.log(4.0))
-
-
-def _vartheta_from_nu(nu: LogReal, d: int) -> LogReal:
-    nu_f = _to_float_or_zero(nu)
-    if nu_f > 1e-8:
-        return logreal(nu_f / (d + nu_f))
-    return nu / logreal(float(d))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +319,8 @@ class GHPChain:
     kappa_bar: LogReal
     kappa: LogReal
     kappa_star: float
-    c_shift: float           # max{1, 2^{5-m} kappa_bar^{1-m} b^alpha}
-    t_bar: float
+    c_shift: LogReal         # max{1, 2^{5-m} kappa_bar^{1-m} b^alpha}
+    t_bar: LogReal
     M_bar: LogReal
     t_under_bound: float
     M_under: LogReal
@@ -383,13 +379,16 @@ def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
     kappa, kappa_star = positivity_constants(ex, kb)
 
     kb_ln = kb.ln_float()
-    c_shift = max(1.0, math.exp((5.0 - m) * math.log(2.0)
-                                + (1.0 - m) * kb_ln + al * math.log(b)))
-    t_bar = c_shift * A ** (1.0 - m)
+    # c_shift leaves float64 at d = 2 for m up to about 0.525
+    ln_c_shift = max(0.0, (5.0 - m) * math.log(2.0)
+                     + (1.0 - m) * kb_ln + al * math.log(b))
+    c_shift = LogReal.from_ln(ln_c_shift)
+    t_bar = c_shift * logreal(A ** (1.0 - m))
     M_bar = LogReal.from_ln(
         al / (2.0 * (1.0 - m)) * math.log(2.0) + 0.5 * al * kb_ln
-        + 0.5 * d * math.log1p(c_shift) - 0.5 * d * al * math.log(b)
-        + 2.0 * math.log(mass))
+        # ln(1 + c) = ln c + log1p(1/c)
+        + 0.5 * d * (ln_c_shift + math.log1p(math.exp(-ln_c_shift)))
+        - 0.5 * d * al * math.log(b) + 2.0 * math.log(mass))
     t_under_bound = 0.5 * kappa_star * A ** (1.0 - m)
     m_under_first = logreal(2.0 ** (-0.5 * d)) * (kappa / logreal(b ** d)).powf(0.5 * al)
     m_under_second = kappa / logreal(
@@ -439,11 +438,8 @@ def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogRea
 
     c_holder = holder_lp_interp_constant(d, nu, p=1.0)
     cnu2 = barenblatt_cnu_constant(ex)
-    # 2^nu/(2^nu - 1): for tiny nu this is 1/(nu ln 2) at float precision
-    if nu_f > 1e-8:
-        osc = logreal(2.0 ** nu_f / (2.0 ** nu_f - 1.0))
-    else:
-        osc = ONE / (nu * logreal(math.log(2.0)))
+    # 2^nu/(2^nu - 1) is 1/(nu ln 2) at float precision: nu < e^{-192} (moser_chain)
+    osc = ONE / (nu * logreal(math.log(2.0)))
     inner_exp = d / (d + nu_f)
     t_a = (kappa_bar * logreal(mass ** (2.0 / al)) * osc).add(logreal(cnu2)) \
         .powf(inner_exp)
@@ -459,8 +455,9 @@ def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogRea
 def outer_times_radii(chain: GHPChain, eps: float) -> dict:
     """T and rho of the outer comparison, both branches, at one epsilon.
 
-    The times are floats; the radii are LogReals, because rho_under
-    overflows float64 wherever 1 - eps_under is astronomically small.
+    T_under is a float; T_over, which carries c_shift, and the radii are
+    LogReals, because c_shift overflows float64 at d = 2 near m_1 and
+    rho_under wherever 1 - eps_under is astronomically small.
     """
     ex = chain.ex
     m, al = ex.m, ex.alpha
@@ -470,7 +467,7 @@ def outer_times_radii(chain: GHPChain, eps: float) -> dict:
     up = (1.0 + eps) ** (1.0 - m)
     dn = (1.0 - eps) ** (1.0 - m)
     t_under = (chain.kappa_star * (2.0 * chain.A) ** (1.0 - m) + 2.0 / al) / (1.0 - dn)
-    t_over = 2.0 * chain.t_bar / (up - 1.0)
+    t_over = chain.t_bar * logreal(2.0 / (up - 1.0))
     # ((1-eps)/(1-eps_under))^{1-m} - 1 = expm1(x), with
     # ln expm1(x) = x + log1p(-e^{-x}) so that nothing overflows
     x = (1.0 - m) * (math.log1p(-eps) - chain.one_minus_eps_under.ln_float())
@@ -509,7 +506,7 @@ def threshold_time(chain: GHPChain, eps: float, G: float) -> ThresholdConstants:
     return ThresholdConstants(c_star=c_star, t_star=t_star, T_star=T_star)
 
 
-def cbar_star(ex: ExponentSet, eps_md: float, c_shift: float, kappa_star: float,
+def cbar_star(ex: ExponentSet, eps_md: float, c_shift: LogReal, kappa_star: float,
               K_control: LogReal, vartheta: LogReal) -> LogReal:
     """sup over eps in (0, eps_md] of the three threshold terms.
 
@@ -522,16 +519,13 @@ def cbar_star(ex: ExponentSet, eps_md: float, c_shift: float, kappa_star: float,
     an enormous margin.
     """
     m, al = ex.m, ex.alpha
-    best_bounded = logreal(max(
-        8.0 * c_shift * eps_md / math.expm1((1.0 - m) * math.log1p(eps_md)),
-        2.0 ** (3.0 - m) * kappa_star / (1.0 - m),
-        8.0 / (al * (1.0 - m))))
-
+    best_bounded = max(
+        c_shift * logreal(8.0 * eps_md / math.expm1((1.0 - m) * math.log1p(eps_md))),
+        logreal(2.0 ** (3.0 - m) * kappa_star / (1.0 - m)),
+        logreal(8.0 / (al * (1.0 - m))))
     k2_term = logreal((4.0 * al) ** (al - 1.0)) \
         * K_control.pow_logreal(logreal(al) / vartheta)
-    if best_bounded < k2_term:
-        return k2_term
-    return best_bounded
+    return max(best_bounded, k2_term)
 
 
 # ---------------------------------------------------------------------------

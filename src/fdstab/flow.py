@@ -372,22 +372,19 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     times, snaps, reps, rel_errs, delays, fv_mass = [], [], [], [], [], []
     tau = 0.0
 
-    def moment_ratio(vv):
-        return _make_field(ex, r, vv).second_moment() / mt.second_moment
-
-    # the moment ratio of the current state, carried from step to step
-    ratio = moment_ratio(v) if delay else math.nan
-
-    def save(vv):
+    def measure(vv):
+        # relative quantities are differenced against the discretized
+        # profile (the scheme's own fixed point), so the shared quadrature
+        # bias cancels
         snap = _make_field(ex, r, vv)
+        return snap, entropy_report(snap, ref) if reports else None
+
+    def save(vv, snap, rep):
         times.append(stepper.t)
         snaps.append(snap)
         fv_mass.append(bookkept_mass(vv))
         if reports:
-            # relative quantities are differenced against the discretized
-            # profile (the scheme's own fixed point), which cancels the
-            # shared quadrature bias; they vanish exactly at convergence
-            reps.append(entropy_report(snap, ref))
+            reps.append(rep)
             rel_errs.append(float(np.max(np.abs(snap.v / ref.field.v - 1.0))))
         if delay:
             lam = ratio / math.exp(4.0 * tau)
@@ -396,7 +393,11 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
 
     mass_ref = bookkept_mass(v)
     drift = 0.0
-    save(v)
+    snap, rep = measure(v)
+    # the moment ratio of the current state, carried from step to step; the
+    # delayed flow always reports, and a save's report holds its moment
+    ratio = rep.second_moment / mt.second_moment if delay else math.nan
+    save(v, snap, rep)
     next_save = 1
     dt = DT_INIT
     while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
@@ -405,18 +406,23 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
             dt = min(dt, max(1e-12, save_times[next_save] - stepper.t))
         dt_taken, dt = stepper.advance(dt)
         v = stepper.v
+        at_save = (next_save <= n_saves
+                   and stepper.t >= save_times[next_save] - 1e-12)
+        snap, rep = measure(v) if at_save else (None, None)
         if delay:
             # Heun update of the delay equation on the PDE grid
             g0 = ratio ** (-0.5 * ex.alpha) - 1.0
-            ratio = moment_ratio(v)
+            m2 = rep.second_moment if at_save \
+                else _make_field(ex, r, v).second_moment()
+            ratio = m2 / mt.second_moment
             g1 = ratio ** (-0.5 * ex.alpha) - 1.0
             dtau = 0.5 * dt_taken * (g0 + g1)
             if dtau <= -dt_taken:
                 raise RuntimeError("delay rate reached ds/dt <= 0")
             tau += dtau
         drift = max(drift, abs(bookkept_mass(v) - mass_ref) / mass_ref)
-        if next_save <= n_saves and stepper.t >= save_times[next_save] - 1e-12:
-            save(v)
+        if at_save:
+            save(v, snap, rep)
             next_save += 1
     if stepper.t < t_end - 1e-12:
         raise RuntimeError(

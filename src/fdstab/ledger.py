@@ -60,11 +60,13 @@ class ConstantLedger:
     @classmethod
     def from_json(cls, text: str) -> "ConstantLedger":
         """Rebuild a ledger from :meth:`to_json` output via the exact
-        leveled ``log_scale`` form (the plain values are not read)."""
+        leveled ``log_scale`` form, canonicalized (the plain values are not
+        read)."""
         led = cls()
         for e in json.loads(text):
-            led.entries[e["name"]] = LedgerEntry(
-                e["name"], LogReal(**e["log_scale"]), e["formula"])
+            ls = e["log_scale"]
+            value = LogReal.canonical(ls["lnsign"], ls["lndepth"], ls["lnmag"])
+            led.entries[e["name"]] = LedgerEntry(e["name"], value, e["formula"])
         return led
 
     def close_to(self, other: "ConstantLedger", rel: float = 1e-12) -> list[str]:

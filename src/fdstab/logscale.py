@@ -8,22 +8,27 @@ real x through a signed tower
 
     ln(x) = lnsign * E(lndepth, lnmag),   E(0, v) = v,  E(k, v) = exp(E(k-1, v))
 
-normalized so that depth >= 1 implies lnmag > 700 (the value would not
-fit one level down).  Multiplication, powers, and sums of positive terms
-are supported at any depth; once magnitudes differ beyond float64
-resolution the dominant term is returned, which is exact at working
-precision.  Additions that would cancel two equal super-exponential
-magnitudes of opposite sign are refused rather than guessed.
+in one canonical form, which the constructor enforces: depth >= 1 only
+when |ln x| does not fit a float64 (lnmag > ln(float max) ~ 709.78), and
+x = 1 only as ``ONE``; ordering, sums and ``close_to`` rely on it.  This
+is the level-index idea of Clenshaw & Olver (J. ACM 31, 1984).
+Multiplication, powers, and sums of positive terms are supported at any
+depth; once magnitudes differ beyond float64 resolution the dominant term
+is returned, which is exact at working precision.  Additions that would
+cancel two equal super-exponential magnitudes of opposite sign are
+refused rather than guessed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-# |ln x| below this is kept at depth 0; above, the plain value of x would
-# overflow/underflow a float64
+# above this |ln x|, the plain value of x overflows/underflows a float64
 _LN_PLAIN_MAX = 700.0
+# the largest magnitude whose exp is finite
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,7 @@ class LogReal:
 
     lnsign: int   # sign of ln(x): +1, -1, or 0 for x == 1
     lndepth: int  # tower height of the stored magnitude
-    lnmag: float  # nonnegative magnitude, > 700 whenever lndepth >= 1
+    lnmag: float  # nonnegative magnitude, > _LN_FLOAT_MAX whenever lndepth >= 1
 
     def __post_init__(self):
         if self.lndepth < 0:
@@ -41,6 +46,10 @@ class LogReal:
             raise ValueError(f"lnmag must be finite and >= 0, got {self.lnmag}")
         if self.lnsign not in (-1, 0, 1):
             raise ValueError("lnsign must be -1, 0 or +1")
+        # depth >= 1 only when exp(lnmag) overflows; lnsign 0 only for ONE
+        if (self.lndepth >= 1 and self.lnmag <= _LN_FLOAT_MAX) \
+                or (self.lnsign == 0) != (self.lnmag == 0.0):
+            raise ValueError(f"non-canonical encoding {self!r}")
 
     # -- constructors -------------------------------------------------
 
@@ -60,11 +69,10 @@ class LogReal:
         return LogReal(1 if ln_x > 0 else -1, 0, abs(ln_x))
 
     @staticmethod
-    def _build(sign: int, depth: int, mag: float) -> "LogReal":
-        """Normalize a tower representation to minimal depth."""
-        if sign == 0 or mag == -math.inf:
-            return ONE
-        while depth >= 1 and mag <= _LN_PLAIN_MAX:
+    def canonical(sign: int, depth: int, mag: float) -> "LogReal":
+        """The canonical LogReal of ln x = sign * E(depth, mag): lowered
+        while exp(mag) is finite."""
+        while depth >= 1 and mag <= _LN_FLOAT_MAX:
             mag = math.exp(mag)
             depth -= 1
         return LogReal(sign, depth, mag)
@@ -78,8 +86,8 @@ class LogReal:
         if self.lndepth == 0:
             return (self.lnsign, LogReal.from_float(self.lnmag))
         # |ln x| = E(lndepth, lnmag) is the value whose own ln is
-        # E(lndepth - 1, lnmag)
-        return (self.lnsign, LogReal._build(1, self.lndepth - 1, self.lnmag))
+        # E(lndepth - 1, lnmag), canonical as it stands
+        return (self.lnsign, LogReal(1, self.lndepth - 1, self.lnmag))
 
     @staticmethod
     def exp_of(t: "LogReal", sign: int = 1) -> "LogReal":
@@ -94,7 +102,7 @@ class LogReal:
         if t.lnsign == 0:
             return LogReal.from_ln(float(sign))
         # t = E(lndepth + 1, lnmag) as a value
-        return LogReal._build(sign, t.lndepth + 1, t.lnmag)
+        return LogReal.canonical(sign, t.lndepth + 1, t.lnmag)
 
     # -- conversions ---------------------------------------------------
 
@@ -144,12 +152,7 @@ class LogReal:
         return LogReal.exp_of(m, s)
 
     def __truediv__(self, other: "LogReal") -> "LogReal":
-        la, lb = self._plain_ln(), other._plain_ln()
-        if la is not None and lb is not None and math.isfinite(la - lb):
-            return LogReal.from_ln(la - lb)
-        so, mo = other.ln_signed()
-        s, m = _signed_add(*self.ln_signed(), -so, mo)
-        return LogReal.exp_of(m, s)
+        return self * LogReal(-other.lnsign, other.lndepth, other.lnmag)
 
     def powf(self, c: float) -> "LogReal":
         """x**c for a plain float exponent."""
@@ -202,19 +205,12 @@ class LogReal:
 
 
 def _signed_add(s1: int, m1: LogReal, s2: int, m2: LogReal) -> tuple[int, LogReal]:
-    """s1*m1 + s2*m2 for signed magnitudes carried as LogReal values."""
+    """s1*m1 + s2*m2 for signed magnitudes carried as LogReal values; only
+    reached once a sum of logs leaves float64, so one magnitude > e^700."""
     if s1 == 0:
         return (s2, m2)
     if s2 == 0:
         return (s1, m1)
-    try:
-        t = s1 * m1.to_float() + s2 * m2.to_float()
-        if t == 0.0:
-            return (0, ONE)
-        if math.isfinite(t):
-            return (1 if t > 0 else -1, LogReal.from_float(abs(t)))
-    except OverflowError:
-        pass
     if m2.__lt__(m1) or (not m1.__lt__(m2) and s1 == s2):
         return _dominant_sum(s1, m1, s2, m2)
     return _dominant_sum(s2, m2, s1, m1)
@@ -229,10 +225,7 @@ def _dominant_sum(big_s: int, big: LogReal, small_s: int,
     31, 1984).  Terms that cancel at that resolution return sign 0.
     """
     ratio = small / big
-    try:
-        r = ratio.to_float()
-    except OverflowError:
-        return (big_s, big)
+    r = ratio.to_float() if ratio.representable else 0.0  # else below e^-700
     if r < 1e-17:
         return (big_s, big)
     if big_s == small_s:

@@ -222,10 +222,8 @@ def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray) -> np.ndarra
     a mesh too coarse to trust.
     """
     vals = _fem_radial_eigs(query, mesh, 6)
-    coarse_mesh = np.asarray(mesh, dtype=float)[::2]
-    if coarse_mesh[0] != 0.0:
-        coarse_mesh = np.concatenate([[0.0], coarse_mesh])
-    coarse = _fem_radial_eigs(query, coarse_mesh, 2)
+    # mesh[::2] keeps the first node, which the fine-mesh call checked is 0
+    coarse = _fem_radial_eigs(query, np.asarray(mesh, dtype=float)[::2], 2)
     gap = abs(coarse[1] - vals[1]) / abs(vals[1])
     if gap > 0.05:
         raise ValueError(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import fdstab.flow
 from fdstab.cli import main
 
 
@@ -118,3 +119,42 @@ def test_shoot_scan_out(tmp_path, capsys):
     brackets = [(a0, a1) for (a0, s0, n0), (a1, s1, n1) in zip(rows, rows[1:])
                 if n0 == n1 == 1 and s0 * s1 < 0.0]
     assert [b for b in brackets if b[0] < a_star < b[1]]
+
+
+def test_constants_builds_where_c_shift_overflowed_float64(tmp_path):
+    out_path = tmp_path / "ledger.json"
+    assert main(["constants", "--d", "2", "--m", "0.52",
+                 "--out", str(out_path)]) == 0
+    by_name = {e["name"]: e for e in json.loads(out_path.read_text())}
+    assert by_name["t_bar"]["value"] is None  # c_shift > e^700
+
+
+def test_numerical_failure_exits_two(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("step size underflow")
+    monkeypatch.setattr(fdstab.flow, "solve_fdr", fail)
+    assert main(["simulate", "--d", "3", "--m", "0.75", "--t-end", "0.1"]) == 2
+    assert "numerical failure: step size underflow" in capsys.readouterr().err
+
+
+def test_simulate_barenblatt_snapshot_out(tmp_path):
+    snap = tmp_path / "snap.csv"
+    assert main(["simulate", "--d", "3", "--m", "0.75", "--init", "barenblatt",
+                 "--t-end", "0.05", "--cells", "120", "--saves", "2",
+                 "--out", str(tmp_path / "traj.csv"),
+                 "--snapshot-out", str(snap)]) == 0
+    lines = snap.read_text().splitlines()
+    assert lines[0] == "r,value"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert rows[0][0] == 0.0 and len(rows) > 120
+    assert all(v > 0.0 for _, v in rows)
+
+
+def test_config_boolean_key(tmp_path, capsys):
+    cfg = tmp_path / "delay.cfg"
+    cfg.write_text("d=3\nm=0.6666666666666666\nsimulate=true\nt-end=0.05\n")
+    code, out = run(["delay", "--config", str(cfg)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    # the true-valued key became the bare --simulate flag
+    assert payload["simulated_tau_path"][0]["t"] == 0.0

@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -170,7 +171,7 @@ def test_cbar_star_bounded_part_is_the_sampled_supremum(point):
     # whatever vartheta is, so the three bounded terms decide the supremum
     ex, eps_md, c_shift, kappa_star = point
     m, al = ex.m, ex.alpha
-    sup = C.cbar_star(ex, eps_md, c_shift, kappa_star, ONE,
+    sup = C.cbar_star(ex, eps_md, logreal(c_shift), kappa_star, ONE,
                       logreal(0.5)).ln_float()
     worst = -math.inf
     for eps in eps_md * np.logspace(-12.0, 0.0, 1201):
@@ -197,9 +198,9 @@ def test_ghp_chain_values_and_scalings():
     rr = [C.outer_times_radii(chain, float(e)) for e in eps]
     for key, slope_want in (("rho_under", -0.5), ("rho_over", -0.5),
                             ("T_under", -1.0), ("T_over", -1.0)):
-        # the radii are LogReals, the times floats
-        log_vals = np.array([r[key].ln_float() if key.startswith("rho")
-                             else math.log(r[key]) for r in rr])
+        # T_under is a float, T_over and the radii are LogReals
+        log_vals = np.array([math.log(r[key]) if key == "T_under"
+                             else r[key].ln_float() for r in rr])
         slope = np.polyfit(np.log(eps), log_vals, 1)[0]
         assert abs(slope - slope_want) <= 0.05
     with pytest.raises(ValueError):
@@ -322,6 +323,38 @@ def test_ledger_builds_where_rho_under_overflowed_float64(d, m):
     led = C.build_ledger(d, m, 0.5, 2.0, 1.0, 1.0)
     assert all(math.isfinite(led[name].lnmag) for name in led.names())
     assert led["rho_under_eps"].lnsign == 1
+
+
+def _sweep_points():
+    """(d, m) over d = 1..10: 16 points across each admissible interval
+    [m_1, 1) (open at 1/2 for d = 1, 2), the near-1 end m = 0.995, 0.998,
+    and d = 2, m = 0.505..0.525, where c_shift leaves float64."""
+    pts = [(2, 0.505 + 0.005 * k) for k in range(5)]
+    for d in range(1, 11):
+        lo = 0.5 if d <= 2 else (d - 1.0) / d
+        ks = range(1 if d <= 2 else 0, 16)
+        pts += [(d, lo + (1.0 - lo) * k / 16) for k in ks]
+        pts += [(d, 0.995), (d, 0.998)]
+    return pts
+
+
+def test_ledger_builds_canonically_over_the_admissible_range():
+    for d, m in _sweep_points():
+        led = C.build_ledger(d, m, 0.5, 2.0, 1.0, 1.0)
+        for name in led.names():
+            x = led[name]
+            # depth >= 1 only where |ln x| does not fit a float64
+            assert x.lndepth == 0 or x.lnmag > math.log(sys.float_info.max), \
+                (d, m, name)
+            assert math.isfinite(x.lnmag), (d, m, name)
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="ghp_chain forms 2^(2/((1-m) alpha)) and "
+                          "alpha^(alpha/(2(1-m))) as floats, which overflow "
+                          "once 1/(1-m) exceeds about 1020")
+def test_ledger_builds_next_to_m_equal_one():
+    C.build_ledger(3, 0.9995, 0.5, 2.0, 1.0, 1.0)
 
 
 def test_ledger_json_schema():

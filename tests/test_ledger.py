@@ -37,3 +37,12 @@ def test_close_to_reports_names():
     assert l1.close_to(l2, rel=1e-9) == ["x"]
     l2.put("extra", 1.0, "")
     assert "extra" in l1.close_to(l2, rel=1e-3)
+
+
+def test_from_json_canonicalizes_band_encodings():
+    # ln|ln x| = 701 stored one level too deep, as older files may hold it
+    text = json.dumps([{"name": "x", "log_value": None, "value": None,
+                        "formula": "", "log_scale":
+                        {"lnsign": 1, "lndepth": 1, "lnmag": 701.0}}])
+    led = ConstantLedger.from_json(text)
+    assert led["x"] == LogReal.from_ln(math.exp(701.0))

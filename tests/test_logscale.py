@@ -105,7 +105,8 @@ def test_ln_logreal():
 _EPS = 2.0 ** -52
 _K = 16
 _DEPTH0 = st.floats(-700.0, 700.0).map(LogReal.from_ln)
-_DEPTH1 = st.builds(lambda s, v: LogReal(s, 1, v), st.sampled_from((-1, 1)),
+_DEPTH1 = st.builds(lambda s, v: LogReal.canonical(s, 1, v),
+                    st.sampled_from((-1, 1)),
                     st.floats(700.0, sys.float_info.max, exclude_min=True))
 _OPERAND = st.one_of(_DEPTH0, _DEPTH1)
 _PROPS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -246,3 +247,50 @@ def test_exp_of_matches_mpmath(t, sign):
         return
     with mp.workdps(50):
         _assert_matches(got, sign, _mp_ln(t))
+
+
+# -- the canonical encoding ---------------------------------------------------
+#
+# |ln x| in (e^700, e^709.78] fits a float64 and is stored at depth 0, so
+# no encoding depends on the path that produced the value, which ordering
+# and sums assume.
+
+_LN_MAX = math.log(sys.float_info.max)
+_SIGNS = st.sampled_from((-1, 1))
+# ln|ln x| across the band, reached through the tower and through a float
+_BAND = st.one_of(
+    st.builds(lambda s, l: LogReal.exp_of(LogReal.from_ln(l), s),
+              _SIGNS, st.floats(690.0, 720.0)),
+    st.builds(lambda s, l: LogReal.from_ln(s * math.exp(l)),
+              _SIGNS, st.floats(690.0, _LN_MAX)))
+
+
+@_PROPS
+@given(_BAND, _BAND)
+def test_ordering_in_the_band_matches_mpmath(x, y):
+    with mp.workdps(50):
+        assert (x < y) == (_mp_ln(x) < _mp_ln(y))
+
+
+@_PROPS
+@given(st.floats(700.0, _LN_MAX, exclude_min=True))
+def test_tower_and_float_paths_give_one_encoding(v):
+    assert LogReal.exp_of(LogReal.from_ln(v)) == LogReal.from_ln(math.exp(v))
+
+
+def test_band_sums_keep_the_dominant_term():
+    x = LogReal.exp_of(LogReal.from_ln(701.0))  # ln x = e^701 ~ 2.8e304
+    y = LogReal.from_ln(1e305)
+    assert x < y and not y < x
+    assert x.add(y) == y
+    assert y.sub(x) == y
+    assert x.close_to(LogReal.from_ln(math.exp(701.0)), rel=0.0)
+
+
+def test_constructor_rejects_non_canonical_forms():
+    for args in ((1, 1, 701.0), (-1, 1, _LN_MAX), (1, 2, 0.5),
+                 (0, 0, 1.0), (0, 1, 800.0), (1, 0, 0.0)):
+        with pytest.raises(ValueError):
+            LogReal(*args)
+    assert LogReal.canonical(1, 1, 701.0) == LogReal.from_ln(math.exp(701.0))
+    assert LogReal(1, 1, math.nextafter(_LN_MAX, math.inf)).lndepth == 1
