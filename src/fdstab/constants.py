@@ -304,9 +304,11 @@ def barenblatt_cnu_constant(ex: ExponentSet) -> float:
     """Hoelder-seminorm bound of the unit-time point-source profile."""
     m, d = ex.m, ex.d
     b = _b_delta(ex)
-    alt = 2.0 ** ((3.0 - 2.0 * m) / (1.0 - m)) * b ** d * (2.0 - m) ** (2.0 - m) \
-        / (math.sqrt(1.0 - m) * (3.0 - m) ** ((5.0 - 3.0 * m) / (2.0 * (1.0 - m))))
-    return 2.0 * b * max(1.0, alt)
+    # the two 1/(1-m) powers overflow apart next to m = 1; their ratio stays O(1)
+    ln_alt = (3.0 - 2.0 * m) / (1.0 - m) * math.log(2.0) + d * math.log(b) \
+        + (2.0 - m) * math.log(2.0 - m) - 0.5 * math.log(1.0 - m) \
+        - (5.0 - 3.0 * m) / (2.0 * (1.0 - m)) * math.log(3.0 - m)
+    return 2.0 * b * max(1.0, math.exp(ln_alt))
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,10 @@ def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
         - 0.5 * d * al * math.log(b) + 2.0 * math.log(mass))
     t_under_bound = 0.5 * kappa_star * A ** (1.0 - m)
     m_under_first = logreal(2.0 ** (-0.5 * d)) * (kappa / logreal(b ** d)).powf(0.5 * al)
-    m_under_second = kappa / logreal(
-        (d * (1.0 - m)) ** (0.5 * d) * al ** (al / (2.0 * (1.0 - m))))
+    # the powers of 2, 1.5 and alpha with exponents ~ 1/(1-m) leave
+    # float64 once 1/(1-m) exceeds about 1020, so they are formed in log form
+    m_under_second = kappa / LogReal.from_ln(
+        0.5 * d * math.log(d * (1.0 - m)) + al / (2.0 * (1.0 - m)) * math.log(al))
     m_small = m_under_first if m_under_first < m_under_second else m_under_second
     M_under = m_small * logreal(kappa_star).powf(1.0 / (1.0 - m)) * logreal(mass ** 2)
 
@@ -401,9 +405,9 @@ def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
     eps_under = 1.0 - _to_float_or_zero(one_minus_eps_under)
     eps_md = min(_to_float_or_zero(eps_bar), eps_under, 0.5)
 
-    C_under = one_minus_eps_under / logreal(2.0 ** (2.0 / ((1.0 - m) * al)))
-    C_over = ONE.add(eps_bar) \
-        * logreal(1.5 ** (2.0 / ((1.0 - m) * al)))
+    e_c = 2.0 / ((1.0 - m) * al)
+    C_under = one_minus_eps_under / LogReal.from_ln(e_c * math.log(2.0))
+    C_over = ONE.add(eps_bar) * LogReal.from_ln(e_c * math.log(1.5))
 
     sup_b, inf_b = _profile_bounds_on_cylinders(ex)
     lam0 = (C_over * sup_b).powf(m - 1.0) * logreal(m)

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse import diags
+from scipy.sparse.linalg import eigsh
 
 from .fields import graded_mesh
 from .params import ExponentSet
@@ -217,9 +218,11 @@ def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray) -> np.ndarra
     Assembles the quadratic forms int |u'|^2 (1+r^2)^a r^{d-1} dr against
     int u^2 (1+r^2)^{a-1} r^{d-1} dr with natural boundary conditions and
     returns the lowest six generalized eigenvalues (the first is the zero
-    mode of the constants).  The first nonzero eigenvalue is recomputed on
-    the mesh thinned by half, and a disagreement above 5% raises, flagging
-    a mesh too coarse to trust.
+    mode of the constants), found by shift-invert Lanczos (ARPACK) below
+    zero from a fixed start vector, so one query on one mesh always gives
+    the same bits.  The first nonzero eigenvalue is recomputed on the mesh
+    thinned by half, and a disagreement above 5% raises, flagging a mesh
+    too coarse to trust.
     """
     vals = _fem_radial_eigs(query, mesh, 6)
     # mesh[::2] keeps the first node, which the fine-mesh call checked is 0
@@ -234,7 +237,22 @@ def discretized_radial_eigs(query: SpectrumQuery, mesh: np.ndarray) -> np.ndarra
 
 def _fem_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
                      n_eigs: int) -> np.ndarray:
-    """The lowest ``n_eigs`` eigenvalues of the P1 pencil on one mesh."""
+    """The lowest ``n_eigs`` eigenvalues of the P1 pencil on one mesh.
+
+    The constants span ker A, so the shift sits below zero.  ARPACK
+    replaces a start vector that lies in an invariant subspace (such as
+    the constants) by a random one, so v0 is fixed and not constant.
+    """
+    A, B = _fem_pencil(query, mesh)
+    v0 = np.linspace(1.0, 2.0, A.shape[0])
+    vals = eigsh(A, n_eigs, M=B, sigma=-1.0, which="LM", v0=v0,
+                 return_eigenvectors=False)
+    return np.sort(vals)
+
+
+def _fem_pencil(query: SpectrumQuery, mesh: np.ndarray):
+    """Stiffness A and consistent mass B of the P1 radial pencil, both
+    sparse tridiagonal (CSC)."""
     if not query.a < -(query.d - 2.0) / 2.0:
         raise ValueError("no discrete spectrum for a >= -(d-2)/2")
     r = np.asarray(mesh, dtype=float)
@@ -269,15 +287,9 @@ def _fem_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
     mass_diag[:-1] += m_ll
     mass_diag[1:] += m_rr
 
-    A = np.diag(stiff_diag)
-    A[np.arange(n - 1), np.arange(1, n)] = stiff_off
-    A[np.arange(1, n), np.arange(n - 1)] = stiff_off
-    B = np.diag(mass_diag)
-    B[np.arange(n - 1), np.arange(1, n)] = m_lr
-    B[np.arange(1, n), np.arange(n - 1)] = m_lr
-
-    return scipy.linalg.eigh(A, B, eigvals_only=True,
-                             subset_by_index=[0, n_eigs - 1])
+    A = diags([stiff_off, stiff_diag, stiff_off], [-1, 0, 1], format="csc")
+    B = diags([m_lr, mass_diag, m_lr], [-1, 0, 1], format="csc")
+    return A, B
 
 
 def radial_oracle_mesh(r_max: float = 120.0, n: int = 900) -> np.ndarray:

@@ -327,14 +327,16 @@ def test_ledger_builds_where_rho_under_overflowed_float64(d, m):
 
 def _sweep_points():
     """(d, m) over d = 1..10: 16 points across each admissible interval
-    [m_1, 1) (open at 1/2 for d = 1, 2), the near-1 end m = 0.995, 0.998,
-    and d = 2, m = 0.505..0.525, where c_shift leaves float64."""
+    [m_1, 1) (open at 1/2 for d = 1, 2), the near-1 end from m = 0.995 to
+    1 - 1e-12, where the powers with exponents ~ 1/(1-m) leave float64
+    once 1/(1-m) exceeds about 1020, and d = 2, m = 0.505..0.525, where
+    c_shift leaves float64."""
     pts = [(2, 0.505 + 0.005 * k) for k in range(5)]
     for d in range(1, 11):
         lo = 0.5 if d <= 2 else (d - 1.0) / d
         ks = range(1 if d <= 2 else 0, 16)
         pts += [(d, lo + (1.0 - lo) * k / 16) for k in ks]
-        pts += [(d, 0.995), (d, 0.998)]
+        pts += [(d, m) for m in (0.995, 0.998, 0.9995, 0.9999, 1.0 - 1e-6, 1.0 - 1e-12)]
     return pts
 
 
@@ -349,12 +351,21 @@ def test_ledger_builds_canonically_over_the_admissible_range():
             assert math.isfinite(x.lnmag), (d, m, name)
 
 
-@pytest.mark.xfail(raises=OverflowError, strict=True,
-                   reason="ghp_chain forms 2^(2/((1-m) alpha)) and "
-                          "alpha^(alpha/(2(1-m))) as floats, which overflow "
-                          "once 1/(1-m) exceeds about 1020")
 def test_ledger_builds_next_to_m_equal_one():
-    C.build_ledger(3, 0.9995, 0.5, 2.0, 1.0, 1.0)
+    # 2^(2/((1-m) alpha)), 1.5^(...) and alpha^(alpha/(2(1-m))) overflowed
+    # as floats here; in log form C_under and C_over keep their definitions
+    led = C.build_ledger(3, 0.9995, 0.5, 2.0, 1.0, 1.0)
+    ex = derive_exponents(3, m=0.9995)
+    chain = C.ghp_chain(ex, 1.0)
+    e_c = 2.0 / ((1.0 - ex.m) * ex.alpha)
+    assert e_c * math.log(1.5) > math.log(sys.float_info.max)
+    assert math.isclose(chain.C_under.ln_float(),
+                        chain.one_minus_eps_under.ln_float() - e_c * math.log(2.0),
+                        rel_tol=1e-14)
+    assert math.isclose(chain.C_over.ln_float(),
+                        ONE.add(chain.eps_bar).ln_float() + e_c * math.log(1.5),
+                        rel_tol=1e-14)
+    assert led["C_under"] == chain.C_under and led["C_over"] == chain.C_over
 
 
 def test_ledger_json_schema():

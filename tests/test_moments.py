@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdstab import moments as M
 from fdstab.params import derive_exponents
@@ -36,6 +38,65 @@ def test_rk4_matches_closed_form():
     xc, yc = M.xy_closed_form(st, path["t"])
     assert np.max(np.abs(path["x"] - xc)) < 1e-8
     assert np.max(np.abs(path["y"] - yc)) < 1e-8
+
+
+def _rk4_loop(a, b, x, y, n, dt):
+    """The stepping RK4 reference: n classical steps of X' = aY - 4X, Y' = -bY
+    on plain floats, returning the lists of X and Y (start included)."""
+    xs, ys = [x], [y]
+    for _ in range(n):
+        k1x, k1y = a * y - 4.0 * x, -b * y
+        x2, y2 = x + 0.5 * dt * k1x, y + 0.5 * dt * k1y
+        k2x, k2y = a * y2 - 4.0 * x2, -b * y2
+        x3, y3 = x + 0.5 * dt * k2x, y + 0.5 * dt * k2y
+        k3x, k3y = a * y3 - 4.0 * x3, -b * y3
+        x4, y4 = x + dt * k3x, y + dt * k3y
+        k4x, k4y = a * y4 - 4.0 * x4, -b * y4
+        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y = y + dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
+def test_closed_form_power_matches_stepping_loop():
+    x0 = np.array([0.1, -2.0, 0.0, 1.0, 0.3])
+    y0 = np.array([0.05, 1.5, 1.0, 0.0, -0.4])
+    path = M.xy_integrate_batch(EX, x0, y0, 10.0)
+    assert path["x"].shape == (10001, 5)
+    assert np.array_equal(path["x"][0], x0) and np.array_equal(path["y"][0], y0)
+    for j in range(x0.size):
+        xs, ys = _rk4_loop(EX.a_param, EX.b_param, x0[j], y0[j], 10000, 1e-3)
+        assert np.max(np.abs(path["x"][:, j] - xs)) < 1e-13
+        assert np.max(np.abs(path["y"][:, j] - ys)) < 1e-13
+
+
+@st.composite
+def _admissible_dm(draw):
+    """(d, m) over the admissible range, with m also drawn within 1e-6 of 1,
+    where b = 2 alpha -> 4 and the two diagonal entries of the step meet."""
+    d = draw(st.integers(1, 10))
+    lo = 0.5 if d <= 2 else (d - 1.0) / d
+    gap = draw(st.one_of(st.floats(1e-12, 1e-6),
+                         st.floats(0.0, 0.999).map(lambda u: (1.0 - u) * (1.0 - lo))))
+    m = 1.0 - gap
+    if not lo < m < 1.0:
+        m = lo + 0.5 * (1.0 - lo)
+    return derive_exponents(d, m=m)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_admissible_dm())
+def test_propagator_divided_differences_match_stepping_loop(ex):
+    # the columns of R^k are the loop's paths from (1, 0) and (0, 1); the
+    # upper corner c D_k is the divided difference that b -> 4 makes delicate
+    a, b, n, dt = ex.a_param, ex.b_param, 3000, 1e-3
+    p11, p12, p22 = M._rk4_propagator(a, b, dt, n)
+    x10, _ = _rk4_loop(a, b, 1.0, 0.0, n, dt)
+    x01, y01 = _rk4_loop(a, b, 0.0, 1.0, n, dt)
+    for got, want in ((p11, x10), (p12, x01), (p22, y01)):
+        assert got[0] == want[0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_energy_dissipation_identity():

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from fdstab import spectral as S
 
@@ -125,6 +127,36 @@ def test_radial_oracle_mesh_refinement_trend():
     # two meshes agree within the advertised Richardson window
     assert fine[1] <= coarse[1] + 1e-10
     assert abs(fine[1] - coarse[1]) < 0.05 * fine[1]
+
+
+# discrete-spectrum samples of the spectral battery check
+_PENCIL_SAMPLES = [(8, 1.1), (2, 1.5), (3, 2.0), (3, 3.0), (5, 1.4), (2, 4.0)]
+
+
+@pytest.mark.parametrize("n", [300, 900])
+@pytest.mark.parametrize("d, p", _PENCIL_SAMPLES)
+def test_shift_invert_matches_dense_pencil(d, p, n):
+    # the dense generalized eigh on the same pencil is the reference
+    q = _q(d, p)
+    mesh = S.radial_oracle_mesh(n=n)
+    A, B = S._fem_pencil(q, mesh)
+    assert A.shape == B.shape == (n, n) and A.nnz == B.nnz == 3 * n - 2
+    want = scipy.linalg.eigh(A.toarray(), B.toarray(), eigvals_only=True,
+                             subset_by_index=[0, 5])
+    got = S._fem_radial_eigs(q, mesh, 6)
+    assert np.all(np.diff(got) > 0.0)
+    # the zero mode against the scale of the first nonzero one
+    assert abs(got[0] - want[0]) <= 1e-9 * want[1]
+    assert np.all(np.abs(got[1:] - want[1:]) <= 1e-9 * np.abs(want[1:]))
+
+
+def test_radial_oracle_is_bit_reproducible():
+    # a fixed start vector: the same query gives the same bits whatever ran before
+    mesh = S.radial_oracle_mesh()
+    first = S.discretized_radial_eigs(_q(3, 2.0), mesh)
+    S.discretized_radial_eigs(_q(5, 1.4), mesh)
+    again = S.discretized_radial_eigs(_q(3, 2.0), mesh)
+    assert first.tobytes() == again.tobytes()
 
 
 def test_radial_oracle_rejects_coarse_mesh():
