@@ -468,17 +468,19 @@ def outer_times_radii(chain: GHPChain, eps: float) -> dict:
     if not 0.0 < eps < chain.eps_md:
         raise ValueError(f"eps must lie in (0, {chain.eps_md})")
     lb = ex.lambda_bullet
-    up = (1.0 + eps) ** (1.0 - m)
-    dn = (1.0 - eps) ** (1.0 - m)
-    t_under = (chain.kappa_star * (2.0 * chain.A) ** (1.0 - m) + 2.0 / al) / (1.0 - dn)
-    t_over = chain.t_bar * logreal(2.0 / (up - 1.0))
+    # up - 1 = (1+eps)^{1-m} - 1 and 1 - dn = 1 - (1-eps)^{1-m} without
+    # cancellation, which next to m = 1 would round them to 0
+    up_m1 = math.expm1((1.0 - m) * math.log1p(eps))
+    one_m_dn = -math.expm1((1.0 - m) * math.log1p(-eps))
+    t_under = (chain.kappa_star * (2.0 * chain.A) ** (1.0 - m) + 2.0 / al) / one_m_dn
+    t_over = chain.t_bar * logreal(2.0 / up_m1)
     # ((1-eps)/(1-eps_under))^{1-m} - 1 = expm1(x), with
     # ln expm1(x) = x + log1p(-e^{-x}) so that nothing overflows
     x = (1.0 - m) * (math.log1p(-eps) - chain.one_minus_eps_under.ln_float())
     rho_under = LogReal.from_ln(
-        0.5 * (math.log(1.0 + up) + x + math.log1p(-math.exp(-x))
-               - math.log(1.0 - dn)) - math.log(lb))
-    rho_over = logreal(math.sqrt((up + 1.0) / (up - 1.0)) / lb)
+        0.5 * (math.log(2.0 + up_m1) + x + math.log1p(-math.exp(-x))
+               - math.log(one_m_dn)) - math.log(lb))
+    rho_over = logreal(math.sqrt((up_m1 + 2.0) / up_m1) / lb)
     return {"T_under": t_under, "T_over": t_over,
             "rho_under": rho_under, "rho_over": rho_over}
 

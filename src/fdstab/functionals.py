@@ -86,10 +86,14 @@ def relative_entropy_pair(field: RadialField, ref: FixedReference) -> float:
     """F[v] against a reference sampled on the same mesh.
 
     Both integrands are differenced nodally before quadrature, so the
-    systematic quadrature bias cancels and the result vanishes exactly
-    when the two fields coincide on the mesh; tail contributions are
-    differenced through the two tail models.  Used by the flow solvers,
-    whose discrete stationary state is the nodal profile.
+    systematic quadrature bias cancels; tail contributions are
+    differenced through the two tail models.  The result vanishes only
+    when the fields coincide on the mesh *and* carry the same tail.  The
+    flow solvers, whose discrete stationary state is the nodal profile,
+    refit a snapshot's tail amplitude at the last node while their
+    reference carries the profile's exact one, so the sampled profile
+    itself reads F = -6.4e-12 at (d, m) = (3, 3/4) and F = +4.0e-8 at
+    (3, 2/3) on the default meshes (r_max = 50).
     """
     ex = field.exponents
     ref_r, ref_v = ref.field.r, ref.field.v

@@ -328,15 +328,16 @@ def test_ledger_builds_where_rho_under_overflowed_float64(d, m):
 def _sweep_points():
     """(d, m) over d = 1..10: 16 points across each admissible interval
     [m_1, 1) (open at 1/2 for d = 1, 2), the near-1 end from m = 0.995 to
-    1 - 1e-12, where the powers with exponents ~ 1/(1-m) leave float64
-    once 1/(1-m) exceeds about 1020, and d = 2, m = 0.505..0.525, where
-    c_shift leaves float64."""
+    1 - 1e-15, where the powers with exponents ~ 1/(1-m) leave float64
+    once 1/(1-m) exceeds about 1020 and (1 -+ eps)^(1-m) rounds to 1, and
+    d = 2, m = 0.505..0.525, where c_shift leaves float64."""
     pts = [(2, 0.505 + 0.005 * k) for k in range(5)]
     for d in range(1, 11):
         lo = 0.5 if d <= 2 else (d - 1.0) / d
         ks = range(1 if d <= 2 else 0, 16)
         pts += [(d, lo + (1.0 - lo) * k / 16) for k in ks]
-        pts += [(d, m) for m in (0.995, 0.998, 0.9995, 0.9999, 1.0 - 1e-6, 1.0 - 1e-12)]
+        pts += [(d, m) for m in (0.995, 0.998, 0.9995, 0.9999, 1.0 - 1e-6,
+                                 1.0 - 1e-12, 1.0 - 1e-15)]
     return pts
 
 

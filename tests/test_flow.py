@@ -8,7 +8,8 @@ import pytest
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass)
-from fdstab.flow import (DT_MAX, SolverOptions, default_flow_mesh, entropy_growth_floor,
+from fdstab.flow import (DT_MAX, SolverOptions, _confined_start, _RadialScheme,
+                         default_flow_mesh, entropy_growth_floor,
                          map_fd_to_selfsimilar, reconstruct_delayed,
                          solve_fd_original, solve_fdr, solve_fdr_delayed)
 from fdstab.moments import delay_bound
@@ -46,14 +47,54 @@ def test_free_energy_decay_and_quotient():
     assert rate >= (4.0 + 2.0 * 3.0 * (0.75 - 2.0 / 3.0)) * 0.9
 
 
-def test_solver_work_counts():
+def test_solver_work_counts(monkeypatch):
     # the flow-properties run; implicit Euler with step doubling took
     # 5 369 steps and 16.1 k implicit solves here
+    calls = []
+    evaluate = _RadialScheme.evaluate
+    monkeypatch.setattr(_RadialScheme, "evaluate",
+                        lambda self, v: calls.append(1) or evaluate(self, v))
     traj = solve_fdr(barenblatt_field(EX34, default_flow_mesh(400), lam=1.2), 3.0)
     st = traj.stats
     assert st.accepted <= 1000
     assert 2 * st.accepted + st.rejected <= st.stage_solves <= 3000
     assert 0.0 < st.dt_min <= st.dt_last <= st.dt_max <= DT_MAX
+    # one evaluation at the start, one per stage solve and one per Newton
+    # iteration: the error filter and the mass bookkeeping reuse the
+    # stages' evaluations (1 313 here, where separate rhs, Jacobian and
+    # outer-flux passes made 2 954)
+    assert len(calls) == 1 + st.stage_solves + st.newton_iters
+
+
+@pytest.mark.parametrize("confined", [True, False])
+def test_evaluate_bands_and_outer_flux(confined):
+    fld = normalized_to_profile_mass(
+        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    if confined:
+        scheme, v = _confined_start(fld)
+    else:
+        scheme, v = _RadialScheme(EX34, fld.r, None), fld.v
+    rhs, (lower, diag, upper), outer = scheme.evaluate(v)
+    band = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    # central differences of rhs; perturbing every third node at once
+    # leaves one perturbed column in each row's band
+    fd = np.zeros_like(band)
+    rows = np.arange(v.size)
+    for k in range(3):
+        step = np.zeros_like(v)
+        step[k::3] = 1e-6 * v[k::3]
+        diff = scheme.evaluate(v + step)[0] - scheme.evaluate(v - step)[0]
+        cols = rows + (k - rows) % 3
+        cols[cols == rows + 2] -= 3
+        ok = (cols >= 0) & (cols < v.size)
+        fd[rows[ok], cols[ok]] = diff[ok] / (2.0 * step[cols[ok]])
+    assert np.max(np.abs(fd - band)) <= 1e-6 * np.max(np.abs(band))
+    # the cell sums telescope to the outer-face flux, which the mass
+    # bookkeeping relies on
+    total = np.dot(scheme.vol, rhs)
+    assert abs(total - scheme.area[-1] * outer) \
+        <= 1e-13 * np.sum(np.abs(scheme.vol * rhs))
+    assert (outer != 0.0) == confined
 
 
 def test_newton_accepts_residual_at_rounding_floor():
@@ -106,6 +147,27 @@ def test_short_confined_run_pinned():
                       (rep.rel_second_moment, 0.06861307395692506),
                       (rep.rel_entropy, 0.0504789874525029),
                       (traj.sup_rel_err[-1], 0.14340208315047476)):
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+def test_short_free_run_pinned():
+    fld = normalized_to_profile_mass(
+        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    traj = solve_fd_original(fld, 0.05, n_saves=5)
+    assert len(traj.times) == 6 and traj.times[-1] == 0.05
+    for got, want in ((traj.snapshots[-1].entropy_integral(), 3.1422860223766307),
+                      (traj.conserved_mass[-1], 1.234772360310292)):
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+def test_short_delayed_run_pinned():
+    fld = normalized_to_profile_mass(
+        moment_matched_field(EX23, default_flow_mesh(200), 0.8, 1.3))
+    traj = solve_fdr_delayed(fld, 0.5, n_saves=5)
+    rec = traj.delay[-1]
+    assert len(traj.delay) == 6 and rec.t == 0.5
+    for got, want in ((rec.tau, 0.00013747209327796475),
+                      (rec.lam, 0.9990709962201777)):
         assert math.isclose(got, want, rel_tol=1e-12), (got, want)
 
 
