@@ -207,15 +207,7 @@ def _dispatch(args) -> int:
         meta = (f"# d={args.d} m={_fmt(args.m)} init={args.init} "
                 f"equation={args.equation} cells={args.cells} "
                 f"r_max={_fmt(args.r_max)} t_end={_fmt(args.t_end)}\n")
-        if args.equation == "fd":
-            rows = ["t,mass,entropy_integral"]
-            for t, m_fv, snap in zip(traj.times, traj.conserved_mass,
-                                     traj.snapshots):
-                rows.append(",".join(_fmt(v) for v in
-                                     (t, m_fv, snap.entropy_integral())))
-            _write(args.out, meta + "\n".join(rows) + "\n")
-        else:
-            _write(args.out, meta + traj.to_csv())
+        _write(args.out, meta + traj.to_csv())
         if args.snapshot_out:
             snap = traj.snapshots[-1]
             rows = ["r,value"] + [f"{_fmt(r)},{_fmt(v)}"

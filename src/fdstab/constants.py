@@ -31,6 +31,8 @@ from .profiles import barenblatt_mass, closed_form_moments, omega_d
 from .spectral import critical_gap_parameters
 
 CHI = 1.0 / 580.0
+# |m - m_1| below which m is the critical exponent m_1 (d >= 3)
+_CRITICAL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +576,7 @@ def stability_constants_subcritical(chain: GHPChain, G: float) -> SubcriticalSta
     if ex.d == 1 and not ex.m > 0.5:
         raise ValueError("need m > 1/2 for d = 1")
     eta = 2.0 * ex.d * (ex.m - ex.m_1)
-    eps_star = 0.5 * min(chain.eps_md, CHI * eta)
+    eps_star = _eps_star(chain, eta)
     thr = threshold_time(chain, eps_star, G)
     zeta = _zeta_from_T(eta, thr.T_star)
     cal = c_alpha_min(ex.alpha)
@@ -587,6 +589,11 @@ def stability_constants_subcritical(chain: GHPChain, G: float) -> SubcriticalSta
     return SubcriticalStability(eta=eta, chi=CHI, eps_star=eps_star, c_alpha=cal,
                                 zeta=zeta, zeta_star=zeta_star, Z=Z,
                                 C_stab=C_stab, threshold=thr)
+
+
+def _eps_star(chain: GHPChain, eta: float) -> float:
+    """min{eps_md, chi eta}/2, the subcritical threshold's epsilon."""
+    return 0.5 * min(chain.eps_md, CHI * eta)
 
 
 def _zeta_from_T(eta: float, T: LogReal) -> LogReal:
@@ -623,7 +630,7 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
     ex, A = chain.ex, chain.A
     d = ex.d
     # m = m_1 = (d-1)/d is admissible only for d >= 3
-    if abs(ex.m - ex.m_1) >= 1e-12:
+    if abs(ex.m - ex.m_1) >= _CRITICAL_TOL:
         raise ValueError(f"the critical chain requires m = m_1 = {ex.m_1}, got {ex.m}")
     crit = critical_gap_parameters(d)
     eta = crit.eta
@@ -678,10 +685,12 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
                  A: float, G: float, eps: float | None = None) -> ConstantLedger:
     """Evaluate every chain at pinned inputs and return the named ledger."""
     ex = derive_exponents(d, m=m)
+    # one regime decides both the stability chain and the default eps
+    critical = d >= 3 and abs(m - ex.m_1) < _CRITICAL_TOL
     led = ConstantLedger()
-    led.put("embed_K", embedding_constant(d, p=8.0 if d == 1 else None),
-            "K: ||f||_p^2 <= K(||grad f||^2 + R^-2||f||^2) on balls")
     mos = moser_chain(d, lam0, lam1)
+    led.put("embed_K", mos.embed_K,
+            "K: ||f||_p^2 <= K(||grad f||^2 + R^-2||f||^2) on balls")
     led.put("sigma", mos.sigma, "sum (3/4)^j ((2+j)(1+j))^(2d+4)")
     led.put("c0", mos.c0, "3^(2/d) 2^(...) ((2+d)^(1+4/d^2)/d^(1+2/d^2))^((d+1)(d+2)) K^((2d+4)/d)")
     led.put("c1", mos.c1, "3^(g-1)(2^(2g^2+7(g-1)) g^((g+1)(2g-1)) d^((g+1)(g-1)) K^(g-1))^(g/(g-1)^2)")
@@ -717,8 +726,8 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
     led.put("a_exp", chain.a_exp, "(alpha/vartheta)(2-m)/(1-m)")
 
     if eps is None:
-        eta0 = 2.0 * d * (m - ex.m_1)
-        eps = 0.5 * min(chain.eps_md, CHI * eta0) if eta0 > 0 else 0.5 * chain.eps_md
+        eps = 0.5 * chain.eps_md if critical \
+            else _eps_star(chain, 2.0 * d * (m - ex.m_1))
     rr = outer_times_radii(chain, eps)
     led.put("T_under_eps", rr["T_under"], "outer lower comparison time at pinned eps")
     led.put("T_over_eps", rr["T_over"], "outer upper comparison time at pinned eps")
@@ -730,7 +739,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
     led.put("t_star", thr.t_star, "cbar_star (1+A^(1-m)+G^(alpha/2))/eps^a")
     led.put("T_star", thr.T_star, "(1/(2 alpha)) log(1 + alpha c_star (1+A^(1-m)+G^(alpha/2))/eps^a)")
 
-    if m > ex.m_1:
+    if not critical:
         stab = stability_constants_subcritical(chain, G)
         led.put("eta", stab.eta, "2 d (m - m_1)")
         led.put("chi", stab.chi, "1/580")
@@ -741,7 +750,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
                 "(4 eta/(4+eta)) (eps_star^a/(2 alpha c_star))^(2/alpha) c_alpha")
         led.put("Z", stab.Z, "zeta_star/(1 + A^(2(1-m)/alpha) + G)")
         led.put("C_stab", stab.C_stab, "((p-1)/(p+1)) zeta")
-    if d >= 3 and abs(m - ex.m_1) < 1e-12:
+    else:
         cs = stability_constants_critical(chain)
         led.put("eta_crit", cs.eta, "(d-2)^2/(8d) for d<=6, 2(d-4)/d above")
         led.put("tau_bullet", cs.tau_bullet, "delay bound at vanishing relative second moment")

@@ -39,6 +39,8 @@ _BLOCK_ROWS = 32
 _N_BIG = 15
 # the z blocks are split over at most this many threads
 _MAX_WORKERS = 4
+# the axial grid resolves each bump out to this distance from its center
+_REACH = 50.0
 
 
 @dataclass(frozen=True)
@@ -184,16 +186,16 @@ def _s_weights(s: np.ndarray) -> np.ndarray:
     return w * s
 
 
-def _axisym_grids(center: float, reach: float = 50.0):
+def _axisym_grids(center: float):
     """Axial and transverse grids resolving bumps at 0 and +-center."""
-    if center <= 3.0 * reach:
-        core = np.linspace(0.0, center + reach, 3200)
+    if center <= 3.0 * _REACH:
+        core = np.linspace(0.0, center + _REACH, 3200)
     else:
         near = np.linspace(0.0, 12.0, 550)
-        mid = 12.0 * ((center - reach) / 12.0) ** np.linspace(0.0, 1.0, 400)[1:]
-        far = np.linspace(center - reach, center + reach, 1100)[1:]
+        mid = 12.0 * ((center - _REACH) / 12.0) ** np.linspace(0.0, 1.0, 400)[1:]
+        far = np.linspace(center - _REACH, center + _REACH, 1100)[1:]
         core = np.concatenate([near, mid, far])
-    tail = (center + reach) * 3.0 ** np.linspace(0.0, 1.0, 250)[1:]
+    tail = (center + _REACH) * 3.0 ** np.linspace(0.0, 1.0, 250)[1:]
     z = np.unique(np.concatenate([core, tail]))
     s = np.unique(np.concatenate([
         np.linspace(0.0, 12.0, 550),

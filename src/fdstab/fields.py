@@ -145,9 +145,8 @@ class RadialField:
         dw[0] = 0.0
         return dw
 
-    def with_values(self, v: np.ndarray, tail: TailModel | None = None) -> "RadialField":
-        return RadialField(self.exponents, self.r, v,
-                           tail if tail is not None else self.tail)
+    def with_values(self, v: np.ndarray) -> "RadialField":
+        return RadialField(self.exponents, self.r, v, self.tail)
 
 
 def gradient_integral(field: RadialField) -> float:
@@ -175,21 +174,19 @@ def graded_mesh(r_core: float = 5.0, n_core: int = 200,
     return np.concatenate([core, outer])
 
 
-def quadrature_mesh(r_core: float = 8.0, n_core: int = 12000,
-                    r_max: float = 1e3, n_outer: int = 9000) -> np.ndarray:
+def quadrature_mesh() -> np.ndarray:
     """Fine mesh for closed-form cross-checks of profile integrals."""
-    return graded_mesh(r_core, n_core, r_max, n_outer)
+    return graded_mesh(8.0, 12000, 1e3, 9000)
 
 
 # -- field constructors ----------------------------------------------------
 
 
-def barenblatt_field(ex: ExponentSet, mesh: np.ndarray | None = None,
+def barenblatt_field(ex: ExponentSet, mesh: np.ndarray,
                      lam: float = 1.0) -> RadialField:
     """Sampled dilated profile with its exact power-law tail model."""
-    r = mesh if mesh is not None else graded_mesh()
-    v = barenblatt_scaled(ex, lam, r)
-    return RadialField(ex, r, v,
+    v = barenblatt_scaled(ex, lam, mesh)
+    return RadialField(ex, mesh, v,
                        profile_tail(ex, lam ** (1.0 / (1.0 - ex.m) - ex.d / 2.0)))
 
 
@@ -209,13 +206,11 @@ def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
     return RadialField(ex, mesh, vals, profile_tail(ex, amp))
 
 
-def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray | None = None,
-                        tail_power: float | None = None) -> RadialField:
+def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray,
+                        tail_power: float) -> RadialField:
     """Sample fn(r) on the mesh; fit the tail amplitude at the last node."""
-    r = mesh if mesh is not None else graded_mesh()
-    v = np.asarray(fn(r), dtype=float)
-    tail = None if tail_power is None else TailModel(1.0, tail_power).through(r, v)
-    return RadialField(ex, r, v, tail)
+    v = np.asarray(fn(mesh), dtype=float)
+    return RadialField(ex, mesh, v, TailModel(1.0, tail_power).through(mesh, v))
 
 
 def normalized_to_profile_mass(field: RadialField) -> RadialField:

@@ -95,6 +95,15 @@ class Trajectory:
     delay: list[DelayRecord] | None = None
 
     def to_csv(self) -> str:
+        """One row per save: the entropy report of a confined run, or the
+        bookkept mass and int u^m of a free one, which carries no reports."""
+        if self.reports[0] is None:
+            rows = ["t,mass,entropy_integral"]
+            for t, m_fv, snap in zip(self.times, self.conserved_mass,
+                                     self.snapshots):
+                rows.append(",".join("%.17g" % x for x in
+                                     (t, m_fv, snap.entropy_integral())))
+            return "\n".join(rows) + "\n"
         header = "t,F,I,Q,mass,second_moment,K,S,tau,lambda,sup_rel_err"
         rows = [header]
         for i, (t, rep) in enumerate(zip(self.times, self.reports)):

@@ -53,9 +53,9 @@ class ConstantLedger:
     def names(self) -> list[str]:
         return list(self.entries)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = [e.to_json_dict() for e in self.entries.values()]
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstantLedger":

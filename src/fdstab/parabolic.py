@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+_CELL = 0.25  # side of a checkerboard cell, in x and in t
+
 
 @dataclass(frozen=True)
 class ParabolicHistory:
@@ -31,11 +33,10 @@ class ParabolicHistory:
         return self.lam1 + 1.0 / self.lam0
 
 
-def checkerboard_coefficient(lam0: float, lam1: float, sx: float = 0.25,
-                             st: float = 0.25):
+def checkerboard_coefficient(lam0: float, lam1: float):
     """Coefficient jumping between lam0 and lam1 on a space-time grid."""
     def coeff(t, x):
-        cell = np.floor(x / sx) + math.floor(t / st)
+        cell = np.floor(x / _CELL) + math.floor(t / _CELL)
         return np.where(np.mod(cell, 2) == 0, lam1, lam0)
     return coeff
 

@@ -28,6 +28,8 @@ _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
 _SIGN_GRID = np.linspace(_R0, 1.0, 2000)  # where sign changes are counted
 _SIGN_CHUNK = 100  # grid points per dense-output evaluation
+_SCAN_HI, _SCAN_STEP = 20.0, 0.25  # top and spacing of the height scan
+_LINE_S_MAX, _LINE_N = 12.0, 4001  # residual grid of the line problem
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,10 @@ def _series_start(a: float) -> list[float]:
     return [a + (a - a ** 3) * _R0 ** 2 / 4.0, (a - a ** 3) * _R0 / 2.0]
 
 
-def _integrate_disk(a: float, rtol: float = _RTOL, atol: float = _ATOL):
+def _integrate_disk(a: float, rtol: float = _RTOL):
     """Solve one height from the series start."""
     sol = solve_ivp(_disk_rhs, (_R0, 1.0), _series_start(a), method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=rtol, atol=_ATOL, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"disk ODE integration failed at a = {a}: {sol.message}")
     return sol
@@ -114,8 +116,7 @@ def _slope_at_one(a: float, rtol: float = _RTOL) -> float:
     return float(_integrate_disk(a, rtol=rtol).y[1][-1])
 
 
-def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
-                      scan_step: float = 0.25, rtol: float = _RTOL) -> ShootResult:
+def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     """Locate the one-sign-change Neumann solution on the unit disk.
 
     Scans the initial height for a bracket of s(a) = f'(1) restricted to
@@ -124,7 +125,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, scan_hi: float = 20.0,
     scan trace is returned with the result.  a = 1 solves the ODE
     trivially (f == 1, no sign change) and is excluded by the scan range.
     """
-    grid = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
+    grid = np.arange(scan_lo, _SCAN_HI + 0.5 * _SCAN_STEP, _SCAN_STEP)
     trace = _disk_scan(grid, rtol)
     bracket = None
     for (a0, s0, n0), (a1, s1, n1) in zip(trace, trace[1:]):
@@ -160,7 +161,7 @@ class LineSolution:
     first_integral_error: float
 
 
-def emden_fowler_verify(d: int, s_max: float = 12.0, n: int = 4001) -> LineSolution:
+def emden_fowler_verify(d: int) -> LineSolution:
     """Check the sech ansatz for the line problem in dimension d >= 3.
 
     The decaying even solution is g(s) = A sech(B s)^q with the soliton
@@ -185,7 +186,7 @@ def emden_fowler_verify(d: int, s_max: float = 12.0, n: int = 4001) -> LineSolut
         raise RuntimeError("height incompatible with a decaying profile")
     b_coef = math.sqrt(b_sq)
 
-    s = np.linspace(-s_max, s_max, n)
+    s = np.linspace(-_LINE_S_MAX, _LINE_S_MAX, _LINE_N)
     sech = 1.0 / np.cosh(b_coef * s)
     g = a_coef * sech ** q
     th = np.tanh(b_coef * s)

@@ -35,23 +35,18 @@ class SpectrumQuery:
 
     d: int
     a: float  # weight exponent, < 0
-    constraint_level: str = "mass"  # mass | mass+center | mass+center+moment
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
         if not self.a < 0.0:
             raise ValueError(f"weight exponent must be negative, got {self.a}")
-        levels = ("mass", "mass+center", "mass+center+moment")
-        if self.constraint_level not in levels:
-            raise ValueError(f"constraint_level must be one of {levels}")
 
     @staticmethod
-    def from_p(d: int, p: float, constraint_level: str = "mass") -> "SpectrumQuery":
+    def from_p(d: int, p: float) -> "SpectrumQuery":
         if p <= 1.0:
             raise ValueError("p must be > 1")
-        return SpectrumQuery(d=d, a=2.0 * p / (1.0 - p),
-                             constraint_level=constraint_level)
+        return SpectrumQuery(d=d, a=2.0 * p / (1.0 - p))
 
     @property
     def p(self) -> float:
@@ -117,35 +112,20 @@ class GapResult:
 
     rayleigh: float        # gap of the Rayleigh quotient of L
     flow: float            # gap of the linearized entropy quotient
-    case: str
 
 
-def spectral_gap(query: SpectrumQuery, m: float | None = None) -> GapResult:
-    """Gap of L under the query's constraint level.
+def spectral_gap(query: SpectrumQuery) -> GapResult:
+    """Gap of L under the mass constraint: Lambda = -2a = 4p/(p-1).
 
-    ``mass`` yields Lambda = -2a = 4p/(p-1); ``mass+center`` the improved
-    constant Lambda_star (four cases below); ``mass+center+moment`` is
-    only defined in the critical regime and is reported via
-    :func:`critical_gap_parameters`.  The flow-units value is
-    2(1-m) * rayleigh, i.e. 4 for the mass-only gap and 4*alpha for the
-    improved one; ``m`` defaults to the fast-diffusion exponent matching
-    the query.
+    The flow-units value is 2(1-m) * rayleigh = 4 with m = (p+1)/(2p) the
+    fast-diffusion exponent matching the query.  The improved gaps under
+    further constraints are :func:`improved_gap` (mass and center) and
+    :func:`critical_gap_parameters` (critical case).
     """
-    d, a = query.d, query.a
     p = query.p
-    if m is None:
-        m = (p + 1.0) / (2.0 * p)
-    two_1m = 2.0 * (1.0 - m)
-    if query.constraint_level == "mass":
-        lam = -2.0 * a
-        return GapResult(rayleigh=lam, flow=two_1m * lam, case="mass")
-    if query.constraint_level == "mass+center":
-        lam, case = improved_gap(d, p)
-        return GapResult(rayleigh=lam, flow=two_1m * lam, case=case)
-    # mass + center + second moment: the critical-case improvement
-    crit = critical_gap_parameters(d)
-    return GapResult(rayleigh=2.0 * crit.a_gap / (1.0 - m) if m < 1 else math.nan,
-                     flow=4.0 * crit.a_gap, case="critical")
+    m = (p + 1.0) / (2.0 * p)
+    lam = -2.0 * query.a
+    return GapResult(rayleigh=lam, flow=2.0 * (1.0 - m) * lam)
 
 
 def improved_gap(d: int, p: float) -> tuple[float, str]:

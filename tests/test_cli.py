@@ -4,6 +4,9 @@ import os
 
 import fdstab.flow
 from fdstab.cli import main
+from fdstab.fields import barenblatt_field, normalized_to_profile_mass
+from fdstab.flow import default_flow_mesh, solve_fd_original
+from fdstab.params import derive_exponents
 
 
 def run(argv, capsys):
@@ -75,6 +78,25 @@ def test_simulate_deterministic(tmp_path):
     # rerun metadata is embedded in the artifact
     for key in ("d=3", "m=0.75", "cells=120", "t_end=0.2"):
         assert key in header
+
+
+def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
+    # the free flow has no reports; its CSV is Trajectory.to_csv's
+    # t,mass,entropy_integral rows, as the CLI wrote them by hand before
+    out = tmp_path / "fd.csv"
+    assert main(["simulate", "--d", "3", "--m", "0.75", "--equation", "fd",
+                 "--t-end", "0.1", "--cells", "120", "--saves", "3",
+                 "--out", str(out)]) == 0
+    ex = derive_exponents(3, m=0.75)
+    mesh = default_flow_mesh(120, 50.0)
+    fld = normalized_to_profile_mass(barenblatt_field(ex, mesh, lam=1.2))
+    traj = solve_fd_original(fld, 0.1, n_saves=3)
+    rows = ["t,mass,entropy_integral"] + [
+        ",".join("%.17g" % v for v in (t, m_fv, snap.entropy_integral()))
+        for t, m_fv, snap in zip(traj.times, traj.conserved_mass, traj.snapshots)]
+    meta, body = out.read_text().split("\n", 1)
+    assert meta.startswith("# d=3 m=0.75 init=scaled-barenblatt:1.2 equation=fd")
+    assert body == "\n".join(rows) + "\n" == traj.to_csv()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -7,8 +7,8 @@ import scipy.linalg
 from fdstab import spectral as S
 
 
-def _q(d, p, level="mass"):
-    return S.SpectrumQuery.from_p(d, p, level)
+def _q(d, p):
+    return S.SpectrumQuery.from_p(d, p)
 
 
 def test_eigenvalue_reference_values():
@@ -168,8 +168,6 @@ def test_radial_oracle_rejects_coarse_mesh():
 def test_query_validation():
     with pytest.raises(ValueError):
         S.SpectrumQuery(d=3, a=0.5)
-    with pytest.raises(ValueError):
-        S.SpectrumQuery(d=3, a=-4.0, constraint_level="bogus")
     with pytest.raises(ValueError):
         S.discretized_radial_eigs(S.SpectrumQuery(d=3, a=-0.4),
                                   S.radial_oracle_mesh())
