@@ -33,8 +33,10 @@ def _write(path: str | None, text: str) -> None:
 def _load_config(argv: list[str]) -> dict:
     cfg = {}
     if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        with open(path) as fh:
+        i = argv.index("--config")
+        if i + 1 == len(argv):
+            raise ValueError("--config needs a file path")
+        with open(argv[i + 1]) as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -144,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         cfg = _load_config(argv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     if cfg:

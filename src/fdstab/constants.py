@@ -35,6 +35,11 @@ CHI = 1.0 / 580.0
 _CRITICAL_TOL = 1e-12
 
 
+def _is_critical(ex: ExponentSet) -> bool:
+    """m is m_1 to _CRITICAL_TOL, on either side of it, with d >= 3."""
+    return ex.d >= 3 and abs(ex.m - ex.m_1) < _CRITICAL_TOL
+
+
 # ---------------------------------------------------------------------------
 # interpolation constants
 # ---------------------------------------------------------------------------
@@ -370,7 +375,7 @@ def _profile_bounds_on_cylinders(ex: ExponentSet) -> tuple[LogReal, LogReal]:
 def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
     """Assemble the full two-sided-bound chain for tail bound A."""
     d, m, al = ex.d, ex.m, ex.alpha
-    if d >= 2 and not (ex.m_1 <= m < 1.0):
+    if d >= 2 and not (ex.m_1 <= m < 1.0 or _is_critical(ex)):
         raise ValueError(f"need m in [m_1, 1) = [{ex.m_1}, 1), got {m}")
     if d == 1 and not (ex.m_tilde1 < m < 1.0):
         raise ValueError(f"need m in (m~_1, 1) = ({ex.m_tilde1}, 1), got {m}")
@@ -629,8 +634,7 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
     """
     ex, A = chain.ex, chain.A
     d = ex.d
-    # m = m_1 = (d-1)/d is admissible only for d >= 3
-    if abs(ex.m - ex.m_1) >= _CRITICAL_TOL:
+    if not _is_critical(ex):
         raise ValueError(f"the critical chain requires m = m_1 = {ex.m_1}, got {ex.m}")
     crit = critical_gap_parameters(d)
     eta = crit.eta
@@ -686,7 +690,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
     """Evaluate every chain at pinned inputs and return the named ledger."""
     ex = derive_exponents(d, m=m)
     # one regime decides both the stability chain and the default eps
-    critical = d >= 3 and abs(m - ex.m_1) < _CRITICAL_TOL
+    critical = _is_critical(ex)
     led = ConstantLedger()
     mos = moser_chain(d, lam0, lam1)
     led.put("embed_K", mos.embed_K,

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import _gns_deficit, _relative_entropy
 from .params import ExponentSet
-from .profiles import barenblatt_mass, g_norms, gns_optimal_constants
+from .profiles import closed_form_moments
 
 # z rows per block of the fused quadrature: 32 rows of the ~1000-point
 # s grid make arrays of about 256 KB, which stay in cache
@@ -69,10 +70,9 @@ def counterexample_report(ex: ExponentSet, k: int,
     X = float(k) ** 2 if center is None else float(center)
     if X < 12.0:
         raise ValueError(f"bump separation {X} too small; the profiles overlap")
-    p, m, d = ex.p, ex.m, ex.d
+    p, m = ex.p, ex.m
     q2p = 2.0 * p / (p - 1.0)
-    mass = barenblatt_mass(ex)
-    gn = g_norms(ex)
+    mt = closed_form_moments(ex)
     c0, c1 = 1.0 - 2.0 / k, 1.0 / k
 
     z, s = _axisym_grids(X)
@@ -158,18 +158,17 @@ def counterexample_report(ex: ExponentSet, k: int,
         list(pool.map(span, edges[:-1], edges[1:], bigs))
 
     # 2 pi * 2 * int_{z>=0} int F(z,s) s ds dz for the z-even correctors
-    p_int = (c0 ** m + 2.0 * c1 ** m) * gn["lp1"] \
+    p_int = (c0 ** m + 2.0 * c1 ** m) * mt.entropy \
         + 4.0 * math.pi * float(np.trapezoid(rows_p, z))
-    grad_int = (c0 ** (1.0 / p) + 2.0 * c1 ** (1.0 / p)) * gn["grad_sq"] \
+    grad_int = (c0 ** (1.0 / p) + 2.0 * c1 ** (1.0 / p)) * mt.grad_sq \
         + 4.0 * math.pi * float(np.trapezoid(rows_g, z))
 
-    # relative entropy: the (1+|x|^2)-weighted part is exact by symmetry
-    entropy = 2.0 * p / (1.0 - p) * (p_int - gn["lp1"]) \
-        + (p + 1.0) / (p - 1.0) * (2.0 / k) * X ** 2 * mass
-
-    kg = gns_optimal_constants(ex).k_gns
-    deficit = (p - 1.0) ** 2 * grad_int \
-        + 4.0 * (d - p * (d - 2.0)) / (p + 1.0) * p_int - kg * mass ** ex.gamma
+    # relative entropy: the mass and second moment are exact by symmetry,
+    # the bumps at +-X adding (2/k) X^2 M to the profile's second moment
+    entropy = _relative_entropy(ex, p_int, mt.mass,
+                                mt.second_moment + (2.0 / k) * X ** 2 * mt.mass,
+                                1.0, 1.0)
+    deficit = _gns_deficit(ex, grad_int, p_int, mt.mass)
 
     xm = _xm_norm_three_bumps(ex, k, X)
     ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)

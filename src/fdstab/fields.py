@@ -148,6 +148,14 @@ class RadialField:
     def with_values(self, v: np.ndarray) -> "RadialField":
         return RadialField(self.exponents, self.r, v, self.tail)
 
+    def dilated(self, s: float, c: float) -> "RadialField":
+        """c v(s r): r -> r/s, v -> c v, tail A -> c s^rho A; mass times c s^{-d}."""
+        tail = None
+        if self.tail is not None:
+            tail = TailModel(c * s ** self.tail.power * self.tail.amplitude,
+                             self.tail.power)
+        return RadialField(self.exponents, self.r / s, c * self.v, tail)
+
 
 def gradient_integral(field: RadialField) -> float:
     """||grad f||_2^2 for f = v^{1/(2p)}, with analytic tail correction."""
@@ -220,7 +228,14 @@ def normalized_to_profile_mass(field: RadialField) -> RadialField:
     relative error above the flow solvers' mass gate; this aligns the
     discrete measure without changing the analytic object.
     """
-    scale = barenblatt_mass(field.exponents) / field.mass()
-    tail = None if field.tail is None else \
-        TailModel(field.tail.amplitude * scale, field.tail.power)
-    return RadialField(field.exponents, field.r, field.v * scale, tail)
+    return field.dilated(1.0, barenblatt_mass(field.exponents) / field.mass())
+
+
+def require_profile_mass(field: RadialField) -> float:
+    """The field's mass; ``ValueError`` unless it is int B to 1e-6 relative."""
+    mass, mass_b = field.mass(), barenblatt_mass(field.exponents)
+    if abs(mass - mass_b) > 1e-6 * mass_b:
+        raise ValueError(
+            f"mass {mass} is not the profile mass {mass_b}; rescale the "
+            "datum with fields.normalized_to_profile_mass")
+    return mass

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .fields import (DENSITY_FLOOR, RadialField, TailModel, barenblatt_field,
-                     graded_mesh, profile_tail)
+from .fields import (DENSITY_FLOOR, RadialField, barenblatt_field, graded_mesh,
+                     profile_tail, require_profile_mass)
 from .functionals import EntropyReport, FixedReference, entropy_report
 from .moments import DelayRecord
 from .params import ExponentSet
-from .profiles import barenblatt, closed_form_moments, omega_d
+from .profiles import barenblatt, barenblatt_mass, closed_form_moments, omega_d
 
 # TR-BDF2: the trapezoid stage reaches t + _GAMMA dt, both stages carry the
 # implicit weight _D dt, and the BDF2 stage is v1 = v0 + _A (vg - v0) + _D dt f1
@@ -309,16 +309,11 @@ def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
     profile value.
     """
     ex = v0.exponents
-    mt = closed_form_moments(ex)
-    mass0 = v0.mass()
-    if abs(mass0 - mt.mass) > 1e-6 * mt.mass:
-        raise ValueError(
-            f"initial mass {mass0} is not the profile mass {mt.mass}; rescale "
-            "the datum with fields.normalized_to_profile_mass")
+    mass0 = require_profile_mass(v0)
     r = v0.r
     ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
     scheme = _RadialScheme(ex, r, ghost)
-    return scheme, v0.v * (mt.mass / mass0)
+    return scheme, v0.v * (barenblatt_mass(ex) / mass0)
 
 
 def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions | None = None,
@@ -440,13 +435,7 @@ def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialFiel
     rec = traj.delay[index]
     snap = traj.snapshots[index]
     rf = rec.r_factor
-    ex = traj.exponents
-    w = rf ** ex.d * snap.v
-    tail = None
-    if snap.tail is not None:
-        tail = TailModel(snap.tail.amplitude * rf ** (ex.d + snap.tail.power),
-                         snap.tail.power)
-    return rec.t + rec.tau, RadialField(ex, snap.r / rf, w, tail)
+    return rec.t + rec.tau, snap.dilated(rf, rf ** traj.exponents.d)
 
 
 def map_fd_to_selfsimilar(ex: ExponentSet, t: float, r: np.ndarray,

@@ -8,6 +8,11 @@ evaluated against the stationary profile B = (1+r^2)^{1/(m-1)} (or its
 dilations), whose integrals are known in closed form and are used exactly
 instead of being re-quadratured.
 
+One functional runs through them all: the relative entropy
+E[f | g_{lam,mu}] of f = v^{1/(2p)} (:func:`_relative_entropy`).  The free
+energy is F[v] = E[f | g] at lam = mu = 1; best matching and the
+normalization map only change which g_{lam,mu} it is measured against.
+
 Sign conventions: the deficit of a density, delta[v] = ((1-m)/m) (I - 4F),
 agrees with the deficit of f = v^{1/(2p)} up to the factor
 (p+1)/(p-1) = m/(1-m) used in the identity tests.
@@ -20,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DivergentTailError, RadialField, TailModel, gradient_integral,
-                     profile_tail)
-from .profiles import (barenblatt, barenblatt_mass, closed_form_moments, g_norms,
+from .fields import (DivergentTailError, RadialField, gradient_integral, profile_tail,
+                     require_profile_mass)
+from .params import ExponentSet
+from .profiles import (barenblatt, barenblatt_mass, closed_form_moments,
                        gns_optimal_constants, log_integral_inv_power)
 
 
@@ -40,23 +46,31 @@ class EntropyReport:
     deficit: float            # ((1-m)/m) (I - 4F)
 
 
-def relative_entropy(field: RadialField) -> float:
-    """Free energy F[v] relative to the stationary profile of same mass scale.
+def _relative_entropy(ex: ExponentSet, pf: float, mf: float, xf: float,
+                      lam: float, mu: float) -> float:
+    """E[f | g_{lam,mu}] from pf = int f^{p+1}, mf = int f^{2p}, xf = int |x|^2 f^{2p}.
 
-    Uses the algebraic split F = (S_v - S_B - m[(M_v - M_B) + (X_v - X_B)])
-    / (m-1) with the profile integrals taken in closed form.  Returns
-    ``inf`` when the second moment of the field diverges.
+    The optimizer's norm is the closed form ||g||_{p+1}^{p+1} = int B^m.
     """
-    ex = field.exponents
-    mt = closed_form_moments(ex)
+    p = ex.p
+    pref = lam ** (ex.d / (2.0 * p)) * mu ** (1.0 / (2.0 * p))
+    p_g = pref ** (p + 1.0) * lam ** (-ex.d) * closed_form_moments(ex).entropy
+    c_lm = pref ** (1.0 - p)
+    return 2.0 * p / (1.0 - p) * (pf - p_g) \
+        + (p + 1.0) / (p - 1.0) * (c_lm * (mf + lam ** 2 * xf) - p_g)
+
+
+def relative_entropy(field: RadialField) -> float:
+    """Free energy F[v] relative to the stationary profile: E[f | g] at lam = mu = 1.
+
+    Returns ``inf`` when the second moment of the field diverges.
+    """
     try:
         xv = field.second_moment()
     except DivergentTailError:
         return math.inf
-    sv = field.entropy_integral()
-    mv = field.mass()
-    return (sv - mt.entropy
-            - ex.m * ((mv - mt.mass) + (xv - mt.second_moment))) / (ex.m - 1.0)
+    return _relative_entropy(field.exponents, field.entropy_integral(), field.mass(),
+                             xv, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -161,22 +175,23 @@ def entropy_report(field: RadialField,
 # -- deficit of f = v^{1/(2p)} -------------------------------------------
 
 
-def deficit(field: RadialField) -> float:
-    """Deficit of f = v^{1/(2p)} in the non-scale-invariant inequality."""
-    ex = field.exponents
-    k_gns = gns_optimal_constants(ex).k_gns
-    grad_sq = gradient_integral(field)
-    lp1 = field.integrate_power((ex.p + 1.0) / (2.0 * ex.p))
-    mass = field.mass()
+def _gns_deficit(ex: ExponentSet, grad_sq: float, lp1: float, mass: float) -> float:
+    """GNS deficit (p-1)^2 ||grad f||^2 + 4(d-p(d-2))/(p+1) int f^{p+1} - K M^gamma."""
     return (ex.p - 1.0) ** 2 * grad_sq \
         + 4.0 * (ex.d - ex.p * (ex.d - 2.0)) / (ex.p + 1.0) * lp1 \
-        - k_gns * mass ** ex.gamma
+        - gns_optimal_constants(ex).k_gns * mass ** ex.gamma
+
+
+def deficit(field: RadialField) -> float:
+    """Deficit of f = v^{1/(2p)} in the non-scale-invariant inequality."""
+    return _gns_deficit(field.exponents, gradient_integral(field),
+                        field.entropy_integral(), field.mass())
 
 
 def heisenberg_sides(field: RadialField) -> tuple[float, float]:
     """Both sides of ((d/(p+1)) int f^{p+1})^2 <= int |grad f|^2 int |x|^2 f^{2p}."""
     ex = field.exponents
-    lhs = (ex.d / (ex.p + 1.0) * field.integrate_power((ex.p + 1.0) / (2.0 * ex.p))) ** 2
+    lhs = (ex.d / (ex.p + 1.0) * field.entropy_integral()) ** 2
     rhs = gradient_integral(field) * field.second_moment()
     return lhs, rhs
 
@@ -231,30 +246,29 @@ def xm_growth_bound(xm0: float, ex, c3: float) -> float:
 def csiszar_kullback_gap(field: RadialField) -> tuple[float, float]:
     """(lhs, rhs) of ||v - B||_1^2 <= (4 alpha / m) M F[v] at mass M.
 
-    Rejects fields whose mass differs from the profile mass by more than
-    1e-6 relative.
+    Rejects fields whose mass is not the profile mass
+    (:func:`~fdstab.fields.require_profile_mass`).
+    """
+    require_profile_mass(field)
+    ex = field.exponents
+    l1 = _l1_to_profile(field)
+    return l1 * l1, 4.0 * ex.alpha / ex.m * barenblatt_mass(ex) * relative_entropy(field)
+
+
+def _l1_to_profile(field: RadialField) -> float:
+    """||v - B||_1, with the tail beyond the mesh.
+
+    The tail part is exact when the field tail has the profile decay
+    power; otherwise the two tails are added, which overestimates but
+    keeps the bound safe.
     """
     ex = field.exponents
-    mass_b = barenblatt_mass(ex)
-    if abs(field.mass() - mass_b) > 1e-6 * mass_b:
-        raise ValueError("Csiszar-Kullback comparison requires mass int B")
     l1 = field.quad(np.abs(field.v - barenblatt(ex, field.r)))
-    l1 += _tail_l1_difference(field)
-    rhs = 4.0 * ex.alpha / ex.m * mass_b * relative_entropy(field)
-    return l1 * l1, rhs
-
-
-def _tail_l1_difference(field: RadialField) -> float:
-    """Tail of ||v - B||_1 beyond the mesh.
-
-    Exact when the field tail has the profile decay power; otherwise the
-    two tails are added, which overestimates but keeps the bound safe.
-    """
-    rho_b = profile_tail(field.exponents).power
-    b_tail = field.power_tail(1.0, field.exponents.d + rho_b)
+    rho_b = profile_tail(ex).power
+    b_tail = field.power_tail(1.0, ex.d + rho_b)
     if field.tail is not None and abs(field.tail.power - rho_b) < 1e-12:
-        return abs(field.tail.amplitude - 1.0) * b_tail
-    return field.tail_integral(1.0) + b_tail
+        return l1 + abs(field.tail.amplitude - 1.0) * b_tail
+    return l1 + (field.tail_integral(1.0) + b_tail)
 
 
 def csiszar_kullback_fg_gap(field: RadialField) -> tuple[float, float]:
@@ -263,15 +277,12 @@ def csiszar_kullback_fg_gap(field: RadialField) -> tuple[float, float]:
     lhs = ||f^{2p} - g^{2p}||_1^2 and rhs = (8p/(p+1)) (int g^{3p-1}) E[f|g],
     for fields normalized to ||f||_{2p} = ||g||_{2p}.
     """
+    require_profile_mass(field)
     ex = field.exponents
-    mass_b = barenblatt_mass(ex)
-    if abs(field.mass() - mass_b) > 1e-6 * mass_b:
-        raise ValueError("this bound requires ||f||_2p = ||g||_2p")
-    lhs, _ = csiszar_kullback_gap(field)  # g^{2p} = B
+    l1 = _l1_to_profile(field)  # g^{2p} = B
     s = (3.0 * ex.p - 1.0) / (ex.p - 1.0)
     g3p = math.exp(log_integral_inv_power(ex.d, s))
-    rhs = 8.0 * ex.p / (ex.p + 1.0) * g3p * relative_entropy(field)
-    return lhs, rhs
+    return l1 * l1, 8.0 * ex.p / (ex.p + 1.0) * g3p * relative_entropy(field)
 
 
 # -- best matching ---------------------------------------------------------
@@ -289,17 +300,8 @@ class BestMatch:
 
 def entropy_vs_optimizer(field: RadialField, lam: float = 1.0, mu: float = 1.0) -> float:
     """E[f | g_{lam,mu,0}] via quadrature scalars and exact optimizer norms."""
-    ex = field.exponents
-    p = ex.p
-    gn = g_norms(ex)
-    pf = field.integrate_power((p + 1.0) / (2.0 * p))
-    mf = field.mass()
-    xf = field.second_moment()
-    pref = lam ** (ex.d / (2.0 * p)) * mu ** (1.0 / (2.0 * p))
-    p_g = pref ** (p + 1.0) * lam ** (-ex.d) * gn["lp1"]
-    c_lm = pref ** (1.0 - p)
-    return 2.0 * p / (1.0 - p) * (pf - p_g) \
-        + (p + 1.0) / (p - 1.0) * (c_lm * (mf + lam ** 2 * xf) - p_g)
+    return _relative_entropy(field.exponents, field.entropy_integral(), field.mass(),
+                             field.second_moment(), lam, mu)
 
 
 def best_match(field: RadialField) -> BestMatch:
@@ -313,7 +315,8 @@ def best_match(field: RadialField) -> BestMatch:
     denom = ex.d + 2.0 - ex.p * (ex.d - 2.0)
     lam = math.sqrt(ex.d * (ex.p - 1.0) / denom * mf / xf)
     return BestMatch(lam=lam, mu=mu, y=0.0,
-                     entropy=entropy_vs_optimizer(field, lam, mu))
+                     entropy=_relative_entropy(ex, field.entropy_integral(), mf, xf,
+                                               lam, mu))
 
 
 # -- normalization map -----------------------------------------------------
@@ -337,40 +340,24 @@ def normalization_map(field: RadialField) -> Normalization:
         raise ValueError("normalization is undefined for the zero field")
     mass_g = barenblatt_mass(ex)
     kappa = (mass_g / mf) ** (1.0 / (2.0 * p))
-    pf = field.integrate_power((p + 1.0) / (2.0 * p))
+    pf = field.entropy_integral()
     grad_sq = gradient_integral(field)
     expo = 2.0 * p / (ex.d - p * (ex.d - 4.0))
     sigma = (2.0 * ex.d * kappa ** (p - 1.0) / (p * p - 1.0) * pf / grad_sq) ** expo
     tail_expo = (ex.d - p * (ex.d - 4.0)) / (p - 1.0)  # = alpha/(1-m) for v
     a_p = mass_g / (sigma ** tail_expo * mf) * xm_norm(field)
-    e_p = normalized_entropy(field, sigma, kappa)
+    # scaling identity: E[N f | g] = kappa^{p+1} sigma^{-d(p-1)/(2p)}
+    # E[f | g_{1/sigma, kappa^{-2p}}]
+    e_p = kappa ** (p + 1.0) * sigma ** (-ex.d * (p - 1.0) / (2.0 * p)) \
+        * _relative_entropy(ex, pf, mf, field.second_moment(), 1.0 / sigma,
+                            kappa ** (-2.0 * p))
     return Normalization(sigma=sigma, kappa=kappa, a_p=a_p, e_p=e_p)
-
-
-def normalized_entropy(field: RadialField, sigma: float, kappa: float) -> float:
-    """E[N f | g] through the transformed norms of f."""
-    ex = field.exponents
-    p = ex.p
-    gn = g_norms(ex)
-    pf = field.integrate_power((p + 1.0) / (2.0 * p))
-    mf = field.mass()
-    xf = field.second_moment()
-    p_g = gn["lp1"]
-    return 2.0 * p / (1.0 - p) * (
-        kappa ** (p + 1.0) * sigma ** (-ex.d * (p - 1.0) / (2.0 * p)) * pf - p_g) \
-        + (p + 1.0) / (p - 1.0) * (
-            kappa ** (2.0 * p) * (mf + xf / sigma ** 2) - p_g)
 
 
 def normalized_field(field: RadialField, sigma: float, kappa: float) -> RadialField:
     """The density of N f on the rescaled mesh (exact nodal transform)."""
     ex = field.exponents
-    scale = sigma ** ex.d * kappa ** (2.0 * ex.p)
-    tail = None
-    if field.tail is not None:
-        tail = TailModel(scale * sigma ** field.tail.power * field.tail.amplitude,
-                         field.tail.power)
-    return RadialField(ex, field.r / sigma, scale * field.v, tail)
+    return field.dilated(sigma, sigma ** ex.d * kappa ** (2.0 * ex.p))
 
 
 # -- rigidity residual -----------------------------------------------------
@@ -397,7 +384,7 @@ def rigidity_residual(field: RadialField) -> tuple[float, float]:
     dp_over_r[0] = d2p[0]  # even extension at the origin
     lap = d2p + (d - 1.0) * dp_over_r
 
-    lp1 = field.integrate_power((p + 1.0) / (2.0 * p))
+    lp1 = field.entropy_integral()
     grad_sq = gradient_integral(field)
     target = (p + 1.0) ** 2 * grad_sq / lp1
 

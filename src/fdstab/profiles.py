@@ -44,13 +44,18 @@ def aubin_talenti(ex: ExponentSet, r) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Exact integrals of the stationary profile."""
+    """Exact integrals of the stationary profile B = g^{2p}.
 
-    mass: float                 # int B
+    The one closed-form table of the profile: int B^m is also
+    ||g||_{p+1}^{p+1}, since m = (p+1)/(2p).
+    """
+
+    mass: float                 # int B = ||g||_{2p}^{2p}
     second_moment: float        # int |x|^2 B
-    entropy: float              # int B^m
+    entropy: float              # int B^m = ||g||_{p+1}^{p+1}
     pow_2m: float               # int B^(2-m)
     second_moment_pow_2m: float  # int |x|^2 B^(2-m)
+    grad_sq: float              # ||grad g||_2^2
 
 
 def barenblatt_mass(ex: ExponentSet) -> float:
@@ -74,25 +79,8 @@ def closed_form_moments(ex: ExponentSet) -> MomentTable:
         entropy=2.0 * ex.m / denom * mass,
         pow_2m=0.5 * ex.alpha * mass,
         second_moment_pow_2m=0.5 * ex.d * (1.0 - ex.m) * mass,
+        grad_sq=4.0 * ex.d / ((ex.d + 2.0 - ex.p * (ex.d - 2.0)) * (ex.p - 1.0)) * mass,
     )
-
-
-# -- exact norms of the optimizer g ------------------------------------
-
-def g_norms(ex: ExponentSet) -> dict:
-    """Exact values of the norms of g used across the entropy functionals.
-
-    Keys: ``mass`` = ||g||_{2p}^{2p}, ``lp1`` = ||g||_{p+1}^{p+1},
-    ``grad_sq`` = ||grad g||_2^2, ``xsq`` = int |x|^2 g^{2p}.
-    """
-    mass = barenblatt_mass(ex)
-    denom = ex.d + 2.0 - ex.p * (ex.d - 2.0)
-    return {
-        "mass": mass,
-        "lp1": 2.0 * (ex.p + 1.0) / denom * mass,
-        "grad_sq": 4.0 * ex.d / (denom * (ex.p - 1.0)) * mass,
-        "xsq": ex.d * (ex.p - 1.0) / denom * mass,
-    }
 
 
 # -- optimal constants ---------------------------------------------------

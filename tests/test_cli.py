@@ -117,6 +117,12 @@ def test_usage_errors_exit_one(capsys):
     assert main(["nonsense"]) == 1
 
 
+def test_config_without_path_is_a_usage_error(capsys):
+    # --config as the last argument names no file: an error line, exit 1
+    assert main(["simulate", "--d", "3", "--m", "0.75", "--config"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_harnack_command(capsys):
     code, out = run(["harnack-check", "--lam0", "0.5", "--lam1", "2.0"],
                     capsys)

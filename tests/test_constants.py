@@ -300,14 +300,17 @@ def test_ledger_regression_against_golden():
 
 
 def test_ledger_picks_one_regime_next_to_m_1():
-    # 0.6666666666666667 is the float above m_1 = 2/3 at d = 3, within the
-    # critical chain's 1e-12 tolerance: the ledger is the critical one, with
-    # the critical default eps, and agrees with the ledger at m_1 itself
-    sliver = C.build_ledger(3, 0.6666666666666667, 0.5, 2.0, 1.0, 1.0)
-    assert ("eta" in sliver) != ("eta_crit" in sliver)
+    # 0.6666666666666667 and 0.6666666666666665 are the floats above and
+    # below m_1 = 2/3 at d = 3, within the critical chain's 1e-12 tolerance
+    # on either side: the ledger is the critical one, with the critical
+    # default eps, and agrees with the ledger at m_1 itself
     at_m1 = C.build_ledger(3, 0.6666666666666666, 0.5, 2.0, 1.0, 1.0)
-    assert sliver.names() == at_m1.names()
-    assert sliver.close_to(at_m1, rel=1e-12) == []
+    assert len(at_m1.names()) == 43
+    for m in (0.6666666666666667, 0.6666666666666665):
+        sliver = C.build_ledger(3, m, 0.5, 2.0, 1.0, 1.0)
+        assert ("eta" in sliver) != ("eta_crit" in sliver)
+        assert sliver.names() == at_m1.names()
+        assert sliver.close_to(at_m1, rel=1e-12) == []
 
 
 def test_ledger_evaluates_one_chain(monkeypatch):

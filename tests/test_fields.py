@@ -9,7 +9,12 @@ from fdstab.fields import (DivergentTailError, RadialField, TailModel,
                            normalized_to_profile_mass, quadrature_mesh)
 from fdstab.functionals import fisher_information
 from fdstab.params import derive_exponents
-from fdstab.profiles import closed_form_moments, g_norms
+from fdstab.profiles import barenblatt_mass, closed_form_moments
+
+# the verification battery's four (d, m) pairs and three pairs given by p
+NORM_GRID = [derive_exponents(d, m=m) for d, m in
+             [(3, 2.0 / 3.0), (3, 0.75), (2, 0.6), (4, 0.8)]] \
+    + [derive_exponents(d, p=p) for d, p in [(3, 2.0), (2, 3.0), (4, 1.5)]]
 
 
 def test_field_validation():
@@ -40,10 +45,11 @@ def test_quadrature_matches_closed_forms():
 
 
 def test_gradient_integral_matches_g_norm():
-    ex = derive_exponents(3, p=2.0)
-    fld = barenblatt_field(ex, quadrature_mesh())
-    want = g_norms(ex)["grad_sq"]
-    assert abs(gradient_integral(fld) - want) < 2e-7 * want
+    mesh = quadrature_mesh()
+    for ex in NORM_GRID:
+        want = closed_form_moments(ex).grad_sq
+        got = gradient_integral(barenblatt_field(ex, mesh))
+        assert abs(got - want) < 2e-7 * want, (ex.d, ex.p)
 
 
 def test_divergent_tail_flagged():
@@ -99,3 +105,34 @@ def test_moment_matched_field_matches_profile_moments():
                 < 1e-6 * mt.second_moment
             normed = normalized_to_profile_mass(fld)
             assert abs(normed.mass() - mt.mass) <= 1e-14 * mt.mass
+
+
+def _battery_data(ex, mesh):
+    # the three initial data of the CLI and the battery: the profile, its
+    # dilation by 1.2 and the moment-matched mix of dilations 0.8 and 1.3
+    return [barenblatt_field(ex, mesh), barenblatt_field(ex, mesh, lam=1.2),
+            moment_matched_field(ex, mesh, 0.8, 1.3)]
+
+
+def test_dilated_scales_mass_and_tail():
+    ex = derive_exponents(3, m=0.75)
+    for fld in _battery_data(ex, graded_mesh()):
+        for s, c in [(1.0, 1.7), (0.6, 1.0), (1.9, 0.3)]:
+            out = fld.dilated(s, c)
+            factor = c * s ** -ex.d
+            assert np.array_equal(out.r, fld.r / s)
+            assert abs(out.tail_integral(1.0) - factor * fld.tail_integral(1.0)) \
+                <= 1e-13 * factor * fld.tail_integral(1.0)
+            assert abs(out.mass() - factor * fld.mass()) <= 1e-13 * factor * fld.mass()
+
+
+def test_normalized_to_profile_mass_is_the_plain_rescaling():
+    # bit for bit the rescaling v -> c v, A -> c A with c = int B / mass
+    for m in (2.0 / 3.0, 0.75):
+        ex = derive_exponents(3, m=m)
+        for fld in _battery_data(ex, graded_mesh(5.0, 200, 50.0, 200)):
+            scale = barenblatt_mass(ex) / fld.mass()
+            out = normalized_to_profile_mass(fld)
+            assert np.array_equal(out.r, fld.r)
+            assert np.array_equal(out.v, fld.v * scale)
+            assert out.tail == TailModel(fld.tail.amplitude * scale, fld.tail.power)

@@ -237,6 +237,10 @@ def test_normalized_field_nodal_transform():
     nm = F.normalization_map(fld)
     out = F.normalized_field(fld, nm.sigma, nm.kappa)
     assert abs(out.mass() - barenblatt_mass(ex)) < 1e-6
+    # the scaling identity behind e_p: E[N f | g] read off the transformed
+    # norms of f equals E of the transformed field itself
+    e_n = F.entropy_vs_optimizer(out, 1.0, 1.0)
+    assert abs(nm.e_p - e_n) <= 1e-12 * max(1.0, abs(e_n))
 
 
 def test_rigidity_residual():

@@ -9,7 +9,7 @@ import pytest
 
 from fdstab.params import derive_exponents
 from fdstab.profiles import (BarenblattSpec, barenblatt, barenblatt_mass,
-                             closed_form_moments, eval_barenblatt, g_norms,
+                             closed_form_moments, eval_barenblatt,
                              gns_optimal_constants, sobolev_constant,
                              sobolev_constant_sq_duplication)
 
@@ -101,12 +101,18 @@ def test_gns_constant_positive_chain():
                         rel_tol=1e-12)
 
 
+# the verification battery's four (d, m) pairs and three pairs given by p
+NORM_GRID = [derive_exponents(d, m=m) for d, m in
+             [(3, 2.0 / 3.0), (3, 0.75), (2, 0.6), (4, 0.8)]] \
+    + [derive_exponents(d, p=p) for d, p in [(3, 2.0), (2, 3.0), (4, 1.5)]]
+
+
 def test_g_norm_consistency():
-    # ||g||_{p+1}^{p+1} = ||g||_{2p}^{2p} + int |x|^2 g^{2p}
-    for d, p in [(3, 2.0), (2, 3.0), (4, 1.5)]:
-        ex = derive_exponents(d, p=p)
-        gn = g_norms(ex)
-        assert math.isclose(gn["lp1"], gn["mass"] + gn["xsq"], rel_tol=1e-12)
+    # ||g||_{p+1}^{p+1} = ||g||_{2p}^{2p} + int |x|^2 g^{2p}, i.e. int B^m =
+    # int B + int |x|^2 B in the one closed-form table
+    for ex in NORM_GRID:
+        mt = closed_form_moments(ex)
+        assert math.isclose(mt.entropy, mt.mass + mt.second_moment, rel_tol=1e-12)
 
 
 def test_eval_barenblatt_values():
