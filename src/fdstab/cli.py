@@ -218,10 +218,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "phase":
-        from .moments import PhaseState, xy_integrate
+        from .moments import xy_integrate_batch
         ex = derive_exponents(args.d, m=args.m)
-        path = xy_integrate(PhaseState.make(ex, args.x0, args.y0),
-                            args.t_end, args.dt)
+        path = xy_integrate_batch(ex, args.x0, args.y0, args.t_end, args.dt)
         rows = ["t,X,Y,L"]
         for t, x, y, e in zip(path["t"], path["x"], path["y"], path["energy"]):
             rows.append(",".join(_fmt(v) for v in (t, x, y, e)))

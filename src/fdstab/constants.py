@@ -31,13 +31,6 @@ from .profiles import barenblatt_mass, closed_form_moments, omega_d
 from .spectral import critical_gap_parameters
 
 CHI = 1.0 / 580.0
-# |m - m_1| below which m is the critical exponent m_1 (d >= 3)
-_CRITICAL_TOL = 1e-12
-
-
-def _is_critical(ex: ExponentSet) -> bool:
-    """m is m_1 to _CRITICAL_TOL, on either side of it, with d >= 3."""
-    return ex.d >= 3 and abs(ex.m - ex.m_1) < _CRITICAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +368,7 @@ def _profile_bounds_on_cylinders(ex: ExponentSet) -> tuple[LogReal, LogReal]:
 def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
     """Assemble the full two-sided-bound chain for tail bound A."""
     d, m, al = ex.d, ex.m, ex.alpha
-    if d >= 2 and not (ex.m_1 <= m < 1.0 or _is_critical(ex)):
+    if d >= 2 and not (ex.m_1 <= m < 1.0 or ex.is_critical):
         raise ValueError(f"need m in [m_1, 1) = [{ex.m_1}, 1), got {m}")
     if d == 1 and not (ex.m_tilde1 < m < 1.0):
         raise ValueError(f"need m in (m~_1, 1) = ({ex.m_tilde1}, 1), got {m}")
@@ -634,7 +627,7 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
     """
     ex, A = chain.ex, chain.A
     d = ex.d
-    if not _is_critical(ex):
+    if not ex.is_critical:
         raise ValueError(f"the critical chain requires m = m_1 = {ex.m_1}, got {ex.m}")
     crit = critical_gap_parameters(d)
     eta = crit.eta
@@ -690,7 +683,7 @@ def build_ledger(d: int, m: float, lam0: float, lam1: float,
     """Evaluate every chain at pinned inputs and return the named ledger."""
     ex = derive_exponents(d, m=m)
     # one regime decides both the stability chain and the default eps
-    critical = _is_critical(ex)
+    critical = ex.is_critical
     led = ConstantLedger()
     mos = moser_chain(d, lam0, lam1)
     led.put("embed_K", mos.embed_K,

@@ -2,12 +2,13 @@
 
 A :class:`RadialField` is the discrete home of the densities u, v and
 f^{2p}: nonnegative nodal values on a strictly increasing radial mesh
-starting at r = 0, plus an optional power-law model ``v ~ amplitude *
-r**power`` describing the field beyond the last node.  The radial measure
-lives in one place: every integral is a composite trapezoid sum with the
-weight omega_d r^{d-1+k} (:meth:`RadialField.quad`), corrected by the
-analytic integral of its power-law tail (:meth:`RadialField.power_tail`,
-which alone flags divergence); the profile tail r^{2/(m-1)} is built by
+starting at r = 0, plus the power-law model ``v ~ amplitude * r**power``
+of the field beyond the last node; amplitude 0 means nothing lies beyond
+the mesh.  The radial measure lives in one place: every integral is a
+composite trapezoid sum with the weight omega_d r^{d-1+k}
+(:meth:`RadialField.quad`), corrected by the analytic integral of its
+power-law tail (:meth:`RadialField.power_tail`, which alone flags
+divergence); the profile tail r^{2/(m-1)} is built by
 :func:`profile_tail`.  The profiles handled here have fat tails and the
 correction is what keeps truncation errors at the 1e-6 level required by
 the closed-form cross-checks.
@@ -60,7 +61,7 @@ class RadialField:
     exponents: ExponentSet
     r: np.ndarray
     v: np.ndarray
-    tail: TailModel | None = None
+    tail: TailModel
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -106,8 +107,8 @@ class RadialField:
             + self.tail_integral(q, moment)
 
     def tail_integral(self, q: float, moment: int = 0) -> float:
-        """Analytic integral of the tail model beyond the last node (0 without one)."""
-        if self.tail is None or self.tail.amplitude == 0.0:
+        """Analytic integral of the tail model beyond the last node (0 for an empty tail)."""
+        if self.tail.amplitude == 0.0:
             return 0.0
         return self.power_tail(self.tail.amplitude ** q,
                                self.exponents.d + moment + self.tail.power * q)
@@ -150,10 +151,8 @@ class RadialField:
 
     def dilated(self, s: float, c: float) -> "RadialField":
         """c v(s r): r -> r/s, v -> c v, tail A -> c s^rho A; mass times c s^{-d}."""
-        tail = None
-        if self.tail is not None:
-            tail = TailModel(c * s ** self.tail.power * self.tail.amplitude,
-                             self.tail.power)
+        tail = TailModel(c * s ** self.tail.power * self.tail.amplitude,
+                         self.tail.power)
         return RadialField(self.exponents, self.r / s, c * self.v, tail)
 
 
@@ -163,7 +162,7 @@ def gradient_integral(field: RadialField) -> float:
     df = np.gradient(field.f_values(), field.r)
     df[0] = 0.0
     val = field.quad(df ** 2)
-    if field.tail is not None and field.tail.amplitude > 0.0:
+    if field.tail.amplitude > 0.0:
         # f ~ A^{1/(2p)} r^{rho/(2p)} => |f'|^2 ~ (rho/2p)^2 A^{1/p} r^{rho/p - 2}
         rho, A = field.tail.power, field.tail.amplitude
         val += field.power_tail((rho / (2.0 * p)) ** 2 * A ** (1.0 / p),

@@ -292,10 +292,6 @@ class _Stepper:
         return dt, min(DT_MAX, dt * min(4.0, max(0.2, grow)))
 
 
-def _mesh_mass(scheme: _RadialScheme, v: np.ndarray) -> float:
-    return float(np.sum(scheme.vol * v)) * omega_d(scheme.ex.d)
-
-
 def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
     v = np.maximum(v, 0.0)
     return RadialField(ex, r, v, profile_tail(ex).through(r, v))
@@ -316,116 +312,98 @@ def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
     return scheme, v0.v * (barenblatt_mass(ex) / mass0)
 
 
-def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions | None = None,
+def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions = SolverOptions(),
               n_saves: int = 60) -> Trajectory:
     """Integrate the confined flow; initial mass is renormalized to the
     profile mass when within 1e-6 relative, rejected otherwise."""
     scheme, v = _confined_start(v0)
-    return _run(scheme, v, t_end, opts or SolverOptions(), n_saves)
+    return _run(scheme, v, t_end, opts, n_saves)
 
 
 def solve_fd_original(u0: RadialField, t_end: float,
-                      opts: SolverOptions | None = None, n_saves: int = 60) -> Trajectory:
+                      opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
     """Integrate the unconfined flow with a zero-flux outer boundary."""
-    opts = opts or SolverOptions()
     scheme = _RadialScheme(u0.exponents, u0.r, None)
     return _run(scheme, u0.v.copy(), t_end, opts, n_saves)
 
 
 def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions,
          n_saves: int, delay: bool = False) -> Trajectory:
-    ex = scheme.ex
-    r = scheme.r
-    # the confined flows' saves are reported against the discretized
-    # profile, whose integrals are taken once per run
-    ref = FixedReference.of(barenblatt_field(ex, r)) if scheme.confined else None
-    mt = closed_form_moments(ex)
+    """Step to t_end and keep the time, snapshot, bookkept mass and (delayed
+    flow) tau at n_saves + 1 save times; reports, errors and delay records
+    are formed from the saved snapshots after the run."""
+    if not t_end > 0.0 or n_saves < 1:
+        raise ValueError(f"a flow run needs t_end > 0 and n_saves >= 1, "
+                         f"got t_end = {t_end}, n_saves = {n_saves}")
+    ex, r = scheme.ex, scheme.r
+    m2_star = closed_form_moments(ex).second_moment
     stepper = _Stepper(scheme, opts, v)
     save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
 
-    def bookkept_mass(vv):
-        # mesh mass corrected by the outer-face flux; the analytic tail is
-        # not included because it is not evolved by the scheme
-        return _mesh_mass(scheme, vv) - stepper.boundary_mass
+    def bookkept_mass():
+        # cell-volume mass corrected by the outer-face flux; the analytic
+        # tail is not included because it is not evolved by the scheme
+        return float(np.sum(scheme.vol * stepper.v)) * omega_d(ex.d) \
+            - stepper.boundary_mass
 
-    times, snaps, reps, rel_errs, delays, fv_mass = [], [], [], [], [], []
-    tau = 0.0
-
-    def measure(vv):
-        # relative quantities are differenced against the discretized
-        # profile (the scheme's own fixed point), so the shared quadrature
-        # bias cancels; the tails do not, because a snapshot refits its
-        # tail at the last node and the reference carries the profile's
-        # exact tail, so at the profile itself a save reads F = -6.4e-12
-        # at (3, 3/4) and F = 4.0e-8, K = -3.0e-4, S = -2.0e-4 at (3, 2/3)
-        snap = _make_field(ex, r, vv)
-        return snap, entropy_report(snap, ref) if scheme.confined else None
-
-    def save(vv, snap, rep):
-        times.append(stepper.t)
-        snaps.append(snap)
-        fv_mass.append(bookkept_mass(vv))
-        if scheme.confined:
-            reps.append(rep)
-            rel_errs.append(float(np.max(np.abs(snap.v / ref.field.v - 1.0))))
-        if delay:
-            lam = ratio / math.exp(4.0 * tau)
-            delays.append(DelayRecord(t=stepper.t, tau=tau,
-                                      r_factor=math.exp(2.0 * tau), lam=lam))
-
-    mass_ref = bookkept_mass(v)
-    drift = 0.0
-    snap, rep = measure(v)
-    # the moment ratio of the current state, carried from step to step; the
-    # delayed flow always reports, and a save's report holds its moment
-    ratio = rep.second_moment / mt.second_moment if delay else math.nan
-    save(v, snap, rep)
-    next_save = 1
+    mass_ref = bookkept_mass()
+    times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, v)], [mass_ref], [0.0]
+    drift, tau = 0.0, 0.0
+    if delay:
+        ratio = snaps[0].second_moment() / m2_star
     dt = DT_INIT
     while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
-        dt = min(dt, t_end - stepper.t)
-        if next_save <= n_saves:
-            dt = min(dt, max(1e-12, save_times[next_save] - stepper.t))
+        dt = min(dt, t_end - stepper.t, max(1e-12, save_times[len(times)] - stepper.t))
         dt_taken, dt = stepper.advance(dt)
-        v = stepper.v
-        at_save = (next_save <= n_saves
-                   and stepper.t >= save_times[next_save] - 1e-12)
-        snap, rep = measure(v) if at_save else (None, None)
+        snap = None
         if delay:
             # Heun update of the delay equation on the PDE grid
             g0 = ratio ** (-0.5 * ex.alpha) - 1.0
-            m2 = rep.second_moment if at_save \
-                else _make_field(ex, r, v).second_moment()
-            ratio = m2 / mt.second_moment
+            snap = _make_field(ex, r, stepper.v)
+            ratio = snap.second_moment() / m2_star
             g1 = ratio ** (-0.5 * ex.alpha) - 1.0
             dtau = 0.5 * dt_taken * (g0 + g1)
             if dtau <= -dt_taken:
                 raise RuntimeError("delay rate reached ds/dt <= 0")
             tau += dtau
-        drift = max(drift, abs(bookkept_mass(v) - mass_ref) / mass_ref)
-        if at_save:
-            save(v, snap, rep)
-            next_save += 1
+        mass = bookkept_mass()
+        drift = max(drift, abs(mass - mass_ref) / mass_ref)
+        if stepper.t >= save_times[len(times)] - 1e-12:
+            times.append(stepper.t)
+            snaps.append(_make_field(ex, r, stepper.v) if snap is None else snap)
+            fv_mass.append(mass)
+            taus.append(tau)
     if stepper.t < t_end - 1e-12:
         raise RuntimeError(
             f"stopped at t = {stepper.t} short of t_end = {t_end}: "
             f"max_steps = {opts.max_steps} accepted steps taken")
-    if not scheme.confined:
-        reps = [None] * len(times)  # type: ignore[list-item]
-        rel_errs = [math.nan] * len(times)
+    reports, rel_errs, delays = [None] * len(times), [math.nan] * len(times), None
+    if scheme.confined:
+        # differenced against the discretized profile (the scheme's fixed
+        # point), so the shared quadrature bias cancels; the tails do not (a
+        # snapshot refits its tail at the last node, the reference has the
+        # exact one), so at the profile itself a save reads F = -6.4e-12 at
+        # (3, 3/4) and F = 4.0e-8, K = -3.0e-4, S = -2.0e-4 at (3, 2/3)
+        ref = FixedReference.of(barenblatt_field(ex, r))
+        reports = [entropy_report(snap, ref) for snap in snaps]
+        rel_errs = [float(np.max(np.abs(snap.v / ref.field.v - 1.0)))
+                    for snap in snaps]
+    if delay:
+        delays = [DelayRecord(t=t, tau=tau, r_factor=math.exp(2.0 * tau),
+                              lam=rep.second_moment / m2_star / math.exp(4.0 * tau))
+                  for t, tau, rep in zip(times, taus, reports)]
     return Trajectory(exponents=ex, times=times, snapshots=snaps,
-                      reports=reps, mass_drift=drift, sup_rel_err=rel_errs,
-                      conserved_mass=fv_mass, stats=stepper.stats,
-                      delay=delays if delay else None)
+                      reports=reports, mass_drift=drift, sup_rel_err=rel_errs,
+                      conserved_mass=fv_mass, stats=stepper.stats, delay=delays)
 
 
 def solve_fdr_delayed(v0: RadialField, t_end: float,
-                      opts: SolverOptions | None = None, n_saves: int = 60) -> Trajectory:
+                      opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
     """Confined flow plus the delay equation; emits tau, r-factor and the
     matching scale along the trajectory and checks the reconstruction
     conservation at every save."""
     scheme, v = _confined_start(v0)
-    return _run(scheme, v, t_end, opts or SolverOptions(), n_saves, delay=True)
+    return _run(scheme, v, t_end, opts, n_saves, delay=True)
 
 
 def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialField]:
@@ -451,7 +429,11 @@ def map_fd_to_selfsimilar(ex: ExponentSet, t: float, r: np.ndarray,
 
 
 def default_flow_mesh(n_cells: int = 400, r_max: float = 50.0) -> np.ndarray:
-    """Solver mesh: uniform core to r = 5, geometric tail to r_max."""
+    """Solver mesh: uniform core to r = 5, geometric tail to r_max;
+    ``ValueError`` unless n_cells >= 2 and r_max > 5."""
+    if n_cells < 2 or not r_max > 5.0:
+        raise ValueError(f"a flow mesh needs n_cells >= 2 and r_max > 5, "
+                         f"got n_cells = {n_cells}, r_max = {r_max}")
     n_core = n_cells // 2
     return graded_mesh(5.0, n_core, r_max, n_cells - n_core)
 

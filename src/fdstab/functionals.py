@@ -131,7 +131,7 @@ def fisher_information(field: RadialField) -> float:
     ex = field.exponents
     slope = field.pressure_slope() - 2.0 * field.r
     val = field.quad(field.v * slope ** 2)
-    if field.tail is not None and field.tail.amplitude > 0.0:
+    if field.tail.amplitude > 0.0:
         A, rho, d = field.tail.amplitude, field.tail.power, ex.d
         c1 = rho * (ex.m - 1.0) * A ** (ex.m - 1.0)
         for coeff, expo in (
@@ -211,7 +211,7 @@ def xm_norm(field: RadialField) -> float:
     expo = ex.xm_tail_exponent
     beyond = field.mass_beyond()
     sup = float(np.max(field.r[1:] ** expo * beyond[1:]))
-    if field.tail is not None and field.tail.amplitude > 0.0:
+    if field.tail.amplitude > 0.0:
         tail_expo = expo + ex.d + field.tail.power
         if tail_expo > 1e-12:
             return math.inf
@@ -266,7 +266,7 @@ def _l1_to_profile(field: RadialField) -> float:
     l1 = field.quad(np.abs(field.v - barenblatt(ex, field.r)))
     rho_b = profile_tail(ex).power
     b_tail = field.power_tail(1.0, ex.d + rho_b)
-    if field.tail is not None and abs(field.tail.power - rho_b) < 1e-12:
+    if abs(field.tail.power - rho_b) < 1e-12:
         return l1 + abs(field.tail.amplitude - 1.0) * b_tail
     return l1 + (field.tail_integral(1.0) + b_tail)
 
@@ -298,7 +298,7 @@ class BestMatch:
     entropy: float  # E[f | g_f]
 
 
-def entropy_vs_optimizer(field: RadialField, lam: float = 1.0, mu: float = 1.0) -> float:
+def entropy_vs_optimizer(field: RadialField, lam: float, mu: float) -> float:
     """E[f | g_{lam,mu,0}] via quadrature scalars and exact optimizer norms."""
     return _relative_entropy(field.exponents, field.entropy_integral(), field.mass(),
                              field.second_moment(), lam, mu)

@@ -100,32 +100,24 @@ def xy_closed_form(state0: PhaseState, t) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def xy_integrate(state0: PhaseState, t_end: float, dt: float = 1e-3) -> dict:
-    """Classical RK4 path of one state: the batch integrator on a batch of one.
-
-    Returns arrays t, x, y and the energy level along the path.  The path
-    is the RK4 trajectory, evaluated as powers of the one-step map (see
-    :func:`_rk4`), not the exact flow.  The closed form is the accuracy
-    oracle; RK4 at dt = 1e-3 sits far below the 1e-8 comparison tolerance.
-    """
-    path = _rk4(state0.a, state0.b, [state0.x], [state0.y], t_end, dt)
-    return {"t": path["t"], "x": path["x"][:, 0], "y": path["y"][:, 0],
-            "energy": path["energy"][:, 0]}
-
-
 def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
                        dt: float = 1e-3) -> dict:
-    """Vectorized RK4 over a batch of initial states (same fixed grid)."""
-    return _rk4(ex.a_param, ex.b_param, x0, y0, t_end, dt)
+    """Classical RK4 paths from one start or an array of starts, all steps
+    and starts in one array expression on the same fixed grid.
 
-
-def _rk4(a: float, b: float, x0, y0, t_end: float, dt: float) -> dict:
-    """RK4 on the linear system, all steps and starts in one array expression.
-
-    One step with h = dt is the fixed map R = P(hM), M = [[-4, a], [0, -b]],
-    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so step k is R^k applied to the
-    start; :func:`_rk4_propagator` gives the three entries of R^k.
+    Returns arrays t, x, y and the energy level along the paths, with x,
+    y and energy shaped (steps + 1,) + shape of the start.  The paths are
+    the RK4 trajectories, not the exact flow: one step with h = dt is the
+    fixed map R = P(hM), M = [[-4, a], [0, -b]], P(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24, so step k is R^k applied to the start, and
+    :func:`_rk4_propagator` gives the three entries of R^k.  The closed
+    form is the accuracy oracle; RK4 at dt = 1e-3 sits far below the 1e-8
+    comparison tolerance.  ``ValueError`` unless t_end > 0 and dt > 0.
     """
+    if not (t_end > 0.0 and dt > 0.0):
+        raise ValueError(f"a phase path needs t_end > 0 and dt > 0, "
+                         f"got t_end = {t_end}, dt = {dt}")
+    a, b = ex.a_param, ex.b_param
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = max(1, int(math.ceil(t_end / dt)))

@@ -47,6 +47,11 @@ class ExponentSet:
         return 2.0 * self.alpha
 
     @property
+    def is_critical(self) -> bool:
+        """m is m_1 to 1e-12, on either side of it, with d >= 3."""
+        return self.d >= 3 and abs(self.m - self.m_1) < 1e-12
+
+    @property
     def xm_tail_exponent(self) -> float:
         """Exponent alpha/(1-m) of the tail-decay norm."""
         return self.alpha / (1.0 - self.m)

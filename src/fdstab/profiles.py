@@ -118,8 +118,7 @@ class GNSConstants:
 def gns_optimal_constants(ex: ExponentSet) -> GNSConstants:
     """Evaluate the optimal-constant chain for an admissible pair."""
     d, p, gamma = ex.d, ex.p, ex.gamma
-    is_critical = d >= 3 and abs(p - ex.p_star) <= 1e-12 * ex.p_star
-    if is_critical:
+    if ex.is_critical:
         # p*(d-2) rounds near d, so snap the degenerate quantities exactly
         theta, denom, c_small = 1.0, 2.0, 1.0
     else:
@@ -136,7 +135,7 @@ def gns_optimal_constants(ex: ExponentSet) -> GNSConstants:
     c_gns = math.exp(log_cgns)
 
     log_inner = theta * math.log(p - 1.0)
-    if not is_critical:
+    if not ex.is_critical:
         log_inner += (1.0 - theta) / (p + 1.0) \
             * math.log(4.0 * (d - p * (d - 2.0)) / (p + 1.0))
     c_pd = c_small * math.exp(2.0 * p * gamma * log_inner)
@@ -144,7 +143,7 @@ def gns_optimal_constants(ex: ExponentSet) -> GNSConstants:
 
     return GNSConstants(
         c_gns=c_gns, c_small=c_small, c_pd=c_pd, k_gns=k_gns,
-        sobolev=sobolev_constant(d) if is_critical else None,
+        sobolev=sobolev_constant(d) if ex.is_critical else None,
     )
 
 

@@ -115,6 +115,21 @@ def test_usage_errors_exit_one(capsys):
                  "--init", "bogus"]) == 1
     assert main(["constants", "--d", "0", "--m", "0.75"]) == 1
     assert main(["nonsense"]) == 1
+    # runs that would be empty or go backwards: each input is checked once,
+    # before any stepping, so these fail at once with an error line
+    flow = ["simulate", "--d", "3", "--m", "0.75"]
+    phase = ["phase", "--d", "3", "--m", "0.75", "--x0", "0.1", "--y0", "0.05"]
+    for argv in (flow + ["--saves", "0"], flow + ["--saves", "-3"],
+                 flow + ["--t-end", "0"], flow + ["--t-end", "-1"],
+                 flow + ["--equation", "fd", "--saves", "0"],
+                 flow + ["--equation", "fdr-delayed", "--t-end", "0"],
+                 flow + ["--cells", "0"], flow + ["--cells", "1"],
+                 flow + ["--r-max", "5"], flow + ["--r-max", "-1"],
+                 phase + ["--dt", "-0.001"], phase + ["--dt", "0"],
+                 phase + ["--t-end", "-1"], phase + ["--t-end", "0"]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_config_without_path_is_a_usage_error(capsys):

@@ -6,7 +6,8 @@ import pytest
 from fdstab.fields import (DivergentTailError, RadialField, TailModel,
                            barenblatt_field, field_from_function,
                            gradient_integral, graded_mesh, moment_matched_field,
-                           normalized_to_profile_mass, quadrature_mesh)
+                           normalized_to_profile_mass, profile_tail,
+                           quadrature_mesh)
 from fdstab.functionals import fisher_information
 from fdstab.params import derive_exponents
 from fdstab.profiles import barenblatt_mass, closed_form_moments
@@ -20,12 +21,13 @@ NORM_GRID = [derive_exponents(d, m=m) for d, m in
 def test_field_validation():
     ex = derive_exponents(3, m=0.75)
     r = np.array([0.0, 1.0, 2.0])
+    empty = profile_tail(ex, 0.0)
     with pytest.raises(ValueError):
-        RadialField(ex, r[::-1].copy(), np.ones(3))
+        RadialField(ex, r[::-1].copy(), np.ones(3), empty)
     with pytest.raises(ValueError):
-        RadialField(ex, np.array([0.1, 1.0, 2.0]), np.ones(3))
+        RadialField(ex, np.array([0.1, 1.0, 2.0]), np.ones(3), empty)
     with pytest.raises(ValueError):
-        RadialField(ex, r, np.array([1.0, -1.0, 0.0]))
+        RadialField(ex, r, np.array([1.0, -1.0, 0.0]), empty)
     with pytest.raises(ValueError):
         TailModel(1.0, 2.0)  # growing tail rejected
 

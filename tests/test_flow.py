@@ -7,15 +7,16 @@ import pytest
 
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
-                           normalized_to_profile_mass)
+                           normalized_to_profile_mass, profile_tail)
 from fdstab.flow import (DT_MAX, SolverOptions, _confined_start, _RadialScheme,
                          default_flow_mesh, entropy_growth_floor,
                          map_fd_to_selfsimilar, reconstruct_delayed,
                          solve_fd_original, solve_fdr, solve_fdr_delayed)
+from fdstab.functionals import FixedReference, entropy_report
 from fdstab.moments import delay_bound
 from fdstab.params import derive_exponents
-from fdstab.profiles import (BarenblattSpec, closed_form_moments,
-                             eval_barenblatt)
+from fdstab.profiles import (BarenblattSpec, barenblatt_scaled,
+                             closed_form_moments, eval_barenblatt)
 
 EX34 = derive_exponents(3, m=0.75)
 EX23 = derive_exponents(3, m=2.0 / 3.0)
@@ -337,3 +338,103 @@ def test_trajectory_csv():
     lines = text.strip().split("\n")
     assert lines[0].startswith("t,F,I,Q,mass")
     assert len(lines) == 5
+
+
+# -- exact solutions as the flows' pointwise oracle -----------------------
+# A dilated profile lam^(-d/2) B(r/sqrt(lam)) stays one under the confined
+# flow: its second moment is linear in lam and its pressure affine in r^2,
+# which gives lam(t) below; along it the delay equation integrates to
+# tau(t) below.  The free flow's self-similar solution is
+# eval_barenblatt(BarenblattSpec(ex), t, r), the Barenblatt solution of
+# fast diffusion (Vazquez, Smoothing and decay estimates for nonlinear
+# diffusion equations, Oxford 2006).  Errors are sup |v/v_exact - 1| on
+# the core r < 10 of the default meshes, at the saves t = 0, 0.25, ..., 2.
+
+def _lam_exact(ex, lam0, t):
+    a = ex.alpha
+    return (1.0 + (lam0 ** (a / 2.0) - 1.0) * np.exp(-2.0 * a * t)) ** (2.0 / a)
+
+
+def _tau_exact(ex, lam0, t):
+    a, w0 = ex.alpha, lam0 ** (ex.alpha / 2.0)
+    return np.log((1.0 + (w0 - 1.0) * np.exp(-2.0 * a * t)) / w0) / (2.0 * a)
+
+
+def _core_errors(traj, exact):
+    errs = []
+    for t, snap in zip(traj.times, traj.snapshots):
+        core = snap.r < 10.0
+        errs.append(np.max(np.abs(snap.v[core] / exact(t, snap.r[core]) - 1.0)))
+    return np.array(errs)
+
+
+def _dilated_run(ex, cells, t_end, n_saves, solver):
+    fld = normalized_to_profile_mass(
+        barenblatt_field(ex, default_flow_mesh(cells), lam=1.2))
+    traj = solver(fld, t_end, n_saves=n_saves)
+    return traj, _core_errors(
+        traj, lambda t, r: barenblatt_scaled(ex, _lam_exact(ex, 1.2, t), r))
+
+
+def _tau_error(ex, traj):
+    """max |tau - tau_exact| / max |tau_exact| over the saves."""
+    tau = np.array([rec.tau for rec in traj.delay])
+    exact = _tau_exact(ex, 1.2, np.array(traj.times))
+    return np.max(np.abs(tau - exact)) / np.max(np.abs(exact))
+
+
+def test_confined_and_delayed_flows_against_dilated_profile():
+    # (3, 3/4), lam0 = 1.2: core error 1.71e-4 at 400 cells (bound 2.5e-4,
+    # margin 1.5x); at t = 0.25 it falls from 6.32e-4 to 1.60e-4 going from
+    # 200 to 400 cells (3.95x, second order in space; at least 3x required)
+    traj, err = _dilated_run(EX34, 400, 2.0, 8, solve_fdr)
+    assert traj.times[1] == 0.25
+    assert np.max(err) < 2.5e-4
+    _, coarse = _dilated_run(EX34, 200, 0.25, 1, solve_fdr)
+    assert coarse[1] >= 3.0 * err[1]
+    # the delayed flow steps the same snapshots; tau is off its closed form
+    # by 1.28e-3 of max|tau| at 400 cells (bound 2e-3, margin 1.6x)
+    delayed, _ = _dilated_run(EX34, 400, 2.0, 8, solve_fdr_delayed)
+    assert all(np.array_equal(a.v, b.v)
+               for a, b in zip(traj.snapshots, delayed.snapshots))
+    assert _tau_error(EX34, delayed) < 2e-3
+    # save i's report, sup error and delay record are those of snapshot i
+    ref = FixedReference.of(barenblatt_field(EX34, delayed.snapshots[0].r))
+    m2_star = closed_form_moments(EX34).second_moment
+    for i, snap in enumerate(delayed.snapshots):
+        rep, rec = delayed.reports[i], delayed.delay[i]
+        assert rep == entropy_report(snap, ref)
+        assert delayed.sup_rel_err[i] == np.max(np.abs(snap.v / ref.field.v - 1.0))
+        assert rec.t == delayed.times[i]
+        assert math.isclose(rec.lam * math.exp(4.0 * rec.tau) * m2_star,
+                            snap.second_moment(), rel_tol=1e-14)
+
+
+def test_free_flow_against_selfsimilar_solution():
+    # (3, 3/4) from the self-similar solution at t = 0: core error 1.10e-4
+    # at 400 cells (bound 1.6e-4, margin 1.45x); at t = 0.25 it falls from
+    # 2.51e-4 to 6.28e-5 going from 200 to 400 cells (4.0x; at least 3x)
+    spec = BarenblattSpec(EX34)
+
+    def run(cells, t_end, n_saves):
+        mesh = default_flow_mesh(cells)
+        vals = eval_barenblatt(spec, 0.0, mesh)
+        u0 = RadialField(EX34, mesh, vals, profile_tail(EX34).through(mesh, vals))
+        traj = solve_fd_original(u0, t_end, n_saves=n_saves)
+        return _core_errors(traj, lambda t, r: eval_barenblatt(spec, t, r))
+
+    err = run(400, 2.0, 8)
+    assert np.max(err) < 1.6e-4
+    assert run(200, 0.25, 1)[1] >= 3.0 * err[1]
+
+
+def test_critical_point_floor_against_dilated_profile():
+    # (3, 2/3), 400 cells: core error 8.45e-4 (bound 1.2e-3, margin 1.4x)
+    # and tau error 7.2e-2 of max|tau| (bound 0.1, margin 1.4x).  Neither
+    # falls with the mesh (8.37e-4 and 7.35e-2 at 1 600 cells): the outer
+    # ghost node holds B(r_ghost) while the solution's tail carries lam(t).
+    # These are the floor of that boundary: a boundary that keeps the
+    # dilated family lowers them, and no change may raise them.
+    traj, err = _dilated_run(EX23, 400, 2.0, 8, solve_fdr_delayed)
+    assert np.max(err) < 1.2e-3
+    assert _tau_error(EX23, traj) < 0.1

@@ -12,7 +12,7 @@ import pytest
 
 from fdstab import functionals as F
 from fdstab.fields import RadialField, barenblatt_field, \
-    field_from_function, quadrature_mesh
+    field_from_function, profile_tail, quadrature_mesh
 from fdstab.params import derive_exponents
 from fdstab.profiles import aubin_talenti, barenblatt_mass, closed_form_moments
 
@@ -111,7 +111,7 @@ def test_xm_norm_profile_and_compact():
     # compact support: supremum attained inside, no tail flag
     r = MESH
     vals = np.where(r < 2.0, 1.0 - (r / 2.0) ** 2, 0.0)
-    compact = RadialField(ex, r, vals, None)
+    compact = RadialField(ex, r, vals, profile_tail(ex, 0.0))
     assert math.isfinite(F.xm_norm(compact))
 
 
@@ -183,7 +183,7 @@ def test_best_match_is_local_minimum():
 
 def test_best_match_rejects_zero():
     ex = derive_exponents(3, p=2.0)
-    zero = RadialField(ex, MESH, np.zeros_like(MESH), None)
+    zero = RadialField(ex, MESH, np.zeros_like(MESH), profile_tail(ex, 0.0))
     with pytest.raises(ValueError):
         F.best_match(zero)
 

@@ -34,7 +34,7 @@ def test_closed_form_peak():
 
 def test_rk4_matches_closed_form():
     st = M.PhaseState.make(EX, -2.0, 1.5)
-    path = M.xy_integrate(st, 10.0)
+    path = M.xy_integrate_batch(EX, st.x, st.y, 10.0)
     xc, yc = M.xy_closed_form(st, path["t"])
     assert np.max(np.abs(path["x"] - xc)) < 1e-8
     assert np.max(np.abs(path["y"] - yc)) < 1e-8
@@ -102,7 +102,7 @@ def test_propagator_divided_differences_match_stepping_loop(ex):
 def test_energy_dissipation_identity():
     # dL/dt = -2(b+4)(aY-4X)^2 along the flow
     st = M.PhaseState.make(EX, 1.0, -1.0)
-    path = M.xy_integrate(st, 2.0, dt=1e-3)
+    path = M.xy_integrate_batch(EX, st.x, st.y, 2.0, dt=1e-3)
     t, L = path["t"], path["energy"]
     a, b = st.a, st.b
     mid_rate = np.gradient(L, t)[1:-1]
@@ -116,7 +116,7 @@ def test_state_energy_matches_path_energy():
     # one formula for L: the point-wise level equals the path's column
     # bit for bit (the phase command's path from (0, 1))
     st = M.PhaseState.make(EX, 0.0, 1.0)
-    path = M.xy_integrate(st, 10.0)
+    path = M.xy_integrate_batch(EX, st.x, st.y, 10.0)
     levels = [M.PhaseState.make(EX, float(x), float(y)).energy()
               for x, y in zip(path["x"], path["y"])]
     assert levels == path["energy"].tolist()
