@@ -201,7 +201,8 @@ def check_spectral() -> CheckResult:
     q = Sp.SpectrumQuery.from_p(3, 2.0)
     vals = Sp.discretized_radial_eigs(q, Sp.radial_oracle_mesh())
     lam01 = float(vals[1])
-    ok &= abs(lam01 - 10.0) <= 0.02 * 10.0
+    exact01 = Sp.eigenvalue(0, 1, q).value
+    ok &= abs(lam01 - exact01) <= 0.02 * exact01
     crit6 = Sp.critical_gap_parameters(6)
     ok &= abs(crit6.a_low - crit6.a_high) <= 1e-12 * crit6.a_low
     ok &= not crit6.eta_branches_agree  # the mismatch must stay visible

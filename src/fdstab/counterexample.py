@@ -12,12 +12,16 @@ d = 3.  The bulk of each integral is carried by the exact single-bump
 values; only the superposition corrector, which is concentrated where
 the bumps interact, is integrated numerically.
 
-The corrector is integrated in blocks of z rows.  The blocks are split
-into contiguous ranges over up to ``_MAX_WORKERS`` threads (numpy
-releases the GIL inside each block's ufuncs); every worker computes its
-blocks in buffers the caller preallocated, so the workers allocate
-nothing, and each row is computed the same way whichever worker runs
-it, so the result does not depend on the worker count.
+The corrector is integrated in blocks of z rows.  Before any block is
+integrated, an a-priori bound on its contribution is formed from the
+bumps' tails (``_Corrector.block_bounds``); a block whose bound is at
+most ``_SKIP_REL`` of both exact single-bump totals is skipped, its rows
+left 0.  The kept blocks are split into contiguous ranges over up to
+``_MAX_WORKERS`` threads (numpy releases the GIL inside each block's
+ufuncs); every worker computes its blocks in buffers the caller
+preallocated, so the workers allocate nothing, and each row is computed
+the same way whichever worker runs it, so the result does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ _N_BIG = 15
 _MAX_WORKERS = 4
 # the axial grid resolves each bump out to this distance from its center
 _REACH = 50.0
+# a block is skipped when its corrector bound is at most this fraction of
+# both exact single-bump totals
+_SKIP_REL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,8 @@ class EscapeFamilyReport:
     entropy: float
     xm_norm: float
     ratio: float      # entropy / xm_norm^{2(1-m)/alpha}
+    skipped_blocks: int   # z blocks left out under their corrector bound
+    blocks: int
 
 
 def counterexample_report(ex: ExponentSet, k: int,
@@ -71,36 +80,142 @@ def counterexample_report(ex: ExponentSet, k: int,
     if X < 12.0:
         raise ValueError(f"bump separation {X} too small; the profiles overlap")
     p, m = ex.p, ex.m
-    q2p = 2.0 * p / (p - 1.0)
     mt = closed_form_moments(ex)
-    c0, c1 = 1.0 - 2.0 / k, 1.0 / k
+    cor = _Corrector(ex, k, X)
+    c0, c1, _ = cor.c
+    p_single = (c0 ** m + 2.0 * c1 ** m) * mt.entropy
+    grad_single = (c0 ** (1.0 / p) + 2.0 * c1 ** (1.0 / p)) * mt.grad_sq
+    bound_p, bound_g = cor.block_bounds()
+    skipped = (bound_p <= _SKIP_REL * p_single) & (bound_g <= _SKIP_REL * grad_single)
+    kept = np.flatnonzero(~skipped)
+    # contiguous runs of the kept blocks, one per worker; the buffers are
+    # allocated here, so the workers allocate nothing
+    n_workers = max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, kept.size))
+    parts = [kept[j * kept.size // n_workers:(j + 1) * kept.size // n_workers]
+             for j in range(n_workers)]
+    bigs = [np.empty((_N_BIG, _BLOCK_ROWS, cor.s.size)) for _ in range(n_workers)]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        # reading every result re-raises a worker's exception here
+        list(pool.map(cor.fill, parts, bigs))
 
-    z, s = _axisym_grids(X)
-    s2 = s ** 2
-    w = _s_weights(s)
-    cm = (c0 ** m, c1 ** m, c1 ** m)
-    # |grad (c_i g^{2p})^{1/(2p)}|^2 = c_i^{1/p} (2/(p-1))^2 u2 (1+u2)^(-q2p)
-    cg = tuple(c ** (1.0 / p) * (2.0 / (p - 1.0)) ** 2 for c in (c0, c1, c1))
-    grad_scale = -2.0 * q2p
-    rows_p, rows_g = np.empty_like(z), np.empty_like(z)
+    # 2 pi * 2 * int_{z>=0} int F(z,s) s ds dz for the z-even correctors
+    p_int = p_single + 4.0 * math.pi * float(np.trapezoid(cor.rows_p, cor.z))
+    grad_int = grad_single + 4.0 * math.pi * float(np.trapezoid(cor.rows_g, cor.z))
 
-    # axial offsets to the three bumps, (3, z, 1), and their squares
-    dz_all = z[None, :, None] - np.array([0.0, X, -X])[:, None, None]
-    dz2_all = dz_all ** 2
+    # relative entropy: the mass and second moment are exact by symmetry,
+    # the bumps at +-X adding (2/k) X^2 M to the profile's second moment
+    entropy = _relative_entropy(ex, p_int, mt.mass,
+                                mt.second_moment + (2.0 / k) * X ** 2 * mt.mass,
+                                1.0, 1.0)
+    deficit = _gns_deficit(ex, grad_int, p_int, mt.mass)
 
-    def span(lo: int, hi: int, big: np.ndarray) -> None:
-        # rows lo..hi-1 block by block, every temporary a view of this
-        # worker's _N_BIG (rows, s) buffers; sums and products are taken
-        # left to right as in the formulas (c0 b0 + c1 b1 + c1 b2, ...),
-        # the order the pinned values were computed in
-        for b_lo in range(lo, hi, _BLOCK_ROWS):
-            b_hi = min(b_lo + _BLOCK_ROWS, hi)
+    xm = _xm_norm_three_bumps(ex, k, X)
+    ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)
+    return EscapeFamilyReport(k=k, center=X, deficit=deficit, entropy=entropy,
+                              xm_norm=xm, ratio=ratio,
+                              skipped_blocks=cor.n_blocks - kept.size,
+                              blocks=cor.n_blocks)
+
+
+class _Corrector:
+    """The superposition corrector of one family member, row by row.
+
+    Bump i has weight c_i, center z_i and b_i = t_i^(-q) with
+    t_i = 1 + (z - z_i)^2 + s^2 and q = 2p/(p-1); A = sum_i a_i with
+    a_i = c_i b_i.  Row z of ``rows_p`` is the s sum of A^m - sum_i a_i^m,
+    row z of ``rows_g`` that of |grad A^r|^2 - sum_i |grad a_i^r|^2 with
+    r = 1/(2p), both with the trapezoid weights of ``_s_weights``.
+    """
+
+    def __init__(self, ex: ExponentSet, k: int, X: float):
+        self.p, self.m = ex.p, ex.m
+        self.q = 2.0 * ex.p / (ex.p - 1.0)
+        self.c = (1.0 - 2.0 / k, 1.0 / k, 1.0 / k)
+        self.z, self.s = _axisym_grids(X)
+        self.w = _s_weights(self.s)
+        self.n_blocks = -(-self.z.size // _BLOCK_ROWS)
+        self.rows_p, self.rows_g = np.zeros_like(self.z), np.zeros_like(self.z)
+        # axial offsets to the three bumps, (3, z, 1), and their squares
+        self.dz = self.z[None, :, None] - np.array([0.0, X, -X])[:, None, None]
+        self.dz2 = self.dz ** 2
+
+    def block_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on |4 pi sum_{z in block} w_z row_z| of every z block,
+        for ``rows_p`` and for ``rows_g``, formed before any row is.
+
+        Let j be the bump whose largest |z - z_j| over the block is the
+        smallest, and let i run over the other bumps.
+
+        * A^m >= a_j^m and x^m is subadditive, so
+          -sum_i a_i^m <= A^m - sum_all a_i^m <= 0.
+        * grad A^r = sum_all theta_i grad f_i with f_i = a_i^r and
+          theta_i = (a_i/A)^(1-r) in [0, 1], so theta_i <= min(1, (a_i/a_j)^(1-r))
+          and 1 - theta_j^2 <= 2 (1 - a_j/A) <= 2 min(1, sum_i a_i/a_j).
+          With |grad f_i|^2 <= g_i^2 = K c_i^(1/p) t_i^(1-q), K = (2/(p-1))^2,
+          and V = sum_i min(1, (a_i/a_j)^(1-r)) g_i, the gradient corrector is
+          at most 2 min(1, sum_i a_i/a_j) g_j^2 + 2 g_j V + V^2 + sum_i g_i^2.
+
+        Every factor grows as the t_i fall and t_j rises, so on a cell of
+        32 rows and 32 s columns the bounds are taken at the cell's least
+        t_i (its least (z - z_i)^2 and s^2) and, in a_i/a_j, its largest
+        t_j; times the cell's summed weights (sum w_z)(sum w_s), they bound
+        the cell's part of the trapezoid sums.
+        """
+        p, m, q = self.p, self.m, self.q
+        one_r = 1.0 - 1.0 / (2.0 * p)
+        cells_z = np.arange(0, self.z.size, _BLOCK_ROWS)
+        cells_s = np.arange(0, self.s.size, _BLOCK_ROWS)
+        dz2 = self.dz2[:, :, 0]
+        s2 = self.s ** 2
+        # log t_i at each (block, s cell) corner that maximises the bound
+        log_t_lo = np.log1p(np.minimum.reduceat(dz2, cells_z, axis=1)[:, :, None]
+                            + np.minimum.reduceat(s2, cells_s))
+        dz2_hi = np.maximum.reduceat(dz2, cells_z, axis=1)
+        # a zero weight (k = 2) drops its bump: log c = -inf, so a_i = g_i = 0
+        c = np.array(self.c)
+        log_c = np.log(c, out=np.full(3, -np.inf), where=c > 0)[:, None, None]
+        j = np.argmin(np.where(c[:, None] > 0, dz2_hi, np.inf), axis=0)
+        blocks = np.arange(self.n_blocks)
+        log_t_hi_j = np.log1p(dz2_hi[j, blocks][:, None]
+                              + np.maximum.reduceat(s2, cells_s))
+        others = (np.arange(3)[:, None] != j)[:, :, None]
+
+        log_a = log_c - q * log_t_lo
+        # log of the upper bound of a_i/a_j, capped at 0 (a ratio of 1)
+        log_ratio = np.minimum(log_a - (log_c[j, 0] - q * log_t_hi_j), 0.0)
+        g2 = (2.0 / (p - 1.0)) ** 2 * np.exp(log_c / p + (1.0 - q) * log_t_lo)
+        g2_j = g2[j, blocks]
+        cell_p = np.sum(others * np.exp(m * log_a), axis=0)
+        ratio_sum = np.minimum(1.0, np.sum(others * np.exp(log_ratio), axis=0))
+        v = np.sum(others * np.exp(one_r * log_ratio) * np.sqrt(g2), axis=0)
+        cell_g = (2.0 * ratio_sum * g2_j + 2.0 * np.sqrt(g2_j) * v + v * v
+                  + np.sum(others * g2, axis=0))
+
+        w_z = 4.0 * math.pi * np.add.reduceat(_trapezoid_weights(self.z), cells_z)
+        w_s = np.add.reduceat(self.w, cells_s)
+        return w_z * (cell_p @ w_s), w_z * (cell_g @ w_s)
+
+    def fill(self, blocks: np.ndarray, big: np.ndarray) -> None:
+        """Rows of the given z blocks, every temporary a view of the
+        (_N_BIG, rows, s) buffer ``big``; sums and products are taken left
+        to right as in the formulas (c0 b0 + c1 b1 + c1 b2, ...), the order
+        the pinned values were computed in."""
+        p, m, q2p = self.p, self.m, self.q
+        c0, c1, _ = self.c
+        s, s2, w = self.s, self.s ** 2, self.w
+        cm = tuple(c ** m for c in self.c)
+        # |grad (c_i g^{2p})^{1/(2p)}|^2 = c_i^{1/p} (2/(p-1))^2 u2 (1+u2)^(-q2p)
+        cg = tuple(c ** (1.0 / p) * (2.0 / (p - 1.0)) ** 2 for c in self.c)
+        grad_scale = -2.0 * q2p
+        for b in blocks:
+            b_lo = b * _BLOCK_ROWS
+            b_hi = min(b_lo + _BLOCK_ROWS, self.z.size)
             n = b_hi - b_lo
             u2s, ts, bs = big[0:3, :n], big[3:6, :n], big[6:9, :n]
             big_a, pw, tmp, acc, da_z, da_s = big[9:15, :n]
-            dzs = dz_all[:, b_lo:b_hi]
+            dzs = self.dz[:, b_lo:b_hi]
             for i in range(3):
-                np.add(dz2_all[i, b_lo:b_hi], s2, out=u2s[i])
+                np.add(self.dz2[i, b_lo:b_hi], s2, out=u2s[i])
                 np.add(1.0, u2s[i], out=ts[i])
                 np.power(ts[i], -q2p, out=bs[i])
             np.multiply(c0, bs[0], out=big_a)
@@ -116,7 +231,7 @@ def counterexample_report(ex: ExponentSet, k: int,
                 tmp *= cm[i]
                 acc += tmp
             pw -= acc
-            np.einsum("ij,j->i", pw, w, out=rows_p[b_lo:b_hi])
+            np.einsum("ij,j->i", pw, w, out=self.rows_p[b_lo:b_hi])
 
             # gradient part: |grad f|^2 = (1/2p)^2 A^{1/p-2} |grad A|^2; the
             # bump gradient is -2 q2p (1+u2)^(-q2p-1) (dz, s), and
@@ -144,45 +259,21 @@ def counterexample_report(ex: ExponentSet, k: int,
             u2s[0] += u2s[1]
             u2s[0] += u2s[2]
             f_grad_sq -= u2s[0]
-            np.einsum("ij,j->i", f_grad_sq, w, out=rows_g[b_lo:b_hi])
+            np.einsum("ij,j->i", f_grad_sq, w, out=self.rows_g[b_lo:b_hi])
 
-    # contiguous block-aligned row ranges, one per worker; the buffers
-    # are allocated here, so the workers allocate nothing
-    n_workers = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
-    n_blocks = -(-z.size // _BLOCK_ROWS)
-    edges = [min(z.size, (j * n_blocks // n_workers) * _BLOCK_ROWS)
-             for j in range(n_workers + 1)]
-    bigs = [np.empty((_N_BIG, _BLOCK_ROWS, s.size)) for _ in range(n_workers)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        # reading every result re-raises a worker's exception here
-        list(pool.map(span, edges[:-1], edges[1:], bigs))
 
-    # 2 pi * 2 * int_{z>=0} int F(z,s) s ds dz for the z-even correctors
-    p_int = (c0 ** m + 2.0 * c1 ** m) * mt.entropy \
-        + 4.0 * math.pi * float(np.trapezoid(rows_p, z))
-    grad_int = (c0 ** (1.0 / p) + 2.0 * c1 ** (1.0 / p)) * mt.grad_sq \
-        + 4.0 * math.pi * float(np.trapezoid(rows_g, z))
-
-    # relative entropy: the mass and second moment are exact by symmetry,
-    # the bumps at +-X adding (2/k) X^2 M to the profile's second moment
-    entropy = _relative_entropy(ex, p_int, mt.mass,
-                                mt.second_moment + (2.0 / k) * X ** 2 * mt.mass,
-                                1.0, 1.0)
-    deficit = _gns_deficit(ex, grad_int, p_int, mt.mass)
-
-    xm = _xm_norm_three_bumps(ex, k, X)
-    ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)
-    return EscapeFamilyReport(k=k, center=X, deficit=deficit, entropy=entropy,
-                              xm_norm=xm, ratio=ratio)
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with sum w f = np.trapezoid(f, x) in exact arithmetic."""
+    half = 0.5 * np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
 def _s_weights(s: np.ndarray) -> np.ndarray:
     """Trapezoid weights along s with the measure factor s folded in."""
-    half = 0.5 * np.diff(s)
-    w = np.zeros_like(s)
-    w[:-1] += half
-    w[1:] += half
-    return w * s
+    return _trapezoid_weights(s) * s
 
 
 def _axisym_grids(center: float):
@@ -202,34 +293,60 @@ def _axisym_grids(center: float):
     return z, s
 
 
-def _xm_norm_three_bumps(ex: ExponentSet, k: int, X: float) -> float:
-    """sup_r r^{alpha/(1-m)} * mass of A_k beyond radius r (d = 3)."""
+def _tail_quadrature(ex: ExponentSet, X: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes u and the single bump's radial mass density 4 pi u^2 b
+    at them, resolving the bumps at distance X."""
     q2p = 2.0 * ex.p / (ex.p - 1.0)
-    c0, c1 = 1.0 - 2.0 / k, 1.0 / k
     u = np.unique(np.concatenate([
         np.linspace(0.0, 20.0, 2000),
         20.0 * (80.0 * X / 20.0) ** np.linspace(0.0, 1.0, 4000)[1:]]))
-    phi = (1.0 + u ** 2) ** (-q2p)
-    w = 4.0 * math.pi * u ** 2 * phi
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(u))])
-    total = cum[-1]
+    return u, 4.0 * math.pi * u ** 2 * (1.0 + u ** 2) ** (-q2p)
 
-    def beyond_centered(r):
-        return total - float(np.interp(r, u, cum))
 
-    def beyond_shifted(r):
-        # fraction of the sphere of radius u centered at distance X lying
-        # outside the ball of radius r (spherical-cap formula, d = 3)
-        mu0 = (r * r - X * X - u ** 2) / (2.0 * X * np.maximum(u, 1e-300))
-        frac = np.clip(0.5 * (1.0 - mu0), 0.0, 1.0)
-        return float(np.trapezoid(w * frac, u))
-
-    expo = ex.xm_tail_exponent
-    r_grid = np.unique(np.concatenate([
+def _tail_radii(X: float) -> np.ndarray:
+    """Radii r over which the tail norm's supremum is taken."""
+    return np.unique(np.concatenate([
         np.linspace(1.0, 30.0, 30),
         X * np.linspace(0.05, 1.6, 400)]))
-    best = 0.0
-    for r in r_grid:
-        t_r = c0 * beyond_centered(r) + 2.0 * c1 * beyond_shifted(r)
-        best = max(best, r ** expo * t_r)
-    return float(best)
+
+
+def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
+                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid mass beyond each radius r of a bump centered at 0 and of
+    one centered at distance X.
+
+    The fraction of the sphere of radius u lying beyond r (the spherical
+    cap formula, d = 3) is 1 for u <= |X - r| when r < X, 0 there when
+    r > X, and 1 for u >= X + r, so it is evaluated only from the last node
+    at or below |X - r| to the first node at or above X + r.  Below that
+    band the mass is the forward cumulative sum, above it the suffix sum,
+    each summed from its own end; the centered bump's mass is the suffix
+    sum interpolated at r.  (Total minus cumulative would cancel at
+    large r.)
+    """
+    du = np.diff(u)
+    seg = 0.5 * (w[1:] + w[:-1]) * du
+    below = np.concatenate([[0.0], np.cumsum(seg)])
+    above = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    centered = np.interp(radii, u, above)
+
+    lo = np.searchsorted(u, np.abs(X - radii), side="right") - 1
+    hi = np.minimum(np.searchsorted(u, X + radii, side="left"), u.size - 1)
+    x2_u2, two_xu = X * X + u ** 2, 2.0 * X * np.maximum(u, 1e-300)
+    shifted = np.empty_like(radii)
+    for n, (r, i, h) in enumerate(zip(radii, lo, hi)):
+        mu0 = (r * r - x2_u2[i:h + 1]) / two_xu[i:h + 1]
+        g = w[i:h + 1] * np.clip(0.5 * (1.0 - mu0), 0.0, 1.0)
+        band = 0.5 * float(du[i:h] @ (g[1:] + g[:-1]))
+        shifted[n] = (below[i] if r < X else 0.0) + band + above[h]
+    return centered, shifted
+
+
+def _xm_norm_three_bumps(ex: ExponentSet, k: int, X: float) -> float:
+    """sup_r r^{alpha/(1-m)} * mass of A_k beyond radius r (d = 3)."""
+    c0, c1 = 1.0 - 2.0 / k, 1.0 / k
+    u, w = _tail_quadrature(ex, X)
+    radii = _tail_radii(X)
+    centered, shifted = _tail_masses(u, w, X, radii)
+    tail = c0 * centered + 2.0 * c1 * shifted
+    return float(np.max(radii ** ex.xm_tail_exponent * tail))

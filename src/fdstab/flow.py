@@ -399,9 +399,14 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
 
 def solve_fdr_delayed(v0: RadialField, t_end: float,
                       opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
-    """Confined flow plus the delay equation; emits tau, r-factor and the
-    matching scale along the trajectory and checks the reconstruction
-    conservation at every save."""
+    """Confined flow plus the delay equation.
+
+    The trajectory carries one ``DelayRecord`` per save: the time, tau,
+    the r-factor e^{2 tau} and the matching scale lambda.  Nothing is
+    checked along the run; ``reconstruct_delayed`` rescales a saved
+    snapshot, and ``test_delayed_flow_tau_bound`` checks at the last save
+    that the rescaled snapshot's second moment is lambda times the
+    profile's."""
     scheme, v = _confined_start(v0)
     return _run(scheme, v, t_end, opts, n_saves, delay=True)
 
