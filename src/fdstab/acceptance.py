@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from importlib.resources import files
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from . import spectral as Sp
 from .counterexample import counterexample_report
 from .fields import (barenblatt_field, moment_matched_field,
                      normalized_to_profile_mass, quadrature_mesh)
-from .flow import default_flow_mesh, solve_fdr, solve_fdr_delayed
+from .flow import Trajectory, default_flow_mesh, solve_fdr, solve_fdr_delayed
 from .ledger import ConstantLedger
-from .params import derive_exponents
+from .parabolic import (checkerboard_coefficient, harnack_ratio,
+                        solve_linear_parabolic)
+from .params import ExponentSet, derive_exponents
 from .profiles import closed_form_moments
 from .shooting import emden_fowler_verify, shoot_disk_radial
 
@@ -169,17 +172,24 @@ def check_phase_system() -> CheckResult:
                    "energy and region invariants on 100 starts", t0)
 
 
+def moment_matched_delay_run(ex: ExponentSet, l1: float, l2: float,
+                             t_end: float) -> Trajectory:
+    """The delayed flow from the moment-matched mix of B_l1 and B_l2,
+    rescaled to the profile mass on the 400-cell flow mesh, 25 saves."""
+    mesh = default_flow_mesh(400)
+    fld = normalized_to_profile_mass(moment_matched_field(ex, mesh, l1, l2))
+    return solve_fdr_delayed(fld, t_end, n_saves=25)
+
+
 def check_delay_bound() -> CheckResult:
     t0 = time.perf_counter()
     ex = derive_exponents(3, m=2.0 / 3.0)
-    mesh = default_flow_mesh(400)
     tau_b = Mo.delay_bound(ex, 0.0, 0.0).tau_bullet
     assert tau_b is not None
     ok = True
     sups = []
     for l1, l2 in [(0.8, 1.3), (0.7, 1.5), (0.9, 1.15), (0.85, 1.25), (0.75, 1.4)]:
-        fld = normalized_to_profile_mass(moment_matched_field(ex, mesh, l1, l2))
-        traj = solve_fdr_delayed(fld, 2.5, n_saves=25)
+        traj = moment_matched_delay_run(ex, l1, l2, 2.5)
         taus = np.array([rec.tau for rec in traj.delay])
         svals = np.array([rec.t + rec.tau for rec in traj.delay])
         sups.append(float(np.max(np.abs(taus))))
@@ -212,8 +222,7 @@ def check_spectral() -> CheckResult:
 
 
 def _golden_ledger() -> ConstantLedger:
-    import importlib.resources
-    return ConstantLedger.from_json(importlib.resources.files("fdstab").joinpath(
+    return ConstantLedger.from_json(files("fdstab").joinpath(
         "data/golden_ledger_d3_m075.json").read_text())
 
 
@@ -262,15 +271,22 @@ def check_counterexample() -> CheckResult:
                    f"vs {pred:.4f}", t0)
 
 
+def harnack_quotient(coefficient: str, lam0: float,
+                     lam1: float) -> tuple[float, float, float]:
+    """Harnack ratio, mu and mu ln h (h of the d = 1 Moser chain) of the
+    "checkerboard" or "constant" (lam1) coefficient on x in (-4, 4) up to
+    t = 2.2, the ratio read on the radius-1 cylinders around (1.1, 0)."""
+    coeff = {"checkerboard": checkerboard_coefficient(lam0, lam1),
+             "constant": lambda t, x: np.full_like(np.asarray(x, float), lam1),
+             }[coefficient]
+    hist = solve_linear_parabolic(coeff, lam0, lam1, (-4.0, 4.0), 2.2)
+    return (harnack_ratio(hist, 1.1, 0.0, 1.0), hist.mu,
+            hist.mu * C.moser_chain(1, lam0, lam1).h.ln_float())
+
+
 def check_harnack() -> CheckResult:
     t0 = time.perf_counter()
-    from .parabolic import (checkerboard_coefficient, harnack_ratio,
-                            solve_linear_parabolic)
-    cb = checkerboard_coefficient(0.5, 2.0)
-    hist = solve_linear_parabolic(cb, 0.5, 2.0, (-4.0, 4.0), 2.2)
-    ratio = harnack_ratio(hist, 1.1, 0.0, 1.0)
-    mc = C.moser_chain(1, 0.5, 2.0)
-    bound = hist.mu * mc.h.ln_float()
+    ratio, _, bound = harnack_quotient("checkerboard", 0.5, 2.0)
     ok = math.isfinite(ratio) and ratio >= 1.0 and math.log(ratio) <= bound
     return _result("harnack-sanity", ok,
                    f"log ratio {math.log(ratio):.4f} <= mu ln h = {bound:.3e} "

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .ledger import ConstantLedger
 from .logscale import ONE, LogReal, logreal
@@ -46,7 +47,6 @@ def embedding_constant(d: int, p: float | None = None) -> float:
     d = 1, where the exponent p in (4, inf) must be supplied.
     """
     if d >= 3:
-        from scipy.special import gammaln
         return math.exp(math.log(4.0) + 2.0 / d * gammaln((d + 1.0) / 2.0)
                         - (2.0 / d) * math.log(2.0) - (1.0 + 1.0 / d) * math.log(math.pi))
     if d == 2:

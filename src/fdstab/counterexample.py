@@ -49,6 +49,8 @@ _REACH = 50.0
 # a block is skipped when its corrector bound is at most this fraction of
 # both exact single-bump totals
 _SKIP_REL = 1e-17
+# r^e overflows float64 once e ln r exceeds this
+_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ def counterexample_report(ex: ExponentSet, k: int,
     X = float(k) ** 2 if center is None else float(center)
     if X < 12.0:
         raise ValueError(f"bump separation {X} too small; the profiles overlap")
+    # the tail norm first: it rejects p too close to 1 before any quadrature
+    xm = _xm_norm_three_bumps(ex, k, X)
     p, m = ex.p, ex.m
     mt = closed_form_moments(ex)
     cor = _Corrector(ex, k, X)
@@ -109,7 +113,6 @@ def counterexample_report(ex: ExponentSet, k: int,
                                 1.0, 1.0)
     deficit = _gns_deficit(ex, grad_int, p_int, mt.mass)
 
-    xm = _xm_norm_three_bumps(ex, k, X)
     ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)
     return EscapeFamilyReport(k=k, center=X, deficit=deficit, entropy=entropy,
                               xm_norm=xm, ratio=ratio,
@@ -344,9 +347,13 @@ def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
 
 def _xm_norm_three_bumps(ex: ExponentSet, k: int, X: float) -> float:
     """sup_r r^{alpha/(1-m)} * mass of A_k beyond radius r (d = 3)."""
+    radii = _tail_radii(X)
+    expo = ex.xm_tail_exponent
+    if expo * math.log(radii[-1]) >= _LN_FLOAT_MAX:
+        raise OverflowError(f"tail norm at p = {ex.p!r}: the weight r^{expo:.6g} "
+                            f"overflows float64 at r = {radii[-1]:.6g}")
     c0, c1 = 1.0 - 2.0 / k, 1.0 / k
     u, w = _tail_quadrature(ex, X)
-    radii = _tail_radii(X)
     centered, shifted = _tail_masses(u, w, X, radii)
     tail = c0 * centered + 2.0 * c1 * shifted
-    return float(np.max(radii ** ex.xm_tail_exponent * tail))
+    return float(np.max(radii ** expo * tail))

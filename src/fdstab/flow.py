@@ -35,7 +35,8 @@ from .fields import (DENSITY_FLOOR, RadialField, barenblatt_field, graded_mesh,
 from .functionals import EntropyReport, FixedReference, entropy_report
 from .moments import DelayRecord
 from .params import ExponentSet
-from .profiles import barenblatt, barenblatt_mass, closed_form_moments, omega_d
+from .profiles import (barenblatt, barenblatt_mass, closed_form_moments,
+                       gns_optimal_constants, omega_d)
 
 # TR-BDF2: the trapezoid stage reaches t + _GAMMA dt, both stages carry the
 # implicit weight _D dt, and the BDF2 stage is v1 = v0 + _A (vg - v0) + _D dt f1
@@ -454,7 +455,6 @@ def entropy_growth_floor(ex: ExponentSet, e0: float, t,
     exponent, and the k C0 form is the one the self-similar solution
     saturates.)  ``mass`` defaults to the canonical profile mass.
     """
-    from .profiles import gns_optimal_constants
     g = gns_optimal_constants(ex)
     p, th, d, m = ex.p, ex.theta, ex.d, ex.m
     if mass is None:

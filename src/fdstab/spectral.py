@@ -142,8 +142,7 @@ def improved_gap(d: int, p: float) -> tuple[float, str]:
     if d >= 3 and 1.0 + 2.0 / d <= p <= min(1.0 + 4.0 / (d + 2.0), p_star):
         return 16.0 * p / (p - 1.0) - 4.0 * (d + 2.0), "iii"
     if 3 <= d <= 5 and 1.0 + 4.0 / (d + 2.0) < p <= p_star:
-        # essential-spectrum bottom, Persson form
-        return (0.5 * (d - 2.0) - 2.0 * p / (p - 1.0)) ** 2, "iv"
+        return lambda_ess(SpectrumQuery.from_p(d, p)), "iv"
     raise ValueError(f"(d, p) = ({d}, {p}) outside the case table "
                      "(i) d=1, p<=3; (ii) d=2 or p<=1+2/d; "
                      "(iii) 1+2/d<=p<=min(1+4/(d+2),p*); (iv) 3<=d<=5 above that")

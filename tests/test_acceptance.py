@@ -1,56 +1,22 @@
 """The end-to-end verification battery, one test per criterion.
 
-Each test prints its own pass/fail line; the full battery is also what
-``fdstab verify`` runs.
+Each check of ``acceptance.ALL_CHECKS`` becomes the test
+``test_criterion_<NN>_<check name>``, numbered in battery order, so a new
+check needs no new wrapper.  Each test prints its own pass/fail line; the
+full battery is also what ``fdstab verify`` runs.
 """
 
 from fdstab import acceptance as acc
 
 
-def _report(res):
-    print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
-    assert res.passed, res.detail
+def _criterion(check):
+    def test():
+        res = check()
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+        assert res.passed, res.detail
+    return test
 
 
-def test_criterion_01_disk_shooting():
-    _report(acc.check_disk_shooting())
-
-
-def test_criterion_02_interpolation_constants():
-    _report(acc.check_interpolation_constants())
-
-
-def test_criterion_03_emden_fowler():
-    _report(acc.check_emden_fowler())
-
-
-def test_criterion_04_closed_form_moments():
-    _report(acc.check_closed_form_moments())
-
-
-def test_criterion_05_flow_properties():
-    _report(acc.check_flow_properties())
-
-
-def test_criterion_06_phase_system():
-    _report(acc.check_phase_system())
-
-
-def test_criterion_07_delay_bound():
-    _report(acc.check_delay_bound())
-
-
-def test_criterion_08_spectral():
-    _report(acc.check_spectral())
-
-
-def test_criterion_09_ledger_regression():
-    _report(acc.check_ledger_regression())
-
-
-def test_criterion_10_counterexample():
-    _report(acc.check_counterexample())
-
-
-def test_criterion_11_harnack():
-    _report(acc.check_harnack())
+for _n, _check in enumerate(acc.ALL_CHECKS, 1):
+    _name = f"test_criterion_{_n:02d}_{_check.__name__.removeprefix('check_')}"
+    globals()[_name] = _criterion(_check)

@@ -3,6 +3,7 @@ import math
 import os
 
 import fdstab.flow
+from fdstab import acceptance as acc
 from fdstab.cli import main
 from fdstab.fields import barenblatt_field, normalized_to_profile_mass
 from fdstab.flow import default_flow_mesh, solve_fd_original
@@ -64,6 +65,19 @@ def test_delay_command(capsys):
     payload = json.loads(out)
     assert payload["region"] == "A"
     assert payload["tau_bullet"] > 0
+
+
+def test_delay_simulate_is_the_battery_run(capsys):
+    # delay --simulate is check_delay_bound's run from the (0.8, 1.3) pair
+    code, out = run(["delay", "--d", "3", "--m", "0.6666666666666666",
+                     "--simulate", "--t-end", "0.3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    ex = derive_exponents(3, m=0.6666666666666666)
+    records = acc.moment_matched_delay_run(ex, 0.8, 1.3, 0.3).delay
+    assert payload["simulated_tau_path"] == [
+        {"t": rec.t, "tau": rec.tau, "lambda": rec.lam} for rec in records]
+    assert payload["simulated_sup_abs_tau"] == max(abs(rec.tau) for rec in records)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -145,6 +159,15 @@ def test_harnack_command(capsys):
     payload = json.loads(out)
     assert payload["bound_satisfied"] is True
     assert payload["ratio"] >= 1.0
+
+
+def test_harnack_constant_coefficient_is_the_battery_quotient(capsys):
+    code, out = run(["harnack-check", "--coefficient", "constant"], capsys)
+    assert code == 0
+    ratio, mu, mu_log_h = acc.harnack_quotient("constant", 0.5, 2.0)
+    assert json.loads(out) == {
+        "ratio": ratio, "log_ratio": math.log(ratio), "mu": mu,
+        "mu_log_h": mu_log_h, "bound_satisfied": True}
 
 
 def test_shoot_scan_out(tmp_path, capsys):

@@ -121,6 +121,16 @@ def test_overlap_and_dimension_guards():
         counterexample_report(derive_exponents(2, p=1.5), 8)
 
 
+def test_tail_norm_near_p_one_raises_before_overflow():
+    # r^(alpha/(1-m)) = r^401 at p = 1.01 overflows float64 on the scan's
+    # radii up to 1.6 X = 160; the report refuses instead of returning nan
+    with pytest.raises(OverflowError, match=r"p = 1\.01: the weight r\^401 overflows"):
+        counterexample_report(derive_exponents(3, p=1.01), 8, center=100.0)
+    # exponent 81 at p = 1.05 still fits
+    rep = counterexample_report(derive_exponents(3, p=1.05), 8, center=100.0)
+    assert math.isfinite(rep.xm_norm) and math.isfinite(rep.ratio)
+
+
 def test_alternative_center_rule():
     # any centers with |x_k|^2/k -> infinity work.  The weight-driven
     # parts of the entropy and the tail norm both scale like 1/k with a
