@@ -14,10 +14,10 @@ from .profiles import (BarenblattSpec, GNSConstants, MomentTable,
                        barenblatt_mass, closed_form_moments, eval_barenblatt,
                        gns_optimal_constants, sobolev_constant)
 from .fields import RadialField, TailModel, barenblatt_field, graded_mesh, quadrature_mesh
-from .functionals import (EntropyReport, FixedReference, best_match,
-                          csiszar_kullback_gap, deficit, entropy_report,
-                          fisher_information, normalization_map,
-                          relative_entropy, rigidity_residual, xm_norm)
+from .functionals import (EntropyReport, best_match, csiszar_kullback_gap,
+                          deficit, entropy_report, fisher_information,
+                          normalization_map, relative_entropy,
+                          rigidity_residual, xm_norm)
 from .counterexample import counterexample_report
 from .flow import (SolverOptions, SolverStats, Trajectory, default_flow_mesh,
                    solve_fd_original, solve_fdr, solve_fdr_delayed)
@@ -36,8 +36,8 @@ __all__ = [
     "sobolev_constant",
     "RadialField", "TailModel", "barenblatt_field", "graded_mesh",
     "quadrature_mesh",
-    "EntropyReport", "FixedReference", "best_match", "csiszar_kullback_gap",
-    "deficit", "entropy_report", "fisher_information", "normalization_map",
+    "EntropyReport", "best_match", "csiszar_kullback_gap", "deficit",
+    "entropy_report", "fisher_information", "normalization_map",
     "relative_entropy", "rigidity_residual", "xm_norm",
     "counterexample_report",
     "SolverOptions", "SolverStats", "Trajectory", "default_flow_mesh",

@@ -107,7 +107,7 @@ def _simulate(args) -> str:
     return (f"# d={args.d} m={_fmt(args.m)} init={args.init} "
             f"equation={args.equation} cells={args.cells} "
             f"r_max={_fmt(args.r_max)} t_end={_fmt(args.t_end)}\n"
-            + traj.to_csv())
+            + _csv(*traj.table()))
 
 
 def _phase(args) -> str:

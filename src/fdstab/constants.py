@@ -58,8 +58,8 @@ def embedding_constant(d: int, p: float | None = None) -> float:
     return 2.0 ** (1.0 + 2.0 / p) * max((p - 2.0) / math.pi ** 2, 0.25)
 
 
-def holder_lp_interp_constant(d: int, nu: LogReal | float, p: float = 1.0) -> LogReal:
-    """Constant of the sup-norm interpolation between L^p and C^nu norms.
+def holder_lp_interp_constant(d: int, nu: LogReal | float) -> LogReal:
+    """Constant of the sup-norm interpolation between L^1 and C^nu norms.
 
     All four factors are assembled with LogReal arithmetic so the
     doubly-small Hoelder exponents coming out of the Harnack chain are
@@ -67,19 +67,14 @@ def holder_lp_interp_constant(d: int, nu: LogReal | float, p: float = 1.0) -> Lo
     """
     if not isinstance(nu, LogReal):
         nu = logreal(float(nu))
-    pnu = nu * logreal(p)
-    dn = logreal(float(d)) / pnu                     # d/(p nu)
-    denom = logreal(float(d)).add(pnu)               # d + p nu
-    exp_small = pnu / denom                          # p nu/(d+p nu)
-    exp_big = logreal(float(d)) / denom              # d/(d+p nu)
-    denom_f = _to_float_or_zero(denom)
-    lead = logreal(2.0).powf(((p - 1.0) * denom_f + d * p) / (p * denom_f)
-                             if math.isfinite(denom_f) else (p - 1.0) / p)
-    vol = logreal(1.0 + d / omega_d(d)).powf(1.0 / p)
-    mid = ONE.add(dn.powf(1.0 / p)).pow_logreal(exp_big)
-    t1 = dn.pow_logreal(exp_small)
-    t2 = (ONE / dn).pow_logreal(exp_big)
-    last = (t1.add(t2)).powf(1.0 / p)
+    dn = logreal(float(d)) / nu                      # d/nu
+    denom = logreal(float(d)).add(nu)                # d + nu
+    exp_small = nu / denom                           # nu/(d+nu)
+    exp_big = logreal(float(d)) / denom              # d/(d+nu)
+    lead = logreal(2.0).powf(d / _to_float_or_zero(denom))  # 2^(d/(d+nu))
+    vol = logreal(1.0 + d / omega_d(d))
+    mid = ONE.add(dn).pow_logreal(exp_big)
+    last = dn.pow_logreal(exp_small).add((ONE / dn).pow_logreal(exp_big))
     return lead * vol * mid * last
 
 
@@ -440,7 +435,7 @@ def _k_control(ex: ExponentSet, moser: MoserChain, kappa_bar: LogReal) -> LogRea
         + vth_f * math.log(al + mass) - vth_f * math.log(m) \
         - (2.0 * (1.0 + vth_f) + 2.0 / (1.0 - m)) * math.log(1.0 - m)
 
-    c_holder = holder_lp_interp_constant(d, nu, p=1.0)
+    c_holder = holder_lp_interp_constant(d, nu)
     cnu2 = barenblatt_cnu_constant(ex)
     # 2^nu/(2^nu - 1) is 1/(nu ln 2) at float precision: nu < e^{-192} (moser_chain)
     osc = ONE / (nu * logreal(math.log(2.0)))

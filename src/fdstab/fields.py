@@ -12,10 +12,17 @@ divergence); the profile tail r^{2/(m-1)} is built by
 :func:`profile_tail`.  The profiles handled here have fat tails and the
 correction is what keeps truncation errors at the 1e-6 level required by
 the closed-form cross-checks.
+
+A field is measured once: its arrays are read-only (a writable input is
+copied), so each power integral (:meth:`RadialField.integrate_power`,
+behind the mass, the second moment and int v^m) is taken at its first
+use and kept with the field.  A derived field (:meth:`~RadialField.dilated`,
+:meth:`~RadialField.with_values`) is a new field and is measured afresh.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +69,17 @@ class RadialField:
     r: np.ndarray
     v: np.ndarray
     tail: TailModel
+    # integrate_power(q, moment) by (q, moment), each taken once
+    _integrals: dict = dataclasses.field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        # read-only, so a kept integral cannot go stale: a writable input
+        # is copied, which leaves the caller's array writable and apart
+        # from the field; a read-only one (another field's mesh) is shared
+        r, v = (a.copy() if a.flags.writeable else a for a in
+                (np.asarray(self.r, dtype=float), np.asarray(self.v, dtype=float)))
+        r.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "v", v)
         if r.ndim != 1 or v.shape != r.shape:
@@ -102,9 +116,12 @@ class RadialField:
     # -- integrals -----------------------------------------------------
 
     def integrate_power(self, q: float, moment: int = 0) -> float:
-        """int v^q |x|^moment dx over R^d (quadrature plus tail)."""
-        return self.quad(np.maximum(self.v, 0.0) ** q, moment) \
-            + self.tail_integral(q, moment)
+        """int v^q |x|^moment dx over R^d (quadrature plus tail), taken once."""
+        key = (q, moment)
+        if key not in self._integrals:
+            self._integrals[key] = self.quad(np.maximum(self.v, 0.0) ** q, moment) \
+                + self.tail_integral(q, moment)
+        return self._integrals[key]
 
     def tail_integral(self, q: float, moment: int = 0) -> float:
         """Analytic integral of the tail model beyond the last node (0 for an empty tail)."""
@@ -204,7 +221,11 @@ def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
     Both dilations carry the profile mass, and the second moment is
     linear in the dilation, so the mix matches the profile's mass and
     second moment; its tail model is the same mix of the two tails.
+    ``ValueError`` when l1 == l2, which leaves c undefined.
     """
+    if l1 == l2:
+        raise ValueError(f"moment-matched data need two distinct dilations, "
+                         f"got l1 = l2 = {l1}")
     c = (l2 - 1.0) / (l2 - l1)
     vals = c * barenblatt_scaled(ex, l1, mesh) \
         + (1 - c) * barenblatt_scaled(ex, l2, mesh)

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .fields import (DENSITY_FLOOR, RadialField, barenblatt_field, graded_mesh,
                      profile_tail, require_profile_mass)
-from .functionals import EntropyReport, FixedReference, entropy_report
+from .functionals import EntropyReport, entropy_report
 from .moments import DelayRecord
 from .params import ExponentSet
 from .profiles import (barenblatt, barenblatt_mass, closed_form_moments,
@@ -95,27 +95,23 @@ class Trajectory:
     stats: SolverStats
     delay: list[DelayRecord] | None = None
 
-    def to_csv(self) -> str:
-        """One row per save: the entropy report of a confined run, or the
-        bookkept mass and int u^m of a free one, which carries no reports."""
+    def table(self) -> tuple[str, list[tuple]]:
+        """(CSV header, one row per save): the entropy report of a confined
+        run, or the bookkept mass and int u^m of a free one, which carries
+        no reports."""
         if self.reports[0] is None:
-            rows = ["t,mass,entropy_integral"]
-            for t, m_fv, snap in zip(self.times, self.conserved_mass,
-                                     self.snapshots):
-                rows.append(",".join("%.17g" % x for x in
-                                     (t, m_fv, snap.entropy_integral())))
-            return "\n".join(rows) + "\n"
-        header = "t,F,I,Q,mass,second_moment,K,S,tau,lambda,sup_rel_err"
-        rows = [header]
+            return "t,mass,entropy_integral", [
+                (t, m_fv, snap.entropy_integral()) for t, m_fv, snap
+                in zip(self.times, self.conserved_mass, self.snapshots)]
+        rows = []
         for i, (t, rep) in enumerate(zip(self.times, self.reports)):
             tau, lam = (math.nan, math.nan)
             if self.delay is not None:
                 tau, lam = self.delay[i].tau, self.delay[i].lam
-            rows.append(",".join("%.17g" % x for x in (
-                t, rep.free_energy, rep.fisher, rep.quotient, rep.mass,
-                rep.second_moment, rep.rel_second_moment, rep.rel_entropy,
-                tau, lam, self.sup_rel_err[i])))
-        return "\n".join(rows) + "\n"
+            rows.append((t, rep.free_energy, rep.fisher, rep.quotient, rep.mass,
+                         rep.second_moment, rep.rel_second_moment,
+                         rep.rel_entropy, tau, lam, self.sup_rel_err[i]))
+        return "t,F,I,Q,mass,second_moment,K,S,tau,lambda,sup_rel_err", rows
 
 
 class _RadialScheme:
@@ -385,9 +381,9 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
         # snapshot refits its tail at the last node, the reference has the
         # exact one), so at the profile itself a save reads F = -6.4e-12 at
         # (3, 3/4) and F = 4.0e-8, K = -3.0e-4, S = -2.0e-4 at (3, 2/3)
-        ref = FixedReference.of(barenblatt_field(ex, r))
+        ref = barenblatt_field(ex, r)
         reports = [entropy_report(snap, ref) for snap in snaps]
-        rel_errs = [float(np.max(np.abs(snap.v / ref.field.v - 1.0)))
+        rel_errs = [float(np.max(np.abs(snap.v / ref.v - 1.0)))
                     for snap in snaps]
     if delay:
         delays = [DelayRecord(t=t, tau=tau, r_factor=math.exp(2.0 * tau),

@@ -73,30 +73,7 @@ def relative_entropy(field: RadialField) -> float:
                              xv, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class FixedReference:
-    """A reference field with the integrals the differenced reports read.
-
-    A flow reports every saved snapshot against one fixed reference, so
-    the reference's integrals are taken once, by :meth:`of`.
-    """
-
-    field: RadialField
-    second_moment: float
-    entropy: float            # int v^m
-    tail_entropy: float       # tail integrals of v^m, v and |x|^2 v
-    tail_mass: float
-    tail_moment: float
-
-    @classmethod
-    def of(cls, field: RadialField) -> "FixedReference":
-        m = field.exponents.m
-        return cls(field, field.second_moment(), field.entropy_integral(),
-                   field.tail_integral(m), field.tail_integral(1.0),
-                   field.tail_integral(1.0, 2))
-
-
-def relative_entropy_pair(field: RadialField, ref: FixedReference) -> float:
+def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
     """F[v] against a reference sampled on the same mesh.
 
     Both integrands are differenced nodally before quadrature, so the
@@ -110,15 +87,14 @@ def relative_entropy_pair(field: RadialField, ref: FixedReference) -> float:
     (3, 2/3) on the default meshes (r_max = 50).
     """
     ex = field.exponents
-    ref_r, ref_v = ref.field.r, ref.field.v
-    if ref_r.shape != field.r.shape or np.any(ref_r != field.r):
+    if ref.r.shape != field.r.shape or np.any(ref.r != field.r):
         raise ValueError("reference must share the mesh")
     m = ex.m
-    ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref_v, 0.0) ** m)
-    lin = field.quad((1.0 + field.r ** 2) * (field.v - ref_v))
-    ent += field.tail_integral(m) - ref.tail_entropy
-    lin += (field.tail_integral(1.0) - ref.tail_mass) \
-        + (field.tail_integral(1.0, 2) - ref.tail_moment)
+    ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref.v, 0.0) ** m)
+    lin = field.quad((1.0 + field.r ** 2) * (field.v - ref.v))
+    ent += field.tail_integral(m) - ref.tail_integral(m)
+    lin += (field.tail_integral(1.0) - ref.tail_integral(1.0)) \
+        + (field.tail_integral(1.0, 2) - ref.tail_integral(1.0, 2))
     return (ent - m * lin) / (m - 1.0)
 
 
@@ -143,14 +119,15 @@ def fisher_information(field: RadialField) -> float:
 
 
 def entropy_report(field: RadialField,
-                   ref: FixedReference | None = None) -> EntropyReport:
+                   ref: RadialField | None = None) -> EntropyReport:
     """Entropy bookkeeping of one field.
 
     Without ``ref`` the relative quantities are taken against the closed
     forms of the profile.  With a reference sampled on the same mesh they
     are differenced against it (free energy through
     :func:`relative_entropy_pair`, K and S against the reference's own
-    quadrature), so the shared quadrature bias cancels.
+    quadrature, which the reference keeps across calls), so the shared
+    quadrature bias cancels.
     """
     ex = field.exponents
     if ref is None:
@@ -159,7 +136,7 @@ def entropy_report(field: RadialField,
         xsq_ref, s_ref = mt.second_moment, mt.entropy
     else:
         f_val = relative_entropy_pair(field, ref)
-        xsq_ref, s_ref = ref.second_moment, ref.entropy
+        xsq_ref, s_ref = ref.second_moment(), ref.entropy_integral()
     i_val = fisher_information(field)
     xsq = field.second_moment()
     return EntropyReport(

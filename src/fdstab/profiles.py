@@ -33,7 +33,9 @@ def barenblatt(ex: ExponentSet, r) -> np.ndarray | float:
 
 
 def barenblatt_scaled(ex: ExponentSet, lam: float, r) -> np.ndarray | float:
-    """Mass-preserving dilation lam^(-d/2) * B(r/sqrt(lam))."""
+    """Mass-preserving dilation lam^(-d/2) * B(r/sqrt(lam)); lam > 0."""
+    if not lam > 0.0:
+        raise ValueError(f"a dilation needs lam > 0, got lam = {lam}")
     return lam ** (-ex.d / 2.0) * barenblatt(ex, np.asarray(r, dtype=float) / math.sqrt(lam))
 
 

@@ -5,7 +5,8 @@ import os
 import fdstab.flow
 from fdstab import acceptance as acc
 from fdstab.cli import main
-from fdstab.fields import barenblatt_field, normalized_to_profile_mass
+from fdstab.fields import (RadialField, barenblatt_field,
+                           normalized_to_profile_mass)
 from fdstab.flow import default_flow_mesh, solve_fd_original
 from fdstab.params import derive_exponents
 
@@ -95,8 +96,8 @@ def test_simulate_deterministic(tmp_path):
 
 
 def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
-    # the free flow has no reports; its CSV is Trajectory.to_csv's
-    # t,mass,entropy_integral rows, as the CLI wrote them by hand before
+    # the free flow has no reports; its CSV is Trajectory.table's
+    # t,mass,entropy_integral rows in the CLI's 17-digit format
     out = tmp_path / "fd.csv"
     assert main(["simulate", "--d", "3", "--m", "0.75", "--equation", "fd",
                  "--t-end", "0.1", "--cells", "120", "--saves", "3",
@@ -110,7 +111,28 @@ def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
         for t, m_fv, snap in zip(traj.times, traj.conserved_mass, traj.snapshots)]
     meta, body = out.read_text().split("\n", 1)
     assert meta.startswith("# d=3 m=0.75 init=scaled-barenblatt:1.2 equation=fd")
-    assert body == "\n".join(rows) + "\n" == traj.to_csv()
+    assert body == "\n".join(rows) + "\n"
+    assert traj.table()[0] == rows[0]
+
+
+def test_delay_simulate_measures_each_state_once(monkeypatch, capsys):
+    # the Heun loop measures each state's second moment, and a save's
+    # report reads it again from the same field: one second-moment
+    # quadrature per state
+    measured = []
+    quad = RadialField.quad
+
+    def counted(self, integrand, moment=0):
+        if moment == 2:
+            measured.append(self)  # kept alive, so ids stay distinct
+        return quad(self, integrand, moment)
+
+    monkeypatch.setattr(RadialField, "quad", counted)
+    code, _ = run(["delay", "--d", "3", "--m", "0.6666666666666666",
+                   "--simulate"], capsys)
+    assert code == 0
+    repeats = len(measured) - len({id(f) for f in measured})
+    assert len(measured) > 100 and repeats == 0
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -140,7 +162,10 @@ def test_usage_errors_exit_one(capsys):
                  flow + ["--cells", "0"], flow + ["--cells", "1"],
                  flow + ["--r-max", "5"], flow + ["--r-max", "-1"],
                  phase + ["--dt", "-0.001"], phase + ["--dt", "0"],
-                 phase + ["--t-end", "-1"], phase + ["--t-end", "0"]):
+                 phase + ["--t-end", "-1"], phase + ["--t-end", "0"],
+                 flow + ["--init", "scaled-barenblatt:0"],
+                 flow + ["--init", "scaled-barenblatt:-1"],
+                 flow + ["--init", "moment-matched:1.2,1.2"]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

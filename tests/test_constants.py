@@ -399,7 +399,7 @@ def test_ledger_json_schema():
 
 def test_holder_interp_constant_plain_values():
     # at nu = 1/2, p = 1, d = 3 everything is order one
-    val = C.holder_lp_interp_constant(3, 0.5, 1.0).to_float()
+    val = C.holder_lp_interp_constant(3, 0.5).to_float()
     d, nu, p = 3, 0.5, 1.0
     om = 4.0 * math.pi
     lead = 2.0 ** (((p - 1) * (d + p * nu) + d * p) / (p * (d + p * nu)))

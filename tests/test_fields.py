@@ -138,3 +138,40 @@ def test_normalized_to_profile_mass_is_the_plain_rescaling():
             assert np.array_equal(out.r, fld.r)
             assert np.array_equal(out.v, fld.v * scale)
             assert out.tail == TailModel(fld.tail.amplitude * scale, fld.tail.power)
+
+
+def test_field_is_measured_once_and_read_only(monkeypatch):
+    ex = derive_exponents(3, m=0.75)
+    mesh = graded_mesh()
+    v = barenblatt_field(ex, mesh).v.copy()
+    fld = RadialField(ex, mesh, v, profile_tail(ex))
+    quads = []
+    quad = RadialField.quad
+
+    def counted(self, integrand, moment=0):
+        quads.append(moment)
+        return quad(self, integrand, moment)
+
+    monkeypatch.setattr(RadialField, "quad", counted)
+    mass, xsq = fld.mass(), fld.second_moment()
+    assert (fld.mass(), fld.integrate_power(1.0, 2), fld.second_moment()) \
+        == (mass, xsq, xsq)
+    assert quads == [0, 2]
+    # derived fields are new fields, measured afresh
+    assert fld.dilated(1.0, 2.0).mass() == pytest.approx(2.0 * mass, rel=1e-14)
+    tail = fld.tail_integral(1.0)  # with_values keeps the tail
+    assert fld.with_values(0.5 * fld.v).mass() \
+        == pytest.approx(0.5 * (mass - tail) + tail, rel=1e-14)
+    assert normalized_to_profile_mass(fld.dilated(1.0, 1.5)).mass() \
+        == pytest.approx(barenblatt_mass(ex), rel=1e-14)
+    assert len(quads) == 6
+    # the field's arrays are read-only; the caller's stay writable, and
+    # writing into them leaves the field as it was
+    with pytest.raises(ValueError):
+        fld.v[0] = 0.0
+    with pytest.raises(ValueError):
+        fld.r[-1] = 0.0
+    v0 = fld.v[0]
+    v[0], mesh[-1] = 0.0, 2.0 * mesh[-1]
+    assert (fld.v[0], fld.r[-1]) == (v0, 0.5 * mesh[-1])
+    assert fld.mass() == RadialField(ex, fld.r, fld.v, fld.tail).mass() == mass

@@ -12,7 +12,7 @@ from fdstab.flow import (DT_MAX, SolverOptions, _confined_start, _RadialScheme,
                          default_flow_mesh, entropy_growth_floor,
                          map_fd_to_selfsimilar, reconstruct_delayed,
                          solve_fd_original, solve_fdr, solve_fdr_delayed)
-from fdstab.functionals import FixedReference, entropy_report
+from fdstab.functionals import entropy_report
 from fdstab.moments import delay_bound
 from fdstab.params import derive_exponents
 from fdstab.profiles import (BarenblattSpec, barenblatt_scaled,
@@ -334,10 +334,10 @@ def test_trajectory_csv():
     fld = normalized_to_profile_mass(
         barenblatt_field(EX34, default_flow_mesh(200), lam=1.1))
     traj = solve_fdr(fld, 0.3, n_saves=3)
-    text = traj.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("t,F,I,Q,mass")
-    assert len(lines) == 5
+    header, rows = traj.table()
+    assert header.startswith("t,F,I,Q,mass")
+    assert len(rows) == 4
+    assert all(len(row) == header.count(",") + 1 for row in rows)
 
 
 # -- exact solutions as the flows' pointwise oracle -----------------------
@@ -399,12 +399,12 @@ def test_confined_and_delayed_flows_against_dilated_profile():
                for a, b in zip(traj.snapshots, delayed.snapshots))
     assert _tau_error(EX34, delayed) < 2e-3
     # save i's report, sup error and delay record are those of snapshot i
-    ref = FixedReference.of(barenblatt_field(EX34, delayed.snapshots[0].r))
+    ref = barenblatt_field(EX34, delayed.snapshots[0].r)
     m2_star = closed_form_moments(EX34).second_moment
     for i, snap in enumerate(delayed.snapshots):
         rep, rec = delayed.reports[i], delayed.delay[i]
         assert rep == entropy_report(snap, ref)
-        assert delayed.sup_rel_err[i] == np.max(np.abs(snap.v / ref.field.v - 1.0))
+        assert delayed.sup_rel_err[i] == np.max(np.abs(snap.v / ref.v - 1.0))
         assert rec.t == delayed.times[i]
         assert math.isclose(rec.lam * math.exp(4.0 * rec.tau) * m2_star,
                             snap.second_moment(), rel_tol=1e-14)

@@ -140,6 +140,22 @@ def test_csiszar_kullback():
     assert lhs2 < rhs2
 
 
+def test_csiszar_kullback_takes_the_mass_once(monkeypatch):
+    # one quadrature each for the mass gate, ||v - B||_1, the second
+    # moment and int v^m: F[v] reads the mass the gate measured
+    fld = barenblatt_field(derive_exponents(3, m=2.0 / 3.0), MESH, lam=1.5)
+    calls = []
+    quad = RadialField.quad
+
+    def counted(self, integrand, moment=0):
+        calls.append(moment)
+        return quad(self, integrand, moment)
+
+    monkeypatch.setattr(RadialField, "quad", counted)
+    F.csiszar_kullback_fg_gap(fld)
+    assert len(calls) == 4
+
+
 def test_csiszar_kullback_mass_gate():
     ex = derive_exponents(3, m=2.0 / 3.0)
     fld = barenblatt_field(ex, MESH)
