@@ -12,6 +12,12 @@ d = 3.  The bulk of each integral is carried by the exact single-bump
 values; only the superposition corrector, which is concentrated where
 the bumps interact, is integrated numerically.
 
+Along z the integrands are even and fall below 1e-17 well inside the
+grid, so the uniform trapezoid there is spectrally accurate.  Along s
+the measure s ds makes them s F(s^2), whose slope at s = 0 keeps the
+trapezoid's h^2 error term, so s is integrated with Gauss-Legendre
+panels instead.
+
 The corrector is integrated in blocks of z rows.  Before any block is
 integrated, an a-priori bound on its contribution is formed from the
 bumps' tails (``_Corrector.block_bounds``); a block whose bound is at
@@ -32,14 +38,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .functionals import _gns_deficit, _relative_entropy
 from .params import ExponentSet
 from .profiles import closed_form_moments
 
-# z rows per block of the fused quadrature: 32 rows of the ~1000-point
-# s grid make arrays of about 256 KB, which stay in cache
+# z rows per block of the fused quadrature: 32 rows of the 136-432 point
+# s grid make arrays of at most 110 KB, which stay in cache
 _BLOCK_ROWS = 32
+# Gauss-Legendre nodes per s panel; panels are _S_PANEL_WIDTH wide on
+# [0, 12] and grow geometrically beyond, by at most _S_PANEL_RATIO
+_GL_NODES = 8
+_S_PANEL_WIDTH = 1.0
+_S_PANEL_RATIO = 1.15
 # (rows, s) buffers one worker needs for a block
 _N_BIG = 15
 # the z blocks are split over at most this many threads
@@ -127,15 +139,15 @@ class _Corrector:
     t_i = 1 + (z - z_i)^2 + s^2 and q = 2p/(p-1); A = sum_i a_i with
     a_i = c_i b_i.  Row z of ``rows_p`` is the s sum of A^m - sum_i a_i^m,
     row z of ``rows_g`` that of |grad A^r|^2 - sum_i |grad a_i^r|^2 with
-    r = 1/(2p), both with the trapezoid weights of ``_s_weights``.
+    r = 1/(2p), both with the Gauss-Legendre weights ``w`` of s ds.
     """
 
     def __init__(self, ex: ExponentSet, k: int, X: float):
         self.p, self.m = ex.p, ex.m
         self.q = 2.0 * ex.p / (ex.p - 1.0)
         self.c = (1.0 - 2.0 / k, 1.0 / k, 1.0 / k)
-        self.z, self.s = _axisym_grids(X)
-        self.w = _s_weights(self.s)
+        self.z, self.s, w_s = _axisym_grids(X)
+        self.w = w_s * self.s
         self.n_blocks = -(-self.z.size // _BLOCK_ROWS)
         self.rows_p, self.rows_g = np.zeros_like(self.z), np.zeros_like(self.z)
         # axial offsets to the three bumps, (3, z, 1), and their squares
@@ -159,15 +171,15 @@ class _Corrector:
           at most 2 min(1, sum_i a_i/a_j) g_j^2 + 2 g_j V + V^2 + sum_i g_i^2.
 
         Every factor grows as the t_i fall and t_j rises, so on a cell of
-        32 rows and 32 s columns the bounds are taken at the cell's least
+        32 rows and one s panel the bounds are taken at the cell's least
         t_i (its least (z - z_i)^2 and s^2) and, in a_i/a_j, its largest
-        t_j; times the cell's summed weights (sum w_z)(sum w_s), they bound
-        the cell's part of the trapezoid sums.
+        t_j; times the cell's summed weights (sum w_z)(sum w_s), all
+        positive, they bound the cell's part of the quadrature sums.
         """
         p, m, q = self.p, self.m, self.q
         one_r = 1.0 - 1.0 / (2.0 * p)
         cells_z = np.arange(0, self.z.size, _BLOCK_ROWS)
-        cells_s = np.arange(0, self.s.size, _BLOCK_ROWS)
+        cells_s = np.arange(0, self.s.size, _GL_NODES)
         dz2 = self.dz2[:, :, 0]
         s2 = self.s ** 2
         # log t_i at each (block, s cell) corner that maximises the bound
@@ -274,13 +286,18 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _s_weights(s: np.ndarray) -> np.ndarray:
-    """Trapezoid weights along s with the measure factor s folded in."""
-    return _trapezoid_weights(s) * s
+def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of _GL_NODES-point Gauss-Legendre rules on the
+    panels between consecutive edges, panel by panel."""
+    x, wx = leggauss(_GL_NODES)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * x).ravel(),
+            (half[:, None] * wx).ravel())
 
 
 def _axisym_grids(center: float):
-    """Axial and transverse grids resolving bumps at 0 and +-center."""
+    """Axial trapezoid grid z, and transverse Gauss-Legendre nodes s with
+    their weights w_s, resolving bumps at 0 and +-center."""
     if center <= 3.0 * _REACH:
         core = np.linspace(0.0, center + _REACH, 3200)
     else:
@@ -290,10 +307,12 @@ def _axisym_grids(center: float):
         core = np.concatenate([near, mid, far])
     tail = (center + _REACH) * 3.0 ** np.linspace(0.0, 1.0, 250)[1:]
     z = np.unique(np.concatenate([core, tail]))
-    s = np.unique(np.concatenate([
-        np.linspace(0.0, 12.0, 550),
-        12.0 * (max(center, 24.0) / 12.0) ** np.linspace(0.0, 1.0, 450)[1:]]))
-    return z, s
+    growth = max(center, 24.0) / 12.0
+    n_near = round(12.0 / _S_PANEL_WIDTH)
+    n_far = math.ceil(math.log(growth) / math.log(_S_PANEL_RATIO))
+    edges = np.concatenate([np.linspace(0.0, 12.0, n_near + 1),
+                            12.0 * growth ** (np.arange(1, n_far + 1) / n_far)])
+    return z, *_gl_panels(edges)
 
 
 def _tail_quadrature(ex: ExponentSet, X: float) -> tuple[np.ndarray, np.ndarray]:

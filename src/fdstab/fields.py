@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ExponentSet
-from .profiles import barenblatt_mass, barenblatt_scaled, omega_d
+from .profiles import barenblatt_mass, barenblatt_scaled, dilation_power, omega_d
 
 DENSITY_FLOOR = 1e-300
 
@@ -210,8 +210,8 @@ def barenblatt_field(ex: ExponentSet, mesh: np.ndarray,
                      lam: float = 1.0) -> RadialField:
     """Sampled dilated profile with its exact power-law tail model."""
     v = barenblatt_scaled(ex, lam, mesh)
-    return RadialField(ex, mesh, v,
-                       profile_tail(ex, lam ** (1.0 / (1.0 - ex.m) - ex.d / 2.0)))
+    return RadialField(ex, mesh, v, profile_tail(
+        ex, dilation_power(lam, 1.0 / (1.0 - ex.m) - ex.d / 2.0)))
 
 
 def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
@@ -230,7 +230,7 @@ def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
     vals = c * barenblatt_scaled(ex, l1, mesh) \
         + (1 - c) * barenblatt_scaled(ex, l2, mesh)
     expo = 1.0 / (1.0 - ex.m) - ex.d / 2.0
-    amp = c * l1 ** expo + (1 - c) * l2 ** expo
+    amp = c * dilation_power(l1, expo) + (1 - c) * dilation_power(l2, expo)
     return RadialField(ex, mesh, vals, profile_tail(ex, amp))
 
 

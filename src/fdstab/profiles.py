@@ -32,11 +32,21 @@ def barenblatt(ex: ExponentSet, r) -> np.ndarray | float:
     return (1.0 + np.asarray(r, dtype=float) ** 2) ** (1.0 / (ex.m - 1.0))
 
 
+def dilation_power(lam: float, expo: float) -> float:
+    """lam ** expo; ``ValueError`` naming the dilation where it overflows."""
+    try:
+        return lam ** expo
+    except OverflowError:
+        raise ValueError(f"dilation lam = {lam} out of range: lam^{expo:g} "
+                         "overflows float64") from None
+
+
 def barenblatt_scaled(ex: ExponentSet, lam: float, r) -> np.ndarray | float:
     """Mass-preserving dilation lam^(-d/2) * B(r/sqrt(lam)); lam > 0."""
     if not lam > 0.0:
         raise ValueError(f"a dilation needs lam > 0, got lam = {lam}")
-    return lam ** (-ex.d / 2.0) * barenblatt(ex, np.asarray(r, dtype=float) / math.sqrt(lam))
+    return dilation_power(lam, -ex.d / 2.0) \
+        * barenblatt(ex, np.asarray(r, dtype=float) / math.sqrt(lam))
 
 
 def aubin_talenti(ex: ExponentSet, r) -> np.ndarray | float:

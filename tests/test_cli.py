@@ -165,7 +165,12 @@ def test_usage_errors_exit_one(capsys):
                  phase + ["--t-end", "-1"], phase + ["--t-end", "0"],
                  flow + ["--init", "scaled-barenblatt:0"],
                  flow + ["--init", "scaled-barenblatt:-1"],
-                 flow + ["--init", "moment-matched:1.2,1.2"]):
+                 flow + ["--init", "moment-matched:1.2,1.2"],
+                 # dilations whose powers overflow float64
+                 flow + ["--init", "scaled-barenblatt:1e-300"],
+                 flow + ["--init", "scaled-barenblatt:1e300"],
+                 flow + ["--init", "moment-matched:1e-300,2"],
+                 flow + ["--init", "moment-matched:0.8,1e300"]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

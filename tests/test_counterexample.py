@@ -26,9 +26,12 @@ def _report(k):
 
 
 # (deficit, entropy, xm_norm, ratio) at the default centers k^2, as the
-# full-grid quadrature computed them before the row-blocked kernel
+# full-grid quadrature computed them before the row-blocked kernel.  The
+# k = 4 deficit is that of the Gauss-Legendre s panels; it equals, to the
+# last bit, the deficit from a Richardson extrapolation of the all-trapezoid
+# (z, s) sums on the former grid and on its 2x refinement in both axes.
 PINNED = {
-    4: (0.7458119467172586, 344.55163006732454,
+    4: (0.7458119467132724, 344.55163006732454,
         12918187927.794437, 1.9512846152952448),
     8: (0.5609585713206711, 2762.8397366718486,
         2124126066676817.0, 1.0847149592369099),
@@ -50,7 +53,7 @@ def test_pinned_battery_values(k):
 
 
 def test_quadrature_memory_is_blocked():
-    # the k = 4 grid has 3449 x 999 points, 27.6 MB per full-grid array;
+    # the k = 4 grid has 3449 x 136 points, 3.75 MB per full-grid array;
     # the quadrature works on blocks of z rows and holds none of those
     tracemalloc.start()
     try:
@@ -65,7 +68,7 @@ def test_quadrature_memory_is_blocked():
 def test_worker_split_cannot_move_a_bit(k, monkeypatch):
     # every row block is computed the same way whichever worker runs it,
     # so one worker, four workers and the default split agree bit for bit
-    # (k = 16 splits its 29 kept blocks, k = 64 keeps one block);
+    # (k = 16 splits its 20 kept blocks, k = 64 keeps one block);
     # four workers with a short switch interval interleave their blocks,
     # and a block written into another worker's buffer or rows would show.
     # The pool lives for one call and leaves no thread behind.
@@ -159,6 +162,14 @@ def test_deficit_separation_independence():
     assert abs(rep_near.deficit - rep_far.deficit) < 5e-3 * rep_far.deficit
 
 
+def _single_bump_totals(k):
+    # the exact single-bump parts of int A^m and of int |grad A^(1/2p)|^2
+    mt = closed_form_moments(EX)
+    c0, c1 = 1.0 - 2.0 / k, 1.0 / k
+    return np.array([(c0 ** EX.m + 2.0 * c1 ** EX.m) * mt.entropy,
+                     (c0 ** (1.0 / EX.p) + 2.0 * c1 ** (1.0 / EX.p)) * mt.grad_sq])
+
+
 def _cancellation_free_rows(cor, b):
     # the corrector rows of z block b written so that nothing cancels: with
     # j the largest bump at each point and rho = sum_{i != j} a_i / a_j,
@@ -190,7 +201,7 @@ def _cancellation_free_rows(cor, b):
     return corr_p @ cor.w, corr_g @ cor.w
 
 
-@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("k", [4, 8, 16, 32])
 def test_block_bound_is_sound(k):
     # on every skipped block and on the three blocks with the largest
     # bounds, the bound holds for the corrector evaluated without
@@ -200,10 +211,7 @@ def test_block_bound_is_sound(k):
     # exact corrector there but together below 1e-15 of the totals.
     cor = CE._Corrector(EX, k, float(k * k))
     bound_p, bound_g = cor.block_bounds()
-    mt = closed_form_moments(EX)
-    c0, c1 = 1.0 - 2.0 / k, 1.0 / k
-    total_p = (c0 ** EX.m + 2.0 * c1 ** EX.m) * mt.entropy
-    total_g = (c0 ** (1.0 / EX.p) + 2.0 * c1 ** (1.0 / EX.p)) * mt.grad_sq
+    total_p, total_g = _single_bump_totals(k)
     skipped = np.flatnonzero((bound_p <= CE._SKIP_REL * total_p)
                              & (bound_g <= CE._SKIP_REL * total_g))
     assert skipped.size == _report(k).skipped_blocks
@@ -227,6 +235,40 @@ def test_block_bound_is_sound(k):
             noise_g += kernel_g
     assert abs(noise_p) <= 1e-15 * total_p
     assert abs(noise_g) <= 1e-15 * total_g
+
+
+@pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
+def test_s_rule_integrates_odd_powers_exactly(k):
+    # the s weights exclude the measure factor s, and each 8-node panel is
+    # exact to degree 15, so sum w_s s^j is int_0^s_max s^j ds up to rounding;
+    # a node or weight mapped to the wrong panel would show here
+    _, s, w_s = CE._axisym_grids(float(k * k))
+    s_max = max(k * k, 24.0)
+    for j in (1, 3):
+        assert float(w_s @ s ** j) == pytest.approx(s_max ** (j + 1) / (j + 1), rel=1e-14)
+
+
+def _corrector_totals(k):
+    # 4 pi sum_z w_z row_z of both correctors, every block filled
+    cor = CE._Corrector(EX, k, float(k * k))
+    cor.fill(np.arange(cor.n_blocks), np.empty((CE._N_BIG, CE._BLOCK_ROWS, cor.s.size)))
+    return np.array([4.0 * math.pi * float(np.trapezoid(rows, cor.z))
+                     for rows in (cor.rows_p, cor.rows_g)])
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_s_rule_has_converged(k, monkeypatch):
+    # the corrector totals on the shipped s panels and on panels of half
+    # the width agree to 1e-13 of the single-bump totals
+    shipped = _corrector_totals(k)
+    panels = CE._gl_panels
+
+    def halved(edges):
+        return panels(np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])))
+
+    monkeypatch.setattr(CE, "_gl_panels", halved)
+    refined = _corrector_totals(k)
+    assert np.all(np.abs(shipped - refined) <= 1e-13 * _single_bump_totals(k))
 
 
 @pytest.mark.parametrize("k", [32, 64])
