@@ -44,13 +44,16 @@ def _result(name, passed, detail, t0) -> CheckResult:
 def check_disk_shooting() -> CheckResult:
     t0 = time.perf_counter()
     res = shoot_disk_radial()
+    # companion: the RK45 profile at the collocated a* meets the Neumann
+    # condition to its own tolerance (|f'(1)| = 2.0e-9 measured)
     ok = (abs(res.a_star - 7.52449) <= 0.01
           and abs(res.constant - 0.0564922) <= 5e-4
           and res.sign_changes == 1
+          and abs(res.slope_at_one) <= 1e-7
           and time.perf_counter() - t0 < 5.0)
     return _result("disk-shooting", ok,
                    f"a*={res.a_star:.6f} const={res.constant:.7f} "
-                   f"residual={res.residual:.2e}", t0)
+                   f"residual={res.residual:.2e} |f'(1)|={abs(res.slope_at_one):.1e}", t0)
 
 
 def check_interpolation_constants() -> CheckResult:

@@ -77,7 +77,7 @@ def _parse_init(spec: str, ex, mesh):
                          "scaled-barenblatt:LAM or moment-matched:L1,L2")
     # align the analytic normalization with the mesh's own quadrature so
     # coarse meshes do not trip the solver's mass gate
-    return normalized_to_profile_mass(fld)
+    return normalized_to_profile_mass(fld, f"initial datum {spec!r}")
 
 
 def _constants(args) -> str:

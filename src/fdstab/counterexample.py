@@ -58,6 +58,8 @@ _N_BIG = 15
 _MAX_WORKERS = 4
 # the axial grid resolves each bump out to this distance from its center
 _REACH = 50.0
+# uniform z nodes on [0, center + _REACH] when the bumps are that near
+_Z_CORE = 800
 # a block is skipped when its corrector bound is at most this fraction of
 # both exact single-bump totals
 _SKIP_REL = 1e-17
@@ -299,7 +301,7 @@ def _axisym_grids(center: float):
     """Axial trapezoid grid z, and transverse Gauss-Legendre nodes s with
     their weights w_s, resolving bumps at 0 and +-center."""
     if center <= 3.0 * _REACH:
-        core = np.linspace(0.0, center + _REACH, 3200)
+        core = np.linspace(0.0, center + _REACH, _Z_CORE)
     else:
         near = np.linspace(0.0, 12.0, 550)
         mid = 12.0 * ((center - _REACH) / 12.0) ** np.linspace(0.0, 1.0, 400)[1:]
@@ -338,13 +340,19 @@ def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
     one centered at distance X.
 
     The fraction of the sphere of radius u lying beyond r (the spherical
-    cap formula, d = 3) is 1 for u <= |X - r| when r < X, 0 there when
-    r > X, and 1 for u >= X + r, so it is evaluated only from the last node
-    at or below |X - r| to the first node at or above X + r.  Below that
-    band the mass is the forward cumulative sum, above it the suffix sum,
-    each summed from its own end; the centered bump's mass is the suffix
-    sum interpolated at r.  (Total minus cumulative would cancel at
-    large r.)
+    cap formula, d = 3) is ((X+u)^2 - r^2)/(4Xu) clipped to [0, 1]: 1 for
+    u <= |X - r| when r < X, 0 there when r > X, and 1 for u >= X + r, so
+    it is evaluated only from the last node at or below |X - r| to the
+    first node at or above X + r.  Below that band the mass is the
+    forward cumulative sum, above it the suffix sum, each summed from its
+    own end; the centered bump's mass is the suffix sum interpolated at r.
+    (Total minus cumulative would cancel at large r.)
+
+    For r < X the fraction inside the band is
+    (X - r)(X + r)/(4Xu) + (2X + u)/(4X), both terms >= 0, so the inner
+    band nodes of every such r are differences of two suffix sums; the
+    band's end nodes carry fraction 1.  For r >= X a separable form would
+    cancel near u = r - X, so those radii are summed one at a time.
     """
     du = np.diff(u)
     seg = 0.5 * (w[1:] + w[:-1]) * du
@@ -354,13 +362,26 @@ def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
 
     lo = np.searchsorted(u, np.abs(X - radii), side="right") - 1
     hi = np.minimum(np.searchsorted(u, X + radii, side="left"), u.size - 1)
-    x2_u2, two_xu = X * X + u ** 2, 2.0 * X * np.maximum(u, 1e-300)
     shifted = np.empty_like(radii)
-    for n, (r, i, h) in enumerate(zip(radii, lo, hi)):
+
+    near = radii < X
+    r, i, h = radii[near], lo[near], hi[near]
+    # suffix sums of the nodes' trapezoid weights times w / u and w (2X + u)
+    cw = _trapezoid_weights(u) * w
+    by_u = np.divide(cw, u, out=np.zeros_like(u), where=u > 0.0)
+    suffix_u = np.concatenate([np.cumsum(by_u[::-1])[::-1], [0.0]])
+    suffix_x = np.concatenate([np.cumsum((cw * (2.0 * X + u))[::-1])[::-1], [0.0]])
+    inner = ((X - r) * (X + r) * (suffix_u[i + 1] - suffix_u[h])
+             + (suffix_x[i + 1] - suffix_x[h])) / (4.0 * X)
+    ends = 0.5 * (du[i] * w[i] + du[h - 1] * w[h])
+    shifted[near] = below[i] + (ends + inner) + above[h]
+
+    x2_u2, two_xu = X * X + u ** 2, 2.0 * X * np.maximum(u, 1e-300)
+    for n in np.flatnonzero(~near):
+        r, i, h = radii[n], lo[n], hi[n]
         mu0 = (r * r - x2_u2[i:h + 1]) / two_xu[i:h + 1]
         g = w[i:h + 1] * np.clip(0.5 * (1.0 - mu0), 0.0, 1.0)
-        band = 0.5 * float(du[i:h] @ (g[1:] + g[:-1]))
-        shifted[n] = (below[i] if r < X else 0.0) + band + above[h]
+        shifted[n] = 0.5 * float(du[i:h] @ (g[1:] + g[:-1])) + above[h]
     return centered, shifted
 
 

@@ -6,8 +6,11 @@ Two self-contained boundary-value problems are solved here:
   f'(0) = 0, shot on the initial height f(0) = a with the Neumann
   criterion f'(1) = 0 on the one-sign-change branch; the heights of the
   bracketing scan are integrated together as one stacked system, the
-  root and the profile one height at a time; the optimal interpolation
-  constant on radial functions is then (2 pi int_0^1 f^4 r dr)^{-1/2};
+  root is found by a Chebyshev collocation Newton started from the two
+  bracketing heights, and the profile at the root is one RK45 solve; the
+  optimal interpolation constant on radial functions is
+  (2 pi int_0^1 f^4 r dr)^{-1/2}, integrated by Clenshaw-Curtis on the
+  collocated profile;
 
 * the line problem -g'' + ((d-2)^2/4) g = g^{(d+2)/(d-2)}, whose even
   solution is g(s) = A sech(B s)^{2/(d-2)}; the coefficients are fixed by
@@ -21,14 +24,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.optimize import brentq
 
 _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
 _SIGN_GRID = np.linspace(_R0, 1.0, 2000)  # where sign changes are counted
 _SIGN_CHUNK = 100  # grid points per dense-output evaluation
 _SCAN_HI, _SCAN_STEP = 20.0, 0.25  # top and spacing of the height scan
+# collocation degree, and the Newton step after which only rounding is
+# left: a* and C settle to rounding from n = 40, and the step's rounding
+# floor is 1e-12 at n = 40 and 1e-11 at n = 140
+_CHEB_N = 40
+_NEWTON_TOL, _NEWTON_MAX = 1e-10, 20
 _LINE_S_MAX, _LINE_N = 12.0, 4001  # residual grid of the line problem
 
 
@@ -38,6 +46,9 @@ class ShootResult:
     constant: float
     residual: float
     sign_changes: int
+    # f'(1) of the RK45 profile at a_star, which the collocated root
+    # zeroes only to the RK45 tolerance
+    slope_at_one: float
     # the scan that bracketed a_star: (a, f'(1), sign changes) per height
     scan: tuple[tuple[float, float, int], ...] = ()
 
@@ -94,11 +105,13 @@ def _signs_on_grid(sol, n: int) -> np.ndarray:
     return signs
 
 
-def _disk_scan(grid: np.ndarray, rtol: float):
-    """(a, f'(1), sign changes) for every height of the grid.
+def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
+    """(a, f'(1), sign changes) for every height of the grid, and every
+    height's f at the given radii (clipped to the start radius _R0).
 
     All heights are integrated as one stacked system, so they share one
     RK45 step sequence and one RMS error norm over the 2 N components.
+    The dense output is sampled here and dropped on return.
     """
     n = len(grid)
     y0 = np.array([_series_start(a) for a in grid]).T.ravel()
@@ -109,48 +122,91 @@ def _disk_scan(grid: np.ndarray, rtol: float):
                            f"failed: {sol.message}")
     slopes = sol.y[n:, -1]
     changes = _sign_changes(_signs_on_grid(sol, n))
-    return [(float(a), float(s), c) for a, s, c in zip(grid, slopes, changes)]
+    profiles = sol.sol(np.maximum(radii, _R0))[:n]
+    return [(float(a), float(s), c) for a, s, c in zip(grid, slopes, changes)], profiles
 
 
-def _slope_at_one(a: float, rtol: float = _RTOL) -> float:
-    return float(_integrate_disk(a, rtol=rtol).y[1][-1])
+def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev radii r_j = (1 + cos(pi j/n))/2, from r = 1 down to r = 0,
+    and the matrix of d/dr there (Trefethen, Spectral Methods in MATLAB,
+    SIAM 2000, ch. 6, ``cheb``, mapped from [-1, 1] to [0, 1])."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    return 0.5 * (1.0 + x), 2.0 * (d - np.diag(d.sum(axis=1)))
+
+
+def _clenshaw_curtis(n: int) -> np.ndarray:
+    """Weights of int_0^1 at the radii of _cheb(n), exact on polynomials
+    of degree n: int_{-1}^1 T_k = 2/(1 - k^2) for even k, 0 for odd k."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    moments = np.zeros(n + 1)
+    k = np.arange(0, n + 1, 2)
+    moments[k] = 2.0 / (1.0 - k * k)
+    return 0.5 * np.linalg.solve(chebvander(x, n).T, moments)
+
+
+def collocate_disk(f0: np.ndarray) -> tuple[float, float, int]:
+    """Newton on the Chebyshev collocation of the disk problem.
+
+    ``f0`` is a start profile at the radii of _cheb(n), n = len(f0) - 1.
+    The equation is collocated as r f'' + f' - r (f - f^3) = 0, whose
+    r = 0 row is f'(0) = 0; the r = 1 row is replaced by f'(1) = 0.
+    Newton with dense solves stops after a step of at most _NEWTON_TOL,
+    below which quadratic convergence leaves only rounding (Trefethen,
+    ch. 13-14).  Returns a* = f(0), the constant from the Clenshaw-Curtis
+    integral of r f^4, and the Newton steps taken; ``RuntimeError`` when
+    _NEWTON_MAX steps do not converge.
+    """
+    n = len(f0) - 1
+    r, d = _cheb(n)
+    lin = r[:, None] * (d @ d) + d
+    f = np.array(f0, dtype=float)
+    for steps in range(1, _NEWTON_MAX + 1):
+        res = lin @ f - r * (f - f ** 3)
+        jac = lin - np.diag(r * (1.0 - 3.0 * f ** 2))
+        res[0], jac[0] = d[0] @ f, d[0]
+        step = np.linalg.solve(jac, res)
+        f -= step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            quartic = 2.0 * math.pi * float(_clenshaw_curtis(n) @ (r * f ** 4))
+            return float(f[-1]), quartic ** -0.5, steps
+    raise RuntimeError(f"disk collocation at n = {n}: Newton did not converge in "
+                       f"{_NEWTON_MAX} steps (last step {np.max(np.abs(step)):.2e})")
 
 
 def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     """Locate the one-sign-change Neumann solution on the unit disk.
 
     Scans the initial height for a bracket of s(a) = f'(1) restricted to
-    the branch with exactly one sign change, refines the root by
-    bracketing bisection and extracts the radial optimal constant; the
-    scan trace is returned with the result.  a = 1 solves the ODE
-    trivially (f == 1, no sign change) and is excluded by the scan range.
+    the branch with exactly one sign change, refines the root by the
+    collocation Newton from the bracket's two profiles, blended by their
+    slopes, and takes the radial optimal constant from it; the scan trace
+    is returned with the result.  a = 1 solves the ODE trivially (f == 1,
+    no sign change) and is excluded by the scan range.
     """
     grid = np.arange(scan_lo, _SCAN_HI + 0.5 * _SCAN_STEP, _SCAN_STEP)
-    trace = _disk_scan(grid, rtol)
-    bracket = None
-    for (a0, s0, n0), (a1, s1, n1) in zip(trace, trace[1:]):
+    trace, profiles = _disk_scan(grid, rtol, _cheb(_CHEB_N)[0])
+    for j, ((a0, s0, n0), (a1, s1, n1)) in enumerate(zip(trace, trace[1:])):
         if n0 == 1 and n1 == 1 and s0 * s1 < 0.0:
-            bracket = (a0, a1)
             break
-    if bracket is None:
+    else:
         lines = "\n".join(f"  a={a:.3f}  s={s:+.4e}  changes={n}" for a, s, n in trace)
         raise RuntimeError("no bracket on the one-sign-change branch; scan trace:\n" + lines)
-    a_star = brentq(lambda a: _slope_at_one(a, rtol=rtol), *bracket, xtol=1e-12)
+    theta = s0 / (s0 - s1)
+    a_star, constant, _ = collocate_disk((1.0 - theta) * profiles[j]
+                                         + theta * profiles[j + 1])
 
     sol = _integrate_disk(a_star, rtol=rtol)
     r = np.linspace(_R0, 1.0, 20001)
     f, fp = sol.sol(r)
-    # quartic integral on (0,1); the series start contributes a^4 r0^2/2
-    quartic = 2.0 * math.pi * (float(np.trapezoid(f ** 4 * r, r))
-                               + a_star ** 4 * _R0 ** 2 / 2.0)
-    constant = quartic ** -0.5
     # defect of the integrated flux identity (r f')' = r (f - f^3),
     # which avoids re-differentiating the dense output
     source = cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
     residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
-    return ShootResult(a_star=float(a_star), constant=constant, residual=residual,
+    return ShootResult(a_star=a_star, constant=constant, residual=residual,
                        sign_changes=_sign_changes(_signs_on_grid(sol, 1))[0],
-                       scan=tuple(trace))
+                       slope_at_one=float(sol.y[1][-1]), scan=tuple(trace))
 
 
 @dataclass(frozen=True)

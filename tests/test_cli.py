@@ -170,7 +170,12 @@ def test_usage_errors_exit_one(capsys):
                  flow + ["--init", "scaled-barenblatt:1e-300"],
                  flow + ["--init", "scaled-barenblatt:1e300"],
                  flow + ["--init", "moment-matched:1e-300,2"],
-                 flow + ["--init", "moment-matched:0.8,1e300"]):
+                 flow + ["--init", "moment-matched:0.8,1e300"],
+                 # dilations the 400-cell mesh does not resolve: the mass
+                 # normalizer would rescale them by 9.4e10, 9.4e65 and 0.015
+                 flow + ["--init", "scaled-barenblatt:1e-8"],
+                 flow + ["--init", "scaled-barenblatt:1e-30"],
+                 flow + ["--init", "scaled-barenblatt:1e4"]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv

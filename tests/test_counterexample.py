@@ -53,7 +53,7 @@ def test_pinned_battery_values(k):
 
 
 def test_quadrature_memory_is_blocked():
-    # the k = 4 grid has 3449 x 136 points, 3.75 MB per full-grid array;
+    # the k = 4 grid has 1049 x 136 points, 1.1 MB per full-grid array;
     # the quadrature works on blocks of z rows and holds none of those
     tracemalloc.start()
     try:
@@ -64,6 +64,10 @@ def test_quadrature_memory_is_blocked():
     assert peak < 64 * 2 ** 20
 
 
+def _hex(rep):
+    return [v.hex() for v in (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio)]
+
+
 @pytest.mark.parametrize("k", [4, 16, 64])
 def test_worker_split_cannot_move_a_bit(k, monkeypatch):
     # every row block is computed the same way whichever worker runs it,
@@ -72,17 +76,14 @@ def test_worker_split_cannot_move_a_bit(k, monkeypatch):
     # four workers with a short switch interval interleave their blocks,
     # and a block written into another worker's buffer or rows would show.
     # The pool lives for one call and leaves no thread behind.
-    def fields(rep):
-        return [v.hex() for v in (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio)]
-
-    default = fields(_report(k))
+    default = _hex(_report(k))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for cpus in ({0}, {0, 1, 2, 3}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             threads = threading.active_count()
-            assert fields(counterexample_report(EX, k)) == default
+            assert _hex(counterexample_report(EX, k)) == default
             assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)
@@ -271,6 +272,17 @@ def test_s_rule_has_converged(k, monkeypatch):
     assert np.all(np.abs(shipped - refined) <= 1e-13 * _single_bump_totals(k))
 
 
+@pytest.mark.parametrize("k", [4, 8])
+def test_z_rule_has_converged(k, monkeypatch):
+    # the z trapezoid is spectrally accurate: the reports on the shipped
+    # 800-node core and on a 3200-node core agree bit for bit
+    shipped = _report(k)
+    monkeypatch.setattr(CE, "_Z_CORE", 4 * CE._Z_CORE)
+    refined = counterexample_report(EX, k)
+    assert refined.blocks > shipped.blocks
+    assert _hex(refined) == _hex(shipped)
+
+
 @pytest.mark.parametrize("k", [32, 64])
 def test_far_bumps_skip_most_blocks(k):
     rep = _report(k)
@@ -293,3 +305,16 @@ def test_band_tail_scan_matches_dense_scan(X):
     radii = CE._tail_radii(X)
     dense = _dense_shifted_masses(u, w, X, radii)
     assert CE._tail_masses(u, w, X, radii)[1] == pytest.approx(dense, rel=1e-13)
+
+
+@pytest.mark.parametrize("X", [float(k * k) for k in (4, 8, 16, 32, 64)]
+                         + [3.0 * k ** 1.5 for k in (4, 8, 16, 32, 64)] + [640.0])
+def test_closed_form_band_matches_dense_scan(X):
+    # for r < X the band comes from two suffix sums and keeps the dense
+    # scan's sum to 5.8e-15 (measured); the far end node alone weighs up
+    # to 6.3e-14 of the mass there
+    u, w = CE._tail_quadrature(EX, X)
+    radii = CE._tail_radii(X)
+    near = radii[radii < X]
+    dense = _dense_shifted_masses(u, w, X, near)
+    assert CE._tail_masses(u, w, X, near)[1] == pytest.approx(dense, rel=2e-14, abs=0.0)

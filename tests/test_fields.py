@@ -8,6 +8,7 @@ from fdstab.fields import (DivergentTailError, RadialField, TailModel,
                            gradient_integral, graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail,
                            quadrature_mesh)
+from fdstab.flow import default_flow_mesh
 from fdstab.functionals import fisher_information
 from fdstab.params import derive_exponents
 from fdstab.profiles import barenblatt_mass, closed_form_moments
@@ -140,6 +141,19 @@ def test_normalized_to_profile_mass_is_the_plain_rescaling():
             assert out.tail == TailModel(fld.tail.amplitude * scale, fld.tail.power)
 
 
+def test_normalizer_refuses_what_the_mesh_does_not_resolve():
+    # it corrects quadrature bias, not data: a factor off 1 by more than
+    # MASS_FACTOR_TOL is an error naming the datum and the factor
+    ex = derive_exponents(3, m=0.75)
+    fld = barenblatt_field(ex, graded_mesh())
+    with pytest.raises(ValueError, match=r"^scaled: .* factor 0\.666667, off 1 by more than 0\.001"):
+        normalized_to_profile_mass(fld.dilated(1.0, 1.5), "scaled")
+    mesh = default_flow_mesh(400)
+    for lam, factor in [(1e-3, r"1\.12652"), (1e-8, r"9\.42454e\+10"), (1e4, r"0\.015281")]:
+        with pytest.raises(ValueError, match=f"^datum: .* factor {factor},"):
+            normalized_to_profile_mass(barenblatt_field(ex, mesh, lam))
+
+
 def test_field_is_measured_once_and_read_only(monkeypatch):
     ex = derive_exponents(3, m=0.75)
     mesh = graded_mesh()
@@ -162,7 +176,7 @@ def test_field_is_measured_once_and_read_only(monkeypatch):
     tail = fld.tail_integral(1.0)  # with_values keeps the tail
     assert fld.with_values(0.5 * fld.v).mass() \
         == pytest.approx(0.5 * (mass - tail) + tail, rel=1e-14)
-    assert normalized_to_profile_mass(fld.dilated(1.0, 1.5)).mass() \
+    assert normalized_to_profile_mass(fld.dilated(1.0, 1.0002)).mass() \
         == pytest.approx(barenblatt_mass(ex), rel=1e-14)
     assert len(quads) == 6
     # the field's arrays are read-only; the caller's stay writable, and

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fdstab import shooting
 from fdstab.shooting import _integrate_disk, emden_fowler_verify, shoot_disk_radial
@@ -15,11 +16,14 @@ def test_disk_constants():
     assert abs(res.constant - 0.0564922) <= 5e-4
     assert res.sign_changes == 1
     assert res.residual < 1e-8
-    # the refinement and the profile are serial solves, so they keep the
-    # values computed before the scan was batched
-    assert res.a_star == pytest.approx(7.5244908438440445, rel=1e-12)
-    assert res.constant == pytest.approx(0.056492233111174815, rel=1e-12)
-    assert res.residual == pytest.approx(2.3376864888291493e-09, rel=1e-12)
+    # a* and C of the collocation Newton, 7.5e-14 and -9.1e-14 relative
+    # from the DOP853 reference (rtol 1e-13, adaptive quad)
+    # a* = 7.5244908433865, C = 0.0564922327500806; the residual is the
+    # flux defect of the RK45 profile at this a*
+    assert res.a_star == pytest.approx(7.5244908433870625, rel=1e-12)
+    assert res.constant == pytest.approx(0.056492232750075484, rel=1e-12)
+    assert res.residual == pytest.approx(2.337663396190237e-09, rel=1e-12)
+    assert abs(res.slope_at_one) < 1e-7
 
 
 def test_scan_is_one_stacked_solve(monkeypatch):
@@ -32,9 +36,33 @@ def test_scan_is_one_stacked_solve(monkeypatch):
 
     monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
     res = shoot_disk_radial()
-    # one solve for all 75 heights, then brentq's and the profile's
-    assert sizes[0] == 2 * len(res.scan) == 150
-    assert len(sizes) <= 10
+    # one solve for all 75 heights, then the profile at a*; the root is
+    # collocated from the scan's samples and needs no solve of its own
+    assert sizes == [2 * len(res.scan), 2] == [150, 2]
+
+
+def test_brentq_root_matches_collocated_root():
+    # brentq on the one-height RK45 slope over the scan's bracket is the
+    # collocation's independent oracle: the roots agree to the RK45
+    # tolerance (6.07e-11 relative measured)
+    res = shoot_disk_radial()
+    bracket = next((a0, a1) for (a0, s0, n0), (a1, s1, n1) in zip(res.scan, res.scan[1:])
+                   if n0 == n1 == 1 and s0 * s1 < 0.0)
+    root = brentq(lambda a: float(_integrate_disk(a).y[1][-1]), *bracket, xtol=1e-12)
+    assert root == pytest.approx(res.a_star, rel=1e-9)
+
+
+def test_collocation_has_converged_in_n():
+    # from the RK45 profile at a*, 60 points give a* and C within 1e-12 of
+    # the shipped 40 (measured 5.5e-14 and 1.4e-13; 48-80 points stay below
+    # 5.9e-13, and at 100 the rounding of D^2 reaches 2.3e-12)
+    res = shoot_disk_radial()
+    r, _ = shooting._cheb(60)
+    start = _integrate_disk(res.a_star).sol(np.maximum(r, shooting._R0))[0]
+    a_star, constant, steps = shooting.collocate_disk(start)
+    assert a_star == pytest.approx(res.a_star, rel=1e-12)
+    assert constant == pytest.approx(res.constant, rel=1e-12)
+    assert steps <= 3
 
 
 def test_scan_failure_names_the_range(monkeypatch):
@@ -43,6 +71,13 @@ def test_scan_failure_names_the_range(monkeypatch):
 
     monkeypatch.setattr(shooting, "solve_ivp", failing_solve_ivp)
     with pytest.raises(RuntimeError, match=r"scan over a in \[1.5, 20.0\]"):
+        shoot_disk_radial()
+
+
+def test_collocation_failure_is_loud(monkeypatch):
+    # a Newton that has not converged raises instead of returning its iterate
+    monkeypatch.setattr(shooting, "_NEWTON_MAX", 1)
+    with pytest.raises(RuntimeError, match=r"n = 40: Newton did not converge in 1 steps"):
         shoot_disk_radial()
 
 
@@ -62,7 +97,8 @@ def test_batched_scan_matches_serial_solves():
     for rtol in (1e-10, 5e-11):
         for lo in (1.5, 1.6, 1.75):
             grid = np.arange(lo, 20.125, 0.25)  # shoot_disk_radial's default scan
-            for a, slope, changes in shooting._disk_scan(grid, rtol):
+            trace, _ = shooting._disk_scan(grid, rtol, np.ones(1))
+            for a, slope, changes in trace:
                 if (a, rtol) not in serial:
                     serial[a, rtol] = _serial_row(a, rtol)
                 ref_slope, ref_changes = serial[a, rtol]
