@@ -130,7 +130,9 @@ class _RadialScheme:
         self.faces = np.concatenate([[0.0], faces, [outer_face]])  # n+1 faces
         self.two_faces = 2.0 * faces
         self.area = self.faces ** (d - 1)
+        self.face = self.area[1:-1]            # the interior faces
         self.vol = (self.faces[1:] ** d - self.faces[:-1] ** d) / d
+        self.omega = omega_d(d)
         self.h = np.diff(self.r)
         self.h_ghost = r_ghost - self.r[-1]
         self.confined = ghost_value is not None
@@ -139,45 +141,69 @@ class _RadialScheme:
             self.w_ghost = max(ghost_value, DENSITY_FLOOR) ** (ex.m - 1.0)
 
     def evaluate(self, v: np.ndarray) -> tuple:
-        """rhs(v), its tridiagonal Jacobian as the bands (lower, diag,
-        upper), and the flux through the outer face, from one pass.
-
-        Each flow's flux through the interior faces is written next to its
-        derivatives dl, dr in the node left and right of the face.
-        """
+        """rhs(v) and the flux through the outer face, from one pass, and
+        the parts of that pass which :meth:`system` needs to form the
+        Newton system at v."""
         m, n = self.ex.m, v.size
         vc = np.maximum(v, DENSITY_FLOOR)
         flux = np.zeros(n + 1)
         if self.confined:
             w = vc ** (m - 1.0)
-            dw = (m - 1.0) * vc ** (m - 2.0)
             base = self.two_faces - (w[1:] - w[:-1]) / self.h
             vbar = 0.5 * (v[1:] + v[:-1])
             flux[1:n] = vbar * base
-            dl = 0.5 * base + vbar * dw[:-1] / self.h
-            dr = 0.5 * base - vbar * dw[1:] / self.h
             base_o = 2.0 * self.faces[n] - (self.w_ghost - w[-1]) / self.h_ghost
             vbar_o = 0.5 * (v[-1] + self.ghost_value)
             flux[n] = vbar_o * base_o
-            dl_o = 0.5 * base_o + vbar_o * dw[-1] / self.h_ghost
+            parts = (vc, base, vbar, base_o, vbar_o)
         else:
             # zero-flux outer boundary for the free flow
-            dwm = m * vc ** (m - 1.0)
             w = vc ** m
             flux[1:n] = (w[1:] - w[:-1]) / self.h
+            parts = (vc,)
+        area_flux = self.area * flux
+        rhs = (area_flux[1:] - area_flux[:-1]) / self.vol
+        return rhs, flux[n], parts
+
+    def system(self, parts: tuple, h: float) -> tuple:
+        """Bands (lower, diag, upper) of I - h J at the state whose
+        evaluation gave ``parts``, J the tridiagonal Jacobian of rhs.
+
+        Each flow's flux through the interior faces has the derivatives
+        dl, dr in the node left and right of the face.
+        """
+        m = self.ex.m
+        if self.confined:
+            vc, base, vbar, base_o, vbar_o = parts
+            dw = (m - 1.0) * vc ** (m - 2.0)
+            half = 0.5 * base
+            dl = half + vbar * dw[:-1] / self.h
+            dr = half - vbar * dw[1:] / self.h
+        else:
+            dwm = m * parts[0] ** (m - 1.0)
             dl = -dwm[:-1] / self.h
             dr = dwm[1:] / self.h
-            dl_o = 0.0
-        rhs = (self.area[1:] * flux[1:] - self.area[:-1] * flux[:-1]) / self.vol
-        # face i+1/2 (index i+1 in flux) adds to rows i and i+1
-        face = self.area[1:n]
-        diag = np.zeros(n)
-        diag[:-1] += face * dl / self.vol[:-1]
-        diag[1:] += -face * dr / self.vol[1:]
-        diag[-1] += self.area[-1] * dl_o / self.vol[-1]
-        upper = face * dr / self.vol[:-1]
-        lower = -face * dl / self.vol[1:]
-        return rhs, (lower, diag, upper), flux[n]
+        # face i+1/2 adds to rows i and i+1 of J: face dl / vol and
+        # face dr / vol to row i, -face dl / vol and -face dr / vol to
+        # row i+1; -h is folded into each band
+        face_dl, face_dr = self.face * dl, self.face * dr
+        diag = np.empty(dl.size + 1)
+        diag[:-1] = face_dl / self.vol[:-1]
+        diag[-1] = 0.0
+        diag[1:] -= face_dr / self.vol[1:]
+        if self.confined:
+            dl_o = 0.5 * base_o + vbar_o * dw[-1] / self.h_ghost
+            diag[-1] += self.area[-1] * dl_o / self.vol[-1]
+        diag *= -h
+        diag += 1.0
+        return h * (face_dl / self.vol[1:]), diag, -h * (face_dr / self.vol[:-1])
+
+
+def _solve(bands: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, info) of the tridiagonal solve; the bands and b are overwritten."""
+    *_, x, info = dgtsv(*bands, b, overwrite_dl=1, overwrite_d=1,
+                        overwrite_du=1, overwrite_b=1)
+    return x, info
 
 
 def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndarray,
@@ -187,28 +213,28 @@ def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndar
     Newton ends when the residual falls below NEWTON_TOL, after
     NEWTON_MAX_ITER iterations, or when the line search finds no decrease
     (the residual sits at the rounding floor); the last two are accepted
-    when the residual is below 100 NEWTON_TOL.  Returns (v,
+    when the residual is below 100 NEWTON_TOL.  Each iteration forms its
+    Newton system once; a line-search trial forms none.  Returns (v,
     scheme.evaluate(v)), or None when Newton does not converge.
     """
     stats.stage_solves += 1
-    scale = float(np.max(base)) + 1e-30
+    scale = float(base.max()) + 1e-30
     ev = scheme.evaluate(v)
     res = v - h * ev[0] - base
-    norm = float(np.max(np.abs(res))) / scale
+    norm = float(np.abs(res).max()) / scale
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
             return v, ev
-        lower, diag, upper = ev[1]
         stats.newton_iters += 1
-        *_, delta, info = dgtsv(-h * lower, 1.0 - h * diag, -h * upper, -res)
+        delta, info = _solve(scheme.system(ev[2], h), -res)
         if info != 0:
             return None
         lam = 1.0
         for _ in range(12):
-            trial = np.maximum(v + lam * delta, 0.0)
+            trial = np.maximum(v + (delta if lam == 1.0 else lam * delta), 0.0)
             ev_t = scheme.evaluate(trial)
             res_t = trial - h * ev_t[0] - base
-            norm_t = float(np.max(np.abs(res_t))) / scale
+            norm_t = float(np.abs(res_t).max()) / scale
             if norm_t < norm:
                 v, ev, res, norm = trial, ev_t, res_t, norm_t
                 break
@@ -227,7 +253,11 @@ class _Stepper:
     Shampine, Appl. Numer. Math. 20, 1996).  The rhs at the end of a step
     is the first stage value of the next one, and each stage solve
     returns the evaluation of its state, so the error filter and the
-    mass bookkeeping need no pass of their own.
+    mass bookkeeping need no rhs pass of their own.  A Newton system
+    I - h J is formed only where it is solved, once per Newton iteration
+    and once for the error filter: a step whose stages take one Newton
+    iteration each makes 4 rhs passes, forms 3 Newton systems and makes
+    3 tridiagonal solves.
     """
 
     def __init__(self, scheme: _RadialScheme, opts: SolverOptions, v: np.ndarray):
@@ -236,7 +266,7 @@ class _Stepper:
         self.stats = SolverStats()
         self.t = 0.0
         self.v = v
-        self.f, _, self.outer = scheme.evaluate(v)  # rhs, outer-face flux
+        self.f, self.outer, _ = scheme.evaluate(v)  # rhs, outer-face flux
         self.boundary_mass = 0.0    # integral of the outer-face flux
 
     def advance(self, dt: float) -> tuple[float, float]:
@@ -256,29 +286,30 @@ class _Stepper:
             stage = _implicit_step(scheme, v0 + h * f0, h,
                                    np.where(guess > 0.0, guess, v0), stats)
             if stage is not None:
-                vg, (fg, _, outer_g) = stage
-                guess = v0 + (vg - v0) / _GAMMA
-                stage = _implicit_step(scheme, v0 + _A * (vg - v0), h,
+                vg, (fg, outer_g, _) = stage
+                dvg = vg - v0
+                guess = v0 + dvg / _GAMMA
+                stage = _implicit_step(scheme, v0 + _A * dvg, h,
                                        np.where(guess > 0.0, guess, vg), stats)
             if stage is None:
                 stats.rejected += 1
                 dt *= 0.25
                 continue
-            v1, (f1, (lower, diag, upper), outer1) = stage
+            v1, (f1, outer1, parts1) = stage
             # local error C dt^3 y''' with y''' from the second divided
             # difference of rhs over the stage points, filtered through
             # (I - h J(v1))^{-1} so that stiff modes do not inflate it
-            *_, est, info = dgtsv(-h * lower, 1.0 - h * diag, -h * upper,
-                                  dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
+            est, info = _solve(scheme.system(parts1, h),
+                               dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
             err = math.inf if info != 0 else \
-                float(np.max(np.abs(est))) / (float(np.max(np.abs(v1))) + 1e-30)
+                float(np.abs(est).max()) / (float(np.abs(v1).max()) + 1e-30)
             if err <= opts.step_tol:
                 break
             stats.rejected += 1
             dt *= max(0.2, 0.7 * (opts.step_tol / err) ** (1.0 / 3.0))
         # the outer-face flux weighted as the two stages apply it
         self.boundary_mass += h * (_A * (self.outer + outer_g) + outer1) \
-            * scheme.area[-1] * omega_d(scheme.ex.d)
+            * scheme.area[-1] * scheme.omega
         self.v, self.f, self.outer = v1, f1, outer1
         self.t += dt
         stats.accepted += 1
@@ -290,7 +321,9 @@ class _Stepper:
 
 
 def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
+    # a fresh array, handed over read-only so that the field keeps it uncopied
     v = np.maximum(v, 0.0)
+    v.flags.writeable = False
     return RadialField(ex, r, v, profile_tail(ex).through(r, v))
 
 
@@ -340,7 +373,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     def bookkept_mass():
         # cell-volume mass corrected by the outer-face flux; the analytic
         # tail is not included because it is not evolved by the scheme
-        return float(np.sum(scheme.vol * stepper.v)) * omega_d(ex.d) \
+        return float((scheme.vol * stepper.v).sum()) * scheme.omega \
             - stepper.boundary_mass
 
     mass_ref = bookkept_mass()
@@ -383,7 +416,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
         # (3, 3/4) and F = 4.0e-8, K = -3.0e-4, S = -2.0e-4 at (3, 2/3)
         ref = barenblatt_field(ex, r)
         reports = [entropy_report(snap, ref) for snap in snaps]
-        rel_errs = [float(np.max(np.abs(snap.v / ref.v - 1.0)))
+        rel_errs = [float(np.abs(snap.v / ref.v - 1.0).max())
                     for snap in snaps]
     if delay:
         delays = [DelayRecord(t=t, tau=tau, r_factor=math.exp(2.0 * tau),

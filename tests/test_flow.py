@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fdstab import flow
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail)
@@ -51,10 +52,14 @@ def test_free_energy_decay_and_quotient():
 def test_solver_work_counts(monkeypatch):
     # the flow-properties run; implicit Euler with step doubling took
     # 5 369 steps and 16.1 k implicit solves here
-    calls = []
-    evaluate = _RadialScheme.evaluate
+    calls, systems, solves = [], [], []
+    evaluate, system, solve = _RadialScheme.evaluate, _RadialScheme.system, flow._solve
     monkeypatch.setattr(_RadialScheme, "evaluate",
                         lambda self, v: calls.append(1) or evaluate(self, v))
+    monkeypatch.setattr(_RadialScheme, "system",
+                        lambda self, parts, h: systems.append(1) or system(self, parts, h))
+    monkeypatch.setattr(flow, "_solve",
+                        lambda bands, b: solves.append(1) or solve(bands, b))
     traj = solve_fdr(barenblatt_field(EX34, default_flow_mesh(400), lam=1.2), 3.0)
     st = traj.stats
     assert st.accepted <= 1000
@@ -65,6 +70,13 @@ def test_solver_work_counts(monkeypatch):
     # stages' evaluations (1 313 here, where separate rhs, Jacobian and
     # outer-flux passes made 2 954)
     assert len(calls) == 1 + st.stage_solves + st.newton_iters
+    # a Newton system is formed only where it is solved: once per Newton
+    # iteration and once per error filter, which runs on every accepted
+    # step and on every step the error rejects (984 systems here, where
+    # bands formed at every evaluation made 1 313)
+    filter_solves = len(solves) - st.newton_iters
+    assert st.accepted <= filter_solves <= st.accepted + st.rejected
+    assert len(systems) == st.newton_iters + filter_solves
 
 
 @pytest.mark.parametrize("confined", [True, False])
@@ -75,8 +87,10 @@ def test_evaluate_bands_and_outer_flux(confined):
         scheme, v = _confined_start(fld)
     else:
         scheme, v = _RadialScheme(EX34, fld.r, None), fld.v
-    rhs, (lower, diag, upper), outer = scheme.evaluate(v)
-    band = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    rhs, outer, parts = scheme.evaluate(v)
+    # the Jacobian J of rhs from the Newton system I - h J at h = 1
+    lower, diag, upper = scheme.system(parts, 1.0)
+    band = np.diag(1.0 - diag) - np.diag(upper, 1) - np.diag(lower, -1)
     # central differences of rhs; perturbing every third node at once
     # leaves one perturbed column in each row's band
     fd = np.zeros_like(band)

@@ -128,9 +128,18 @@ def test_disk_trivial_branch():
 
 
 def test_disk_richardson_stability():
+    # the RK45 tolerance reaches the shooting root, so the brentq roots of
+    # the one-height slope at two tolerances must agree to 1e-6; it reaches
+    # the collocated a* only through the Newton start, which leaves the
+    # root to rounding (3.8e-13 apart, measured)
     res = shoot_disk_radial(rtol=1e-10)
     res2 = shoot_disk_radial(rtol=5e-11)
-    assert abs(res.a_star - res2.a_star) < 1e-6
+    bracket = next((a0, a1) for (a0, s0, n0), (a1, s1, n1) in zip(res.scan, res.scan[1:])
+                   if n0 == n1 == 1 and s0 * s1 < 0.0)
+    roots = [brentq(lambda a: float(_integrate_disk(a, rtol=rtol).y[1][-1]),
+                    *bracket, xtol=1e-12) for rtol in (1e-10, 5e-11)]
+    assert abs(roots[0] - roots[1]) < 1e-6
+    assert abs(res.a_star - res2.a_star) < 1e-12
 
 
 def test_emden_fowler_d4():
