@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy  # scipy.integrate loads at first use, so importing fdstab skips it
 from numpy.polynomial.chebyshev import chebvander
-from scipy.integrate import cumulative_simpson, solve_ivp
 
 _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
@@ -66,7 +66,10 @@ def _disk_rhs(r, y):
 
 def _stacked_disk_rhs(r, y):
     # the whole scan: y holds every height's f ahead of every height's f'
-    return np.concatenate(_disk_field(r, *np.split(y, 2)))
+    n = y.size // 2
+    out = np.empty_like(y)
+    out[:n], out[n:] = _disk_field(r, y[:n], y[n:])
+    return out
 
 
 def _series_start(a: float) -> list[float]:
@@ -76,8 +79,8 @@ def _series_start(a: float) -> list[float]:
 
 def _integrate_disk(a: float, rtol: float = _RTOL):
     """Solve one height from the series start."""
-    sol = solve_ivp(_disk_rhs, (_R0, 1.0), _series_start(a), method="RK45",
-                    rtol=rtol, atol=_ATOL, dense_output=True)
+    sol = scipy.integrate.solve_ivp(_disk_rhs, (_R0, 1.0), _series_start(a), method="RK45",
+                                    rtol=rtol, atol=_ATOL, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"disk ODE integration failed at a = {a}: {sol.message}")
     return sol
@@ -115,8 +118,8 @@ def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
     """
     n = len(grid)
     y0 = np.array([_series_start(a) for a in grid]).T.ravel()
-    sol = solve_ivp(_stacked_disk_rhs, (_R0, 1.0), y0, method="RK45",
-                    rtol=rtol, atol=_ATOL, dense_output=True)
+    sol = scipy.integrate.solve_ivp(_stacked_disk_rhs, (_R0, 1.0), y0, method="RK45",
+                                    rtol=rtol, atol=_ATOL, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"stacked disk scan over a in [{grid[0]}, {grid[-1]}] "
                            f"failed: {sol.message}")
@@ -202,7 +205,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     f, fp = sol.sol(r)
     # defect of the integrated flux identity (r f')' = r (f - f^3),
     # which avoids re-differentiating the dense output
-    source = cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
+    source = scipy.integrate.cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
     residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
     return ShootResult(a_star=a_star, constant=constant, residual=residual,
                        sign_changes=_sign_changes(_signs_on_grid(sol, 1))[0],

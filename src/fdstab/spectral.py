@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
+import scipy  # scipy.sparse loads at first use, so importing fdstab skips it
 
 from .fields import graded_mesh
 from .params import ExponentSet
@@ -224,8 +223,8 @@ def _fem_radial_eigs(query: SpectrumQuery, mesh: np.ndarray,
     """
     A, B = _fem_pencil(query, mesh)
     v0 = np.linspace(1.0, 2.0, A.shape[0])
-    vals = eigsh(A, n_eigs, M=B, sigma=-1.0, which="LM", v0=v0,
-                 return_eigenvectors=False)
+    vals = scipy.sparse.linalg.eigsh(A, n_eigs, M=B, sigma=-1.0, which="LM", v0=v0,
+                                      return_eigenvectors=False)
     return np.sort(vals)
 
 
@@ -266,8 +265,8 @@ def _fem_pencil(query: SpectrumQuery, mesh: np.ndarray):
     mass_diag[:-1] += m_ll
     mass_diag[1:] += m_rr
 
-    A = diags([stiff_off, stiff_diag, stiff_off], [-1, 0, 1], format="csc")
-    B = diags([m_lr, mass_diag, m_lr], [-1, 0, 1], format="csc")
+    A = scipy.sparse.diags([stiff_off, stiff_diag, stiff_off], [-1, 0, 1], format="csc")
+    B = scipy.sparse.diags([m_lr, mass_diag, m_lr], [-1, 0, 1], format="csc")
     return A, B
 
 

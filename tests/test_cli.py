@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import fdstab.flow
 from fdstab import acceptance as acc
@@ -15,6 +17,37 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+_LAZY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+_IMPORT_PROBE = f"""
+import sys
+import fdstab, fdstab.cli
+
+def loaded():
+    return sorted(name for name in {_LAZY!r} if name in sys.modules)
+
+print(loaded())
+from fdstab import shooting, spectral
+assert shooting._integrate_disk(7.5).success
+q = spectral.SpectrumQuery.from_p(3, 2.0)
+vals = spectral.discretized_radial_eigs(q, spectral.radial_oracle_mesh(n=300))
+assert vals[0] < 1e-8 < vals[1]
+print(loaded())
+"""
+
+
+def test_import_defers_integrate_and_sparse():
+    # importing the package and the CLI loads neither scipy.integrate (nor
+    # the scipy.optimize it pulls in) nor scipy.sparse; the shooting and
+    # the FEM oracle load them at first use. A fresh interpreter on the
+    # same sources, since this test process has loaded them already.
+    src = os.path.dirname(os.path.dirname(fdstab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", str(sorted(_LAZY))]
 
 
 def test_constants_command(tmp_path, capsys):

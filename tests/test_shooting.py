@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.optimize import brentq
 
 from fdstab import shooting
@@ -28,13 +29,13 @@ def test_disk_constants():
 
 def test_scan_is_one_stacked_solve(monkeypatch):
     sizes = []
-    solve_ivp = shooting.solve_ivp
+    solve_ivp = scipy.integrate.solve_ivp
 
     def counting_solve_ivp(fun, t_span, y0, **kwargs):
         sizes.append(len(y0))
         return solve_ivp(fun, t_span, y0, **kwargs)
 
-    monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
     res = shoot_disk_radial()
     # one solve for all 75 heights, then the profile at a*; the root is
     # collocated from the scan's samples and needs no solve of its own
@@ -69,7 +70,7 @@ def test_scan_failure_names_the_range(monkeypatch):
     def failing_solve_ivp(fun, t_span, y0, **kwargs):
         return SimpleNamespace(success=False, message="step size underflow")
 
-    monkeypatch.setattr(shooting, "solve_ivp", failing_solve_ivp)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failing_solve_ivp)
     with pytest.raises(RuntimeError, match=r"scan over a in \[1.5, 20.0\]"):
         shoot_disk_radial()
 
