@@ -21,6 +21,9 @@ from .counterexample import counterexample_report
 from .fields import (barenblatt_field, moment_matched_field,
                      normalized_to_profile_mass, quadrature_mesh)
 from .flow import Trajectory, default_flow_mesh, solve_fdr, solve_fdr_delayed
+from .functionals import (csiszar_kullback_fg_gap, csiszar_kullback_gap,
+                          heisenberg_sides, relative_entropy,
+                          second_moment_bound_sides, xm_growth_bound, xm_norm)
 from .ledger import ConstantLedger
 from .parabolic import (checkerboard_coefficient, harnack_ratio,
                         solve_linear_parabolic)
@@ -110,10 +113,16 @@ def check_closed_form_moments() -> CheckResult:
                    f"M(3,2/3)-pi^2/4={mass - math.pi ** 2 / 4:.2e}", t0)
 
 
+def _dilated_profile_run() -> Trajectory:
+    """The confined flow from B_1.2 at (d, m) = (3, 3/4) on the 400-cell
+    flow mesh up to t = 3, 61 saves."""
+    ex = derive_exponents(3, m=0.75)
+    return solve_fdr(barenblatt_field(ex, default_flow_mesh(400), lam=1.2), 3.0)
+
+
 def check_flow_properties() -> CheckResult:
     t0 = time.perf_counter()
-    ex = derive_exponents(3, m=0.75)
-    traj = solve_fdr(barenblatt_field(ex, default_flow_mesh(400), lam=1.2), 3.0)
+    traj = _dilated_profile_run()
     F = np.array([r.free_energy for r in traj.reports])
     Q = np.array([r.quotient for r in traj.reports])
     t = np.array(traj.times)
@@ -296,6 +305,45 @@ def check_harnack() -> CheckResult:
                    f"(margin {bound / math.log(ratio):.2e})", t0)
 
 
+def check_paper_inequalities() -> CheckResult:
+    t0 = time.perf_counter()
+    traj = _dilated_profile_run()
+    ex, snaps, mesh = traj.exponents, traj.snapshots, traj.snapshots[0].r
+    # Heisenberg: equality on the dilations of B, which the flow keeps
+    # (1.5e-5 to 2.0e-5 measured), strict on the moment-matched mix (7.4e-4)
+    heis = [rhs / lhs - 1.0 for lhs, rhs in map(heisenberg_sides, snaps)]
+    lhs, rhs = heisenberg_sides(moment_matched_field(ex, mesh, 0.8, 1.3))
+    heis_mix = rhs / lhs - 1.0
+    ok = 0.0 <= min(heis) and max(heis) <= 1e-4 and heis_mix > 1e-4
+    # the second moment under its tail-norm bound, the tail norm under its
+    # growth cap
+    k_ratio = min(rhs / lhs for lhs, rhs in map(second_moment_bound_sides, snaps))
+    xm = [xm_norm(snap) for snap in snaps]
+    cap = xm_growth_bound(xm[0], ex, C.mass_displacement_constant(ex).to_float())
+    ok &= k_ratio >= 1.0 and cap >= max(xm)
+    # both Csiszar-Kullback forms, at the saves whose paired F stands 100x
+    # above the unpaired floor |F[B]| on this mesh, rescaled past the mass
+    # gate (see their docstrings)
+    floor = abs(relative_entropy(barenblatt_field(ex, mesh)))
+    saves = [normalized_to_profile_mass(snap) for snap, rep
+             in zip(snaps, traj.reports) if rep.free_energy > 100.0 * floor]
+    ck = min((rhs / lhs for lhs, rhs in map(csiszar_kullback_gap, saves)),
+             default=math.nan)
+    ck_fg = min((rhs / lhs for lhs, rhs in map(csiszar_kullback_fg_gap, saves)),
+                default=math.nan)
+    ok &= ck >= 1.0 and ck_fg >= 1.0
+    # the threshold time of the critical case exceeds the delay bound
+    chain = C.ghp_chain(derive_exponents(3, m=2.0 / 3.0), 1.0)
+    lead, tau_b = C.critical_time_margin(chain, C.stability_constants_critical(chain))
+    ok &= lead > tau_b
+    return _result("paper-inequalities", ok,
+                   f"Heisenberg rhs/lhs-1 {min(heis):.2e}..{max(heis):.2e} "
+                   f"(mix {heis_mix:.1e}); K bound ratio {k_ratio:.2f}; "
+                   f"tail-norm cap margin {cap / max(xm):.1e}; CK ratio {ck:.2f}, "
+                   f"fg {ck_fg:.2f} on {len(saves)}/{len(snaps)} saves; "
+                   f"T lead {lead:.3f} > tau_bullet {tau_b:.3f}", t0)
+
+
 ALL_CHECKS = [
     check_disk_shooting,
     check_interpolation_constants,
@@ -308,6 +356,7 @@ ALL_CHECKS = [
     check_ledger_regression,
     check_counterexample,
     check_harnack,
+    check_paper_inequalities,
 ]
 
 

@@ -192,14 +192,6 @@ def _nu_from_hbar(hbar: LogReal) -> LogReal:
 # ---------------------------------------------------------------------------
 
 
-def weighted_poincare_constant(supp_volume: float, sup_b: float,
-                               integral_b: float, diam: float) -> float:
-    """lambda_b = |supp b| ||b||_inf diam^2 / (2 int b)."""
-    if integral_b <= 0.0:
-        raise ValueError("degenerate weight: int b must be positive")
-    return supp_volume * sup_b * diam ** 2 / (2.0 * integral_b)
-
-
 def bombieri_giusti_kappa0(beta: float, c1: LogReal | float, c2: float,
                            theta: float) -> LogReal:
     """kappa0 = exp[max(2 c2, 8 c1^3 / (1-theta)^{2 beta})]."""
@@ -208,13 +200,6 @@ def bombieri_giusti_kappa0(beta: float, c1: LogReal | float, c2: float,
     alt = c1.powf(3.0) * logreal(8.0) / logreal((1.0 - theta) ** (2.0 * beta))
     two_c2 = logreal(2.0 * c2)
     return LogReal.exp_of(alt if two_c2 < alt else two_c2)
-
-
-def truncation_bounds(d: int, r0: float, r1: float) -> tuple[float, float]:
-    """Gradient and Laplacian sup bounds of the quadratic cutoff."""
-    if not 0.0 < r1 < r0:
-        raise ValueError("need 0 < R1 < R0")
-    return 2.0 / (r0 - r1), 4.0 * d / (r0 - r1) ** 2
 
 
 def aleksandrov_constant(d: int) -> float:

@@ -242,13 +242,6 @@ def moment_matched_field(ex: ExponentSet, mesh: np.ndarray, l1: float,
     return RadialField(ex, mesh, vals, profile_tail(ex, amp))
 
 
-def field_from_function(ex: ExponentSet, fn, mesh: np.ndarray,
-                        tail_power: float) -> RadialField:
-    """Sample fn(r) on the mesh; fit the tail amplitude at the last node."""
-    v = np.asarray(fn(mesh), dtype=float)
-    return RadialField(ex, mesh, v, TailModel(1.0, tail_power).through(mesh, v))
-
-
 def normalized_to_profile_mass(field: RadialField,
                                datum: str = "datum") -> RadialField:
     """Rescale so the field's own quadrature mass equals the profile mass.

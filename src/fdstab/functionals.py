@@ -223,8 +223,16 @@ def xm_growth_bound(xm0: float, ex, c3: float) -> float:
 def csiszar_kullback_gap(field: RadialField) -> tuple[float, float]:
     """(lhs, rhs) of ||v - B||_1^2 <= (4 alpha / m) M F[v] at mass M.
 
-    Rejects fields whose mass is not the profile mass
-    (:func:`~fdstab.fields.require_profile_mass`).
+    Rejects fields whose mass is not the profile mass to 1e-6
+    (:func:`~fdstab.fields.require_profile_mass`).  A confined run's
+    snapshots drift off it by up to 4.4e-5 relative (see
+    :class:`~fdstab.flow.Trajectory`), so they pass only through
+    :func:`~fdstab.fields.normalized_to_profile_mass`.  F[v] is the
+    unpaired :func:`relative_entropy`, whose floor is the quadrature
+    error of F[B] itself: -5.7e-6 on the 400-cell flow mesh, -3.6e-9 on
+    ``quadrature_mesh()``.  Late in a run F reaches that floor and the
+    right side turns negative, so the bound says something only where F
+    stands well above |F[B]| on the field's mesh.
     """
     require_profile_mass(field)
     ex = field.exponents
@@ -252,7 +260,12 @@ def csiszar_kullback_fg_gap(field: RadialField) -> tuple[float, float]:
     """(lhs, rhs) of the f-side bound against the optimizer g.
 
     lhs = ||f^{2p} - g^{2p}||_1^2 and rhs = (8p/(p+1)) (int g^{3p-1}) E[f|g],
-    for fields normalized to ||f||_{2p} = ||g||_{2p}.
+    for fields normalized to ||f||_{2p} = ||g||_{2p}.  The same two floors
+    as in :func:`csiszar_kullback_gap` apply: the 1e-6 mass gate, which a
+    flow snapshot (off by up to 4.4e-5) passes only after
+    :func:`~fdstab.fields.normalized_to_profile_mass`, and the unpaired
+    E[f|g] = F[v], which reads -5.7e-6 at v = B on the 400-cell flow mesh
+    (-3.6e-9 on ``quadrature_mesh()``).
     """
     require_profile_mass(field)
     ex = field.exponents
@@ -273,12 +286,6 @@ class BestMatch:
     mu: float
     y: float        # identically 0 for radial fields
     entropy: float  # E[f | g_f]
-
-
-def entropy_vs_optimizer(field: RadialField, lam: float, mu: float) -> float:
-    """E[f | g_{lam,mu,0}] via quadrature scalars and exact optimizer norms."""
-    return _relative_entropy(field.exponents, field.entropy_integral(), field.mass(),
-                             field.second_moment(), lam, mu)
 
 
 def best_match(field: RadialField) -> BestMatch:
@@ -329,12 +336,6 @@ def normalization_map(field: RadialField) -> Normalization:
         * _relative_entropy(ex, pf, mf, field.second_moment(), 1.0 / sigma,
                             kappa ** (-2.0 * p))
     return Normalization(sigma=sigma, kappa=kappa, a_p=a_p, e_p=e_p)
-
-
-def normalized_field(field: RadialField, sigma: float, kappa: float) -> RadialField:
-    """The density of N f on the rescaled mesh (exact nodal transform)."""
-    ex = field.exponents
-    return field.dilated(sigma, sigma ** ex.d * kappa ** (2.0 * ex.p))
 
 
 # -- rigidity residual -----------------------------------------------------

@@ -209,13 +209,6 @@ class DelayBound:
     tau_bullet: float | None  # defined when K[v0] = 0
 
 
-def c_alpha_integral(alpha: float) -> float:
-    """int_0^infty ((1 - e^{-2 alpha s}/2)^{-alpha/2} - 1) ds, < 1/4 for alpha <= 2."""
-    s = np.linspace(0.0, 40.0 / alpha, 400001)
-    g = (1.0 - 0.5 * np.exp(-2.0 * alpha * s)) ** (-alpha / 2.0) - 1.0
-    return float(np.trapezoid(g, s))
-
-
 def t1_uniform(ex: ExponentSet) -> float:
     """Uniform bound (1/(2 alpha)) log max{1, 4/(d(1-m))} on the entry time."""
     return math.log(max(1.0, 4.0 / (ex.d * (1.0 - ex.m)))) / (2.0 * ex.alpha)

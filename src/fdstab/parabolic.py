@@ -101,11 +101,3 @@ def harnack_ratio(history: ParabolicHistory, t0: float, x0: float,
     sup_back = float(np.max(v[np.ix_(back, sel_x)]))
     inf_fwd = float(np.min(v[np.ix_(fwd, sel_x)]))
     return sup_back / inf_fwd
-
-
-def rescaled_problem(coeff, beta: float, t_shift: float, x_shift: float):
-    """Coefficient of the same equation after t -> beta^2 t + t_shift,
-    x -> beta x + x_shift; the ellipticity window is unchanged."""
-    def new_coeff(t, x):
-        return coeff(beta * beta * t + t_shift, beta * np.asarray(x) + x_shift)
-    return new_coeff

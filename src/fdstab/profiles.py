@@ -49,11 +49,6 @@ def barenblatt_scaled(ex: ExponentSet, lam: float, r) -> np.ndarray | float:
         * barenblatt(ex, np.asarray(r, dtype=float) / math.sqrt(lam))
 
 
-def aubin_talenti(ex: ExponentSet, r) -> np.ndarray | float:
-    """Optimizer profile g(r) = (1+r^2)^(-1/(p-1)); B = g^(2p)."""
-    return (1.0 + np.asarray(r, dtype=float) ** 2) ** (-1.0 / (ex.p - 1.0))
-
-
 @dataclass(frozen=True)
 class MomentTable:
     """Exact integrals of the stationary profile B = g^{2p}.
@@ -105,15 +100,6 @@ def sobolev_constant(d: int) -> float:
     log_sd = 0.5 * math.log(math.pi * d * (d - 2.0)) \
         + (gammaln(d / 2.0) - gammaln(float(d))) / d
     return math.exp(log_sd)
-
-
-def sobolev_constant_sq_duplication(d: int) -> float:
-    """S_d^2 through the sphere-area form (d(d-2)/4)|S^d|^{2/d}."""
-    if d < 3:
-        raise ValueError("the critical constant requires d >= 3")
-    log_sphere = math.log(2.0) + 0.5 * (d + 1.0) * math.log(math.pi) \
-        - gammaln(0.5 * (d + 1.0))
-    return 0.25 * d * (d - 2.0) * math.exp(2.0 * log_sphere / d)
 
 
 @dataclass(frozen=True)

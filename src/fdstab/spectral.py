@@ -10,10 +10,11 @@ independent numerical cross-check.
 Two different "essential spectrum" expressions circulate for this
 operator: the Persson form (a + (d-2)/2)^2, used here for the
 discreteness filter, and a variant written with 2p/(p+1) instead of
-2p/(p-1) in some displays, exposed verbatim as
-:func:`lambda_ess_weighted_hardy_display`.  They do not agree; the
-Persson form is the one consistent with the closed-form eigenvalues and
-with the case boundaries of the improved-gap table.
+2p/(p-1) in some displays, (1/4)(d - 2 - 4p/(p+1))^2.  They do not
+agree: at (d, p) = (3, 2) the variant gives 25/36 against the Persson
+form's 12.25.  The Persson form is the one consistent with the
+closed-form eigenvalues and with the case boundaries of the improved-gap
+table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 import scipy  # scipy.sparse loads at first use, so importing fdstab skips it
 
 from .fields import graded_mesh
-from .params import ExponentSet
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ class SpectrumQuery:
 def lambda_ess(query: SpectrumQuery) -> float:
     """Bottom of the essential spectrum, (a + (d-2)/2)^2 (Persson form)."""
     return (query.a + 0.5 * (query.d - 2.0)) ** 2
-
-
-def lambda_ess_weighted_hardy_display(d: int, p: float) -> float:
-    """The variant (1/4)(d - 2 - 4p/(p+1))^2, reproduced verbatim.
-
-    Kept separate because it disagrees with the Persson form (which the
-    discreteness filter uses); see the module docstring.
-    """
-    return 0.25 * (d - 2.0 - 4.0 * p / (p + 1.0)) ** 2
 
 
 @dataclass(frozen=True)
@@ -145,11 +136,6 @@ def improved_gap(d: int, p: float) -> tuple[float, str]:
     raise ValueError(f"(d, p) = ({d}, {p}) outside the case table "
                      "(i) d=1, p<=3; (ii) d=2 or p<=1+2/d; "
                      "(iii) 1+2/d<=p<=min(1+4/(d+2),p*); (iv) 3<=d<=5 above that")
-
-
-def subcritical_flow_gap(ex: ExponentSet) -> float:
-    """Improved entropy-production gap 4*alpha under mass+center constraints."""
-    return 4.0 * ex.alpha
 
 
 @dataclass(frozen=True)

