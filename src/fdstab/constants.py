@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ledger import ConstantLedger
 from .logscale import ONE, LogReal, logreal
@@ -47,7 +46,7 @@ def embedding_constant(d: int, p: float | None = None) -> float:
     d = 1, where the exponent p in (4, inf) must be supplied.
     """
     if d >= 3:
-        return math.exp(math.log(4.0) + 2.0 / d * gammaln((d + 1.0) / 2.0)
+        return math.exp(math.log(4.0) + 2.0 / d * math.lgamma((d + 1.0) / 2.0)
                         - (2.0 / d) * math.log(2.0) - (1.0 + 1.0 / d) * math.log(math.pi))
     if d == 2:
         return 4.0 / math.sqrt(math.pi)

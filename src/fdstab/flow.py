@@ -16,10 +16,11 @@ midpoints, control volumes around nodes):
 Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
 estimate of Hosea and Shampine controlling the step; a step that cannot
-meet the tolerance, or a run that takes max_steps steps short of t_end,
-raises RuntimeError.  Mass is bookkept as the scheme's cell-volume sum
-corrected by the flux through the outer face, weighted as the stages
-apply it, so the reported drift isolates solver error.
+meet the tolerance, a run that takes max_steps steps short of t_end, or
+one whose recent pace projects past max_steps, raises RuntimeError.  Mass
+is bookkept as the scheme's cell-volume sum corrected by the flux through
+the outer face, weighted as the stages apply it, so the reported drift
+isolates solver error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy  # scipy.linalg loads at the first solve, so importing fdstab skips it
 
 from .fields import (DENSITY_FLOOR, RadialField, barenblatt_field, graded_mesh,
                      profile_tail, require_profile_mass)
@@ -53,6 +54,8 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 DT_INIT = 1e-4
 DT_MAX = 0.05
+# a run checks its pace (mean dt) every PACE_WINDOW accepted steps
+PACE_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -207,8 +210,8 @@ class _RadialScheme:
 
 def _solve(bands: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:
     """(x, info) of the tridiagonal solve; the bands and b are overwritten."""
-    *_, x, info = dgtsv(*bands, b, overwrite_dl=1, overwrite_d=1,
-                        overwrite_du=1, overwrite_b=1)
+    *_, x, info = scipy.linalg.lapack.dgtsv(*bands, b, overwrite_dl=1, overwrite_d=1,
+                                            overwrite_du=1, overwrite_b=1)
     return x, info
 
 
@@ -363,11 +366,35 @@ def solve_fd_original(u0: RadialField, t_end: float,
     return _run(scheme, u0.v.copy(), t_end, opts, n_saves)
 
 
+def _out_of_steps(remaining: float, pace: float, pace0: float, windows_run: int,
+                  windows_left: float) -> bool:
+    """Whether windows_left more windows of PACE_WINDOW steps fall short of
+    the remaining time when the pace (mean dt) of the last window keeps
+    growing by the mean factor g per window by which it grew from pace0,
+    the pace of the first window, windows_run windows earlier.
+
+    For g > 1 they cover W pace (g + ... + g^n) = W pace g (g^n - 1)/(g - 1),
+    compared in logs; a pace stuck within rounding of pace0 (g - 1 ~ 1e-14)
+    so covers no more than a constant one.
+    """
+    g = (pace / pace0) ** (1.0 / windows_run)
+    if g <= 1.0:
+        return remaining > PACE_WINDOW * pace * windows_left
+    return windows_left * math.log(g) \
+        < math.log1p(remaining * (g - 1.0) / (PACE_WINDOW * pace * g))
+
+
 def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions,
          n_saves: int, delay: bool = False) -> Trajectory:
     """Step to t_end and keep the time, snapshot, bookkept mass and (delayed
     flow) tau at n_saves + 1 save times; reports, errors and delay records
-    are formed from the saved snapshots after the run."""
+    are formed from the saved snapshots after the run.
+
+    Every PACE_WINDOW accepted steps the run projects the steps it still
+    needs (see :func:`_out_of_steps`) and raises ``RuntimeError`` at once
+    when they exceed those left under max_steps.  The rule reads the step
+    count and the simulated time, not the clock, and changes no step.
+    """
     if not t_end > 0.0 or n_saves < 1:
         raise ValueError(f"a flow run needs t_end > 0 and n_saves >= 1, "
                          f"got t_end = {t_end}, n_saves = {n_saves}")
@@ -388,9 +415,22 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     if delay:
         ratio = snaps[0].second_moment() / m2_star
     dt = DT_INIT
+    t_window, pace0 = 0.0, math.nan
     while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
         dt = min(dt, t_end - stepper.t, max(1e-12, save_times[len(times)] - stepper.t))
         dt_taken, dt = stepper.advance(dt)
+        k = stepper.stats.accepted
+        if k % PACE_WINDOW == 0:
+            pace = (stepper.t - t_window) / PACE_WINDOW
+            t_window = stepper.t
+            if k == PACE_WINDOW:
+                pace0 = pace
+            elif _out_of_steps(t_end - stepper.t, pace, pace0, k // PACE_WINDOW - 1,
+                               (opts.max_steps - k) / PACE_WINDOW):
+                raise RuntimeError(
+                    f"at t = {stepper.t} after {k} accepted steps (mean dt "
+                    f"{pace:.3g} over the last {PACE_WINDOW}) the run cannot reach "
+                    f"t_end = {t_end} within max_steps = {opts.max_steps}")
         snap = None
         if delay:
             # Heun update of the delay equation on the PDE grid

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy  # scipy.linalg loads at the first solve, so importing fdstab skips it
 
 _CELL = 0.25  # side of a checkerboard cell, in x and in t
 
@@ -74,7 +74,7 @@ def solve_linear_parabolic(coeff, lam0: float, lam1: float,
         diag = np.ones(n_x)
         diag[:-1] += w
         diag[1:] += w
-        *_, v, info = dgtsv(-w, diag, -w, v)
+        *_, v, info = scipy.linalg.lapack.dgtsv(-w, diag, -w, v)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed at step {k} (info={info})")
         hist[k + 1] = v

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import ExponentSet
 
@@ -24,7 +23,7 @@ def log_integral_inv_power(d: int, s: float) -> float:
     """ln of int_{R^d} (1+|x|^2)^(-s) dx = pi^{d/2} Gamma(s-d/2)/Gamma(s)."""
     if s <= d / 2.0:
         raise ValueError(f"integral diverges: need s > d/2, got s={s}, d={d}")
-    return 0.5 * d * math.log(math.pi) + gammaln(s - d / 2.0) - gammaln(s)
+    return 0.5 * d * math.log(math.pi) + math.lgamma(s - d / 2.0) - math.lgamma(s)
 
 
 def barenblatt(ex: ExponentSet, r) -> np.ndarray | float:
@@ -98,7 +97,7 @@ def sobolev_constant(d: int) -> float:
     if d < 3:
         raise ValueError("the critical constant requires d >= 3")
     log_sd = 0.5 * math.log(math.pi * d * (d - 2.0)) \
-        + (gammaln(d / 2.0) - gammaln(float(d))) / d
+        + (math.lgamma(d / 2.0) - math.lgamma(float(d))) / d
     return math.exp(log_sd)
 
 
@@ -129,7 +128,7 @@ def gns_optimal_constants(ex: ExponentSet) -> GNSConstants:
     log_cgns = 0.5 * theta * math.log(4.0 * d * math.pi / (p - 1.0)) \
         + (1.0 - theta) / (p + 1.0) * math.log(2.0 * (p + 1.0)) \
         - (d - p * (d - 4.0)) / (2.0 * p * denom) * math.log(denom) \
-        + theta / d * (gammaln(s - d / 2.0) - gammaln(s))
+        + theta / d * (math.lgamma(s - d / 2.0) - math.lgamma(s))
     c_gns = math.exp(log_cgns)
 
     log_inner = theta * math.log(p - 1.0)

@@ -19,7 +19,8 @@ def run(argv, capsys):
     return code, out
 
 
-_LAZY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+_LAZY = ("scipy._lib.array_api_compat", "scipy.integrate", "scipy.linalg",
+         "scipy.optimize", "scipy.sparse", "scipy.special")
 
 _IMPORT_PROBE = f"""
 import sys
@@ -29,7 +30,15 @@ def loaded():
     return sorted(name for name in {_LAZY!r} if name in sys.modules)
 
 print(loaded())
-from fdstab import shooting, spectral
+from fdstab import flow, parabolic, shooting, spectral
+from fdstab.fields import barenblatt_field
+from fdstab.params import derive_exponents
+fld = barenblatt_field(derive_exponents(3, m=0.75), flow.default_flow_mesh(200))
+assert flow.solve_fdr(fld, 0.01, n_saves=1).stats.accepted > 0
+hist = parabolic.solve_linear_parabolic(lambda t, x: 1.0 + 0.0 * x, 1.0, 1.0,
+                                        (0.0, 1.0), 0.01, n_x=11, n_t=2)
+assert hist.v.min() > 0.0
+print(loaded())
 assert shooting._integrate_disk(7.5).success
 q = spectral.SpectrumQuery.from_p(3, 2.0)
 vals = spectral.discretized_radial_eigs(q, spectral.radial_oracle_mesh(n=300))
@@ -38,16 +47,20 @@ print(loaded())
 """
 
 
-def test_import_defers_integrate_and_sparse():
-    # importing the package and the CLI loads neither scipy.integrate (nor
-    # the scipy.optimize it pulls in) nor scipy.sparse; the shooting and
-    # the FEM oracle load them at first use. A fresh interpreter on the
-    # same sources, since this test process has loaded them already.
+def test_import_defers_scipy_subpackages():
+    # importing the package and the CLI loads scipy.special (Gamma comes
+    # from math.lgamma), scipy.linalg (with the array-API layer it pulls
+    # in), scipy.integrate (and the scipy.optimize it pulls in) and
+    # scipy.sparse not at all; the flows' tridiagonal solves load
+    # scipy.linalg, and the shooting and the FEM oracle the rest, at first
+    # use. A fresh interpreter on the same sources, since this test process
+    # has loaded them already.
     src = os.path.dirname(os.path.dirname(fdstab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", str(sorted(_LAZY))]
+    assert out.splitlines() == [
+        "[]", str(["scipy._lib.array_api_compat", "scipy.linalg"]), str(sorted(_LAZY))]
 
 
 def test_constants_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Flow-solver properties: stationarity, decay, growth, round trip, delay."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from fdstab import flow
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail)
-from fdstab.flow import (DT_MAX, SolverOptions, _confined_start, _RadialScheme,
-                         default_flow_mesh, entropy_growth_floor,
+from fdstab.flow import (DT_MAX, PACE_WINDOW, SolverOptions, _confined_start,
+                         _RadialScheme, default_flow_mesh, entropy_growth_floor,
                          reconstruct_delayed, solve_fd_original, solve_fdr,
                          solve_fdr_delayed)
 from fdstab.functionals import entropy_report
@@ -147,6 +148,33 @@ def test_max_steps_raises():
         barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
     with pytest.raises(RuntimeError, match="max_steps"):
         solve_fdr(fld, 3.0, SolverOptions(max_steps=10))
+
+
+def test_unresolved_datum_fails_fast():
+    # B_1e-30 sits inside the first cell; rescaled by hand past the 1e-3
+    # gate of normalized_to_profile_mass (factor 9.4e65), it steps at dt
+    # 4.6e-10 and would need 2e7 steps to t = 0.01; the pace rule stops it
+    # after two windows instead of after max_steps = 2e6 (about 1.4 h)
+    fld = barenblatt_field(EX34, default_flow_mesh(400), lam=1e-30)
+    fld = fld.dilated(1.0, barenblatt_mass(EX34) / fld.mass())
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="max_steps") as err:
+        solve_fdr(fld, 0.01)
+    assert time.perf_counter() - t0 < 2.0
+    assert f"after {2 * PACE_WINDOW} accepted steps" in str(err.value)
+
+
+def test_pace_rule_spares_runs_that_fit():
+    fld = normalized_to_profile_mass(
+        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    # from DT_INIT, the first window's pace (5.5e-3) projects 1 822 steps
+    # to t = 10; the run takes 430, as the pace grows to DT_MAX
+    traj = solve_fdr(fld, 10.0, SolverOptions(max_steps=1000), n_saves=10)
+    assert traj.stats.accepted == 430
+    # every step clipped at a save time: the pace is the save spacing, and
+    # the run fits with 5 steps to spare
+    traj = solve_fdr(fld, 1.0, SolverOptions(max_steps=1010), n_saves=1000)
+    assert traj.stats.accepted == 1005
 
 
 def test_short_confined_run_pinned():

@@ -6,12 +6,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from fdstab.constants import embedding_constant
 from fdstab.params import derive_exponents
 from fdstab.profiles import (BarenblattSpec, barenblatt, barenblatt_mass,
                              closed_form_moments, eval_barenblatt,
-                             gns_optimal_constants, sobolev_constant)
+                             gns_optimal_constants, log_integral_inv_power,
+                             sobolev_constant)
 
 mp.mp.dps = 40
 
@@ -79,6 +83,102 @@ def test_sobolev_duplication_identity():
     for d in range(3, 11):
         s2 = sobolev_constant(d) ** 2
         assert abs(s2 - sobolev_constant_sq_duplication(d)) <= 1e-12 * s2
+
+
+# -- the Gamma ratio against mpmath over the admissible range --------------
+#
+# Each closed form is a sum of logs and log-Gammas, exponentiated at the
+# end.  Its ln is compared with the same sum in mpmath at 200 bits, on the
+# same float inputs.  The bound is K roundings (u = 2^-53) of 1 + the sum
+# of the magnitudes of the terms: the terms grow like s ln s as m -> 1, so
+# an absolute bound could not hold on the whole range.  K is twice the
+# worst case measured over these draws and a 400-point sweep of m per d.
+
+_U = 2.0 ** -53
+_GAMMA_PROPS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def _ln_sum(terms):
+    """(sum, 1 + sum of magnitudes) of mpmath terms, as floats."""
+    return float(mp.fsum(terms)), float(1 + mp.fsum(abs(t) for t in terms))
+
+
+def _ref_log_integral_inv_power(d, s):
+    with mp.workprec(200):
+        d_, s_ = mp.mpf(d), mp.mpf(s)
+        return _ln_sum([d_ / 2 * mp.log(mp.pi), mp.loggamma(s_ - d_ / 2),
+                        -mp.loggamma(s_)])
+
+
+def _ref_log_cgns(ex):
+    """ln c_gns, with theta = 1 and denom = 2 snapped as the library snaps
+    them at the critical point."""
+    with mp.workprec(200):
+        d, p = mp.mpf(ex.d), mp.mpf(ex.p)
+        if ex.is_critical:
+            theta, denom = mp.mpf(1), mp.mpf(2)
+        else:
+            denom = d + 2 - p * (d - 2)
+            theta = d * (p - 1) / (denom * p)
+        s = 2 * p / (p - 1)
+        return _ln_sum([theta / 2 * mp.log(4 * d * mp.pi / (p - 1)),
+                        (1 - theta) / (p + 1) * mp.log(2 * (p + 1)),
+                        -(d - p * (d - 4)) / (2 * p * denom) * mp.log(denom),
+                        theta / d * mp.loggamma(s - d / 2),
+                        -theta / d * mp.loggamma(s)])
+
+
+@st.composite
+def _admissible_dm(draw):
+    """(d, m) over the whole admissible range: m = m_1 for d >= 3, and m up
+    to the float below 1, where s = 1/(1-m) reaches 9e15."""
+    d = draw(st.integers(1, 10))
+    lo = 0.5 if d <= 2 else (d - 1.0) / d
+    return derive_exponents(d, m=draw(st.floats(lo, 1.0, exclude_min=d <= 2,
+                                                exclude_max=True)))
+
+
+@st.composite
+def _admissible_dp(draw):
+    """(d, p) over the admissible range: p = p_star for d >= 3; for d <= 2,
+    p below 2^53, where m = (p+1)/(2p) still exceeds 1/2 (at p = 2^53 it
+    rounds to 1/2)."""
+    d = draw(st.integers(1, 10))
+    hi = d / (d - 2.0) if d >= 3 else 2.0 ** 53
+    return derive_exponents(d, p=draw(st.floats(1.0, hi, exclude_min=True,
+                                                exclude_max=d <= 2)))
+
+
+@_GAMMA_PROPS
+@given(_admissible_dm())
+def test_log_integral_inv_power_matches_mpmath(ex):
+    # both call sites: the mass, s = 1/(1-m), and the Csiszar-Kullback
+    # integral of g^{3p-1}, s = (3p-1)/(p-1); measured worst 7.8 u
+    for s in (1.0 / (1.0 - ex.m), (3.0 * ex.p - 1.0) / (ex.p - 1.0)):
+        want, scale = _ref_log_integral_inv_power(ex.d, s)
+        assert abs(log_integral_inv_power(ex.d, s) - want) <= 16 * _U * scale
+
+
+@_GAMMA_PROPS
+@given(_admissible_dp())
+def test_cgns_matches_mpmath(ex):
+    # measured worst 2.0 u
+    want, scale = _ref_log_cgns(ex)
+    assert abs(math.log(gns_optimal_constants(ex).c_gns) - want) <= 4 * _U * scale
+
+
+def test_sobolev_and_embedding_constants_match_mpmath():
+    # the d-only constants, at every d they take: measured worst 0.83 u
+    # (S_d) and 0.69 u (K)
+    for d in range(3, 11):
+        with mp.workprec(200):
+            d_ = mp.mpf(d)
+            want_s, scale_s = _ln_sum([mp.log(mp.pi * d_ * (d_ - 2)) / 2,
+                                       mp.loggamma(d_ / 2) / d_, -mp.loggamma(d_) / d_])
+            want_k, scale_k = _ln_sum([mp.log(4), 2 / d_ * mp.loggamma((d_ + 1) / 2),
+                                       -(2 / d_) * mp.log(2), -(1 + 1 / d_) * mp.log(mp.pi)])
+        assert abs(math.log(sobolev_constant(d)) - want_s) <= 2 * _U * scale_s
+        assert abs(math.log(embedding_constant(d)) - want_k) <= 2 * _U * scale_k
 
 
 def test_cgns_matches_sobolev_at_critical():
