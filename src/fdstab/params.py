@@ -79,6 +79,10 @@ def derive_exponents(d: int, m: float | None = None, p: float | None = None) -> 
         if not (p > 1.0):
             raise ValueError(f"p must be > 1, got {p}")
         m = (p + 1.0) / (2.0 * p)
+        # p + 1 rounds to p from p = 2^53 on (m = 1/2), 2 p overflows from
+        # about 9e307 on (m = 0), and p = inf gives m = nan
+        if not (0.5 < m < 1.0):
+            raise ValueError(f"p = {p} maps to m = {m}, outside (1/2, 1)")
 
     p_star = d / (d - 2.0) if d >= 3 else math.inf
     if d >= 3 and p > p_star * (1.0 + 1e-14):

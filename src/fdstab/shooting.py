@@ -7,15 +7,20 @@ Two self-contained boundary-value problems are solved here:
   criterion f'(1) = 0 on the one-sign-change branch; the heights of the
   bracketing scan are integrated together as one stacked system, the
   root is found by a Chebyshev collocation Newton started from the two
-  bracketing heights, and the profile at the root is one RK45 solve; the
-  optimal interpolation constant on radial functions is
-  (2 pi int_0^1 f^4 r dr)^{-1/2}, integrated by Clenshaw-Curtis on the
-  collocated profile;
+  bracketing heights, and the profile at the root is one more solve,
+  which carries the flux integral along; the optimal interpolation
+  constant on radial functions is (2 pi int_0^1 f^4 r dr)^{-1/2},
+  integrated by Clenshaw-Curtis on the collocated profile;
 
 * the line problem -g'' + ((d-2)^2/4) g = g^{(d+2)/(d-2)}, whose even
   solution is g(s) = A sech(B s)^{2/(d-2)}; the coefficients are fixed by
   the height g(0) = (d(d-2)/4)^{(d-2)/4} and the residual of the ansatz
   is evaluated on a grid.
+
+The disk solves use the Dormand-Prince 5(4) pair with its quartic dense
+output (Dormand & Prince, J. Comput. Appl. Math. 6 (1980); Hairer,
+Norsett & Wanner, Solving Ordinary Differential Equations I, sec.
+II.4-II.6), written in numpy.
 """
 
 from __future__ import annotations
@@ -24,13 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.integrate loads at first use, so importing fdstab skips it
 from numpy.polynomial.chebyshev import chebvander
 
 _R0 = 1e-4         # series start radius removing the coordinate singularity
 _ATOL, _RTOL = 1e-12, 1e-10
 _SIGN_GRID = np.linspace(_R0, 1.0, 2000)  # where sign changes are counted
-_SIGN_CHUNK = 100  # grid points per dense-output evaluation
 _SCAN_HI, _SCAN_STEP = 20.0, 0.25  # top and spacing of the height scan
 # collocation degree, and the Newton step after which only rounding is
 # left: a* and C settle to rounding from n = 40, and the step's rounding
@@ -39,36 +42,59 @@ _CHEB_N = 40
 _NEWTON_TOL, _NEWTON_MAX = 1e-10, 20
 _LINE_S_MAX, _LINE_N = 12.0, 4001  # residual grid of the line problem
 
+# Dormand-Prince 5(4): nodes, stages, fifth-order weights, the error
+# weights (fifth- minus fourth-order, the seventh stage being f at the
+# new point) and the dense-output coefficients of x, x^2, x^3, x^4
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]])
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
 
 @dataclass(frozen=True)
 class ShootResult:
     a_star: float
     constant: float
+    # max over _SIGN_GRID of |r f' - _R0 f'(_R0) - q|, the defect of the
+    # flux identity (r f')' = r (f - f^3) along the profile at a_star
     residual: float
     sign_changes: int
-    # f'(1) of the RK45 profile at a_star, which the collocated root
-    # zeroes only to the RK45 tolerance
+    # f'(1) of the integrated profile at a_star, which the collocated root
+    # zeroes only to the integration tolerance
     slope_at_one: float
     # the scan that bracketed a_star: (a, f'(1), sign changes) per height
     scan: tuple[tuple[float, float, int], ...] = ()
 
 
-def _disk_field(r, f, fp):
-    return fp, -fp / r + f - f ** 3
-
-
-def _disk_rhs(r, y):
-    # one height: f and f' are numpy scalars, so f ** 3 rounds as C pow,
-    # which fixes the digits of a* and the profile; numpy's vectorized
-    # array power may round differently
-    return list(_disk_field(r, *y))
-
-
-def _stacked_disk_rhs(r, y):
-    # the whole scan: y holds every height's f ahead of every height's f'
-    n = y.size // 2
+def _disk_field(r, y):
+    """Right side for rows (f, f') of y, one column per height; a third
+    row, when present, is the flux integral q with q' = r (f - f^3)."""
+    f, fp = y[0], y[1]
+    source = f - f ** 3
     out = np.empty_like(y)
-    out[:n], out[n:] = _disk_field(r, y[:n], y[n:])
+    out[0] = fp
+    out[1] = source - fp / r
+    out[2:] = r * source
     return out
 
 
@@ -77,35 +103,86 @@ def _series_start(a: float) -> list[float]:
     return [a + (a - a ** 3) * _R0 ** 2 / 4.0, (a - a ** 3) * _R0 / 2.0]
 
 
-def _integrate_disk(a: float, rtol: float = _RTOL):
-    """Solve one height from the series start."""
-    sol = scipy.integrate.solve_ivp(_disk_rhs, (_R0, 1.0), _series_start(a), method="RK45",
-                                    rtol=rtol, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"disk ODE integration failed at a = {a}: {sol.message}")
-    return sol
+def _rms(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def _sign_changes(signs: np.ndarray) -> list[int]:
-    """Sign changes along each row of sampled signs, zeros skipped."""
+def _first_step(fun, y, f, rtol: float) -> float:
+    """Hairer's initial step for a pair with a fourth-order error estimate
+    (Hairer, Norsett & Wanner, sec. II.4), from _R0 towards r = 1."""
+    scale = _ATOL + rtol * np.abs(y)
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - _R0)
+    d2 = _rms((fun(_R0 + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, 1.0 - _R0)
+
+
+def _rk45(fun, y0: np.ndarray, rtol: float, radii: np.ndarray, rows: int, what: str):
+    """Integrate y' = fun(r, y) from r = _R0 to r = 1 by Dormand-Prince 5(4).
+
+    The step control is the standard one for this pair: Hairer's first
+    step, an RMS error norm with the scale _ATOL + rtol max(|y|, |y_new|),
+    a safety factor 0.9, step factors clamped to [0.2, 10], and no growth
+    on the step after a rejection.
+    The first ``rows`` rows of y are sampled at ``radii`` (in [_R0, 1],
+    in any order) from each accepted step's quartic dense output as the
+    step is taken, so no dense output is kept.  Returns y at r = 1, the
+    samples, shaped (rows,) + y0.shape[1:] + radii.shape, and the number
+    of accepted steps.  ``RuntimeError`` naming ``what`` when a step falls
+    below 10 ulp of r or a trial state is not finite.
+    """
+    y = np.array(y0, dtype=float)
+    stages = np.empty((7, y.size))
+    stage = stages.reshape((7,) + y.shape)   # view: stage[s] writes stages[s]
+    cut = rows * (y.size // len(y))          # sampled components, flattened
+    order = np.argsort(radii)
+    at = radii[order]
+    samples = np.empty((cut, radii.size))
+    r, f, done, steps = _R0, fun(_R0, y), 0, 0
+    h = _first_step(fun, y, f, rtol)
+    rejected = False
+    while r < 1.0:
+        if h < 10.0 * np.spacing(r):
+            raise RuntimeError(f"{what}: step {h:.1e} below 10 ulp of r at r = {r!r}")
+        r_new = min(r + h, 1.0)
+        h = r_new - r
+        stage[0] = f
+        for s in range(1, 6):
+            dy = (_DP_A[s, :s] @ stages[:s]).reshape(y.shape)
+            stage[s] = fun(r + _DP_C[s] * h, y + h * dy)
+        y_new = y + h * (_DP_B @ stages[:6]).reshape(y.shape)
+        stage[6] = f_new = fun(r_new, y_new)
+        scale = _ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+        err = _rms(h * (_DP_E @ stages) / scale)
+        if not math.isfinite(err):
+            raise RuntimeError(f"{what}: non-finite state on the step from r = {r!r}")
+        if err >= 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+            continue
+        hi = int(np.searchsorted(at, r_new, side="right"))
+        if hi > done:
+            x = (at[done:hi] - r) / h
+            powers = np.cumprod(np.ones((4, 1)) * x, axis=0)   # x, x^2, x^3, x^4
+            dense = (_DP_P.T @ stages[:, :cut]).T
+            samples[:, order[done:hi]] = y.reshape(-1)[:cut, None] + h * (dense @ powers)
+            done = hi
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+        h *= min(1.0, factor) if rejected else factor
+        rejected = False
+        r, y, f = r_new, y_new, f_new
+        steps += 1
+    return y, samples.reshape((rows,) + y.shape[1:] + radii.shape), steps
+
+
+def _sign_changes(values: np.ndarray) -> list[int]:
+    """Sign changes along each row of sampled values, zeros skipped."""
     counts = []
-    for row in signs:
-        s = row[row != 0]
+    for row in values:
+        s = np.sign(row[row != 0])
         counts.append(int(np.sum(s[1:] != s[:-1])))
     return counts
-
-
-def _signs_on_grid(sol, n: int) -> np.ndarray:
-    """Signs of the n f rows of a dense output on _SIGN_GRID, as int8.
-
-    The grid is evaluated a chunk at a time, so the f' rows and scipy's
-    intermediate copies are never held for the whole grid.
-    """
-    signs = np.empty((n, _SIGN_GRID.size), dtype=np.int8)
-    for lo in range(0, _SIGN_GRID.size, _SIGN_CHUNK):
-        hi = lo + _SIGN_CHUNK
-        np.sign(sol.sol(_SIGN_GRID[lo:hi])[:n], out=signs[:, lo:hi], casting="unsafe")
-    return signs
 
 
 def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
@@ -113,20 +190,16 @@ def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
     height's f at the given radii (clipped to the start radius _R0).
 
     All heights are integrated as one stacked system, so they share one
-    RK45 step sequence and one RMS error norm over the 2 N components.
-    The dense output is sampled here and dropped on return.
+    step sequence and one RMS error norm over the 2 N components.  Only
+    the f rows are sampled, on _SIGN_GRID and at the radii.
     """
-    n = len(grid)
-    y0 = np.array([_series_start(a) for a in grid]).T.ravel()
-    sol = scipy.integrate.solve_ivp(_stacked_disk_rhs, (_R0, 1.0), y0, method="RK45",
-                                    rtol=rtol, atol=_ATOL, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"stacked disk scan over a in [{grid[0]}, {grid[-1]}] "
-                           f"failed: {sol.message}")
-    slopes = sol.y[n:, -1]
-    changes = _sign_changes(_signs_on_grid(sol, n))
-    profiles = sol.sol(np.maximum(radii, _R0))[:n]
-    return [(float(a), float(s), c) for a, s, c in zip(grid, slopes, changes)], profiles
+    y0 = np.array([_series_start(a) for a in grid]).T
+    radii = np.maximum(radii, _R0)
+    y, (f,), _ = _rk45(_disk_field, y0, rtol, np.concatenate([_SIGN_GRID, radii]), 1,
+                       f"stacked disk scan over a in [{grid[0]}, {grid[-1]}]")
+    changes = _sign_changes(f[:, :_SIGN_GRID.size])
+    trace = [(float(a), float(s), c) for a, s, c in zip(grid, y[1], changes)]
+    return trace, f[:, _SIGN_GRID.size:]
 
 
 def _cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +273,16 @@ def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     a_star, constant, _ = collocate_disk((1.0 - theta) * profiles[j]
                                          + theta * profiles[j + 1])
 
-    sol = _integrate_disk(a_star, rtol=rtol)
-    r = np.linspace(_R0, 1.0, 20001)
-    f, fp = sol.sol(r)
-    # defect of the integrated flux identity (r f')' = r (f - f^3),
-    # which avoids re-differentiating the dense output
-    source = scipy.integrate.cumulative_simpson(r * (f - f ** 3), x=r, initial=0.0)
-    residual = float(np.max(np.abs(r * fp - _R0 * fp[0] - source)))
+    # one more solve at a*, carrying the flux q = int_R0^r s (f - f^3) ds
+    # as a third row, so the identity r f' - R0 f'(R0) = q is read off the
+    # samples without differentiating or quadrature
+    y0 = np.array([*_series_start(a_star), 0.0])[:, None]
+    y, ((f,), (fp,), (q,)), _ = _rk45(_disk_field, y0, rtol, _SIGN_GRID, 3,
+                                      f"disk ODE at a = {a_star}")
+    residual = float(np.max(np.abs(_SIGN_GRID * fp - _R0 * y0[1, 0] - q)))
     return ShootResult(a_star=a_star, constant=constant, residual=residual,
-                       sign_changes=_sign_changes(_signs_on_grid(sol, 1))[0],
-                       slope_at_one=float(sol.y[1][-1]), scan=tuple(trace))
+                       sign_changes=_sign_changes(f[None])[0],
+                       slope_at_one=float(y[1, 0]), scan=tuple(trace))
 
 
 @dataclass(frozen=True)

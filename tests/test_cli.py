@@ -39,7 +39,7 @@ hist = parabolic.solve_linear_parabolic(lambda t, x: 1.0 + 0.0 * x, 1.0, 1.0,
                                         (0.0, 1.0), 0.01, n_x=11, n_t=2)
 assert hist.v.min() > 0.0
 print(loaded())
-assert shooting._integrate_disk(7.5).success
+assert shooting.shoot_disk_radial().sign_changes == 1
 q = spectral.SpectrumQuery.from_p(3, 2.0)
 vals = spectral.discretized_radial_eigs(q, spectral.radial_oracle_mesh(n=300))
 assert vals[0] < 1e-8 < vals[1]
@@ -50,17 +50,18 @@ print(loaded())
 def test_import_defers_scipy_subpackages():
     # importing the package and the CLI loads scipy.special (Gamma comes
     # from math.lgamma), scipy.linalg (with the array-API layer it pulls
-    # in), scipy.integrate (and the scipy.optimize it pulls in) and
-    # scipy.sparse not at all; the flows' tridiagonal solves load
-    # scipy.linalg, and the shooting and the FEM oracle the rest, at first
-    # use. A fresh interpreter on the same sources, since this test process
-    # has loaded them already.
+    # in) and scipy.sparse not at all; the flows' tridiagonal solves load
+    # scipy.linalg, and the FEM oracle scipy.sparse, at first use. A whole
+    # disk shoot runs on numpy alone, so scipy.integrate, scipy.optimize
+    # and scipy.special never load. A fresh interpreter on the same
+    # sources, since this test process has loaded them already.
     src = os.path.dirname(os.path.dirname(fdstab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == [
-        "[]", str(["scipy._lib.array_api_compat", "scipy.linalg"]), str(sorted(_LAZY))]
+        "[]", str(["scipy._lib.array_api_compat", "scipy.linalg"]),
+        str(["scipy._lib.array_api_compat", "scipy.linalg", "scipy.sparse"])]
 
 
 def test_constants_command(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdstab.params import derive_exponents
 
@@ -92,3 +94,23 @@ def test_rejections():
         derive_exponents(3, m=0.75, p=2.0)
     # p = p_star itself is allowed
     derive_exponents(3, p=3.0)
+
+
+def test_p_whose_m_rounds_out_of_range_is_refused():
+    # for d <= 2 every p > 1 is admissible, but m = (p + 1)/(2p) rounds to
+    # 1/2 from p = 2^53 on, to 0 once 2p overflows, and to nan at p = inf
+    for d in (1, 2):
+        for p in (2.0 ** 53, 1e308, math.inf):
+            with pytest.raises(ValueError, match=r"p = .* maps to m = .*, outside \(1/2, 1\)"):
+                derive_exponents(d, p=p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2)),
+       st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=True))
+def test_exponent_map_returns_admissible_m_or_refuses(d, p):
+    try:
+        ex = derive_exponents(d, p=p)
+    except ValueError:
+        return
+    assert 0.5 < ex.m < 1.0
