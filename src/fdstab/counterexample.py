@@ -22,19 +22,12 @@ The corrector is integrated in blocks of z rows.  Before any block is
 integrated, an a-priori bound on its contribution is formed from the
 bumps' tails (``_Corrector.block_bounds``); a block whose bound is at
 most ``_SKIP_REL`` of both exact single-bump totals is skipped, its rows
-left 0.  The kept blocks are split into contiguous ranges over up to
-``_MAX_WORKERS`` threads (numpy releases the GIL inside each block's
-ufuncs); every worker computes its blocks in buffers the caller
-preallocated, so the workers allocate nothing, and each row is computed
-the same way whichever worker runs it, so the result does not depend on
-the worker count.
+left 0.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +45,8 @@ _BLOCK_ROWS = 32
 _GL_NODES = 8
 _S_PANEL_WIDTH = 1.0
 _S_PANEL_RATIO = 1.15
-# (rows, s) buffers one worker needs for a block
+# (rows, s) buffers a block needs
 _N_BIG = 15
-# the z blocks are split over at most this many threads
-_MAX_WORKERS = 4
 # the axial grid resolves each bump out to this distance from its center
 _REACH = 50.0
 # uniform z nodes on [0, center + _REACH] when the bumps are that near
@@ -85,7 +76,7 @@ def counterexample_report(ex: ExponentSet, k: int,
 
     Restricted to d = 3 (where the spherical-cap reduction of the tail
     mass is elementary).  The default centers X = k^2 satisfy the
-    escape condition X^2/k -> infinity; separations below 30 are
+    escape condition X^2/k -> infinity; separations below 12 are
     rejected because the bumps would overlap.
     """
     if ex.d != 3:
@@ -106,15 +97,7 @@ def counterexample_report(ex: ExponentSet, k: int,
     bound_p, bound_g = cor.block_bounds()
     skipped = (bound_p <= _SKIP_REL * p_single) & (bound_g <= _SKIP_REL * grad_single)
     kept = np.flatnonzero(~skipped)
-    # contiguous runs of the kept blocks, one per worker; the buffers are
-    # allocated here, so the workers allocate nothing
-    n_workers = max(1, min(len(os.sched_getaffinity(0)), _MAX_WORKERS, kept.size))
-    parts = [kept[j * kept.size // n_workers:(j + 1) * kept.size // n_workers]
-             for j in range(n_workers)]
-    bigs = [np.empty((_N_BIG, _BLOCK_ROWS, cor.s.size)) for _ in range(n_workers)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        # reading every result re-raises a worker's exception here
-        list(pool.map(cor.fill, parts, bigs))
+    cor.fill(kept)
 
     # 2 pi * 2 * int_{z>=0} int F(z,s) s ds dz for the z-even correctors
     p_int = p_single + 4.0 * math.pi * float(np.trapezoid(cor.rows_p, cor.z))
@@ -212,14 +195,16 @@ class _Corrector:
         w_s = np.add.reduceat(self.w, cells_s)
         return w_z * (cell_p @ w_s), w_z * (cell_g @ w_s)
 
-    def fill(self, blocks: np.ndarray, big: np.ndarray) -> None:
-        """Rows of the given z blocks, every temporary a view of the
-        (_N_BIG, rows, s) buffer ``big``; sums and products are taken left
-        to right as in the formulas (c0 b0 + c1 b1 + c1 b2, ...), the order
-        the pinned values were computed in."""
+    def fill(self, blocks: np.ndarray) -> None:
+        """Rows of the given z blocks, every temporary a view of one
+        (_N_BIG, rows, s) buffer allocated once for all of them; sums and
+        products are taken left to right as in the formulas
+        (c0 b0 + c1 b1 + c1 b2, ...), the order the pinned values were
+        computed in."""
         p, m, q2p = self.p, self.m, self.q
         c0, c1, _ = self.c
         s, s2, w = self.s, self.s ** 2, self.w
+        big = np.empty((_N_BIG, _BLOCK_ROWS, s.size))
         cm = tuple(c ** m for c in self.c)
         # |grad (c_i g^{2p})^{1/(2p)}|^2 = c_i^{1/p} (2/(p-1))^2 u2 (1+u2)^(-q2p)
         cg = tuple(c ** (1.0 / p) * (2.0 / (p - 1.0)) ** 2 for c in self.c)
