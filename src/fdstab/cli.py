@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import flow
 from .acceptance import harnack_quotient, moment_matched_delay_run, run_all
 from .constants import build_ledger
@@ -112,7 +114,13 @@ def _simulate(args) -> str:
 
 def _phase(args) -> str:
     ex = derive_exponents(args.d, m=args.m)
-    path = xy_integrate_batch(ex, args.x0, args.y0, args.t_end, args.dt)
+    # a path that leaves float64 is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = xy_integrate_batch(ex, args.x0, args.y0, args.t_end, args.dt)
+    if not np.isfinite(path["energy"]).all():
+        raise FloatingPointError(
+            f"the phase path from x0 = {args.x0}, y0 = {args.y0} leaves float64: "
+            "its energy L is not finite")
     return (f"# d={args.d} m={_fmt(args.m)} x0={_fmt(args.x0)} "
             f"y0={_fmt(args.y0)} dt={_fmt(args.dt)}\n"
             + _csv("t,X,Y,L", zip(path["t"], path["x"], path["y"],

@@ -88,10 +88,10 @@ class Trajectory:
     mesh-resolution level while the profile changes shape.  From B_1.2 at
     (d, m) = (3, 3/4) on 400 cells, the snapshots drift off the profile's
     quadrature mass by up to 4.4e-5 relative by t = 3 while the bookkept
-    mass holds to 1e-8; so the 1e-6 gate of
+    mass drifts by 2.2e-14; so the 1e-6 gate of
     :func:`~fdstab.fields.require_profile_mass` rejects every save after
-    the first, and a snapshot goes to the Csiszar-Kullback bounds through
-    :func:`~fdstab.fields.normalized_to_profile_mass`.
+    the first unless :func:`~fdstab.fields.normalized_to_profile_mass`
+    rescales it.
     """
 
     exponents: ExponentSet

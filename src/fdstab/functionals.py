@@ -5,13 +5,16 @@ density v = f^{2p}.  The free energy, Fisher information, deficit,
 tail-decay norm, Csiszar-Kullback bounds, best-matching optimizer
 parameters, the normalization map and the rigidity residual are all
 evaluated against the stationary profile B = (1+r^2)^{1/(m-1)} (or its
-dilations), whose integrals are known in closed form and are used exactly
-instead of being re-quadratured.
+dilations).
 
-One functional runs through them all: the relative entropy
-E[f | g_{lam,mu}] of f = v^{1/(2p)} (:func:`_relative_entropy`).  The free
-energy is F[v] = E[f | g] at lam = mu = 1; best matching and the
-normalization map only change which g_{lam,mu} it is measured against.
+Every functional relative to B itself (the free energy, the relative
+moments of :func:`entropy_report` and the Csiszar-Kullback bounds) takes
+B sampled on the field's own mesh and differences the two nodally
+(:func:`relative_entropy`), so the shared quadrature bias cancels.  The
+relative entropy E[f | g_{lam,mu}] of f = v^{1/(2p)} against a general
+optimizer (:func:`_relative_entropy`) is formed from the field's norms and
+the closed-form norm of g_{lam,mu}; best matching, the normalization map
+and the escape family measure against it.
 
 Sign conventions: the deficit of a density, delta[v] = ((1-m)/m) (I - 4F),
 agrees with the deficit of f = v^{1/(2p)} up to the factor
@@ -25,24 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DivergentTailError, RadialField, gradient_integral, profile_tail,
+from .fields import (DivergentTailError, RadialField, gradient_integral,
                      require_profile_mass)
 from .params import ExponentSet
-from .profiles import (barenblatt, barenblatt_mass, closed_form_moments,
-                       gns_optimal_constants, log_integral_inv_power)
+from .profiles import (barenblatt_mass, closed_form_moments, gns_optimal_constants,
+                       log_integral_inv_power)
 
 
 @dataclass(frozen=True)
 class EntropyReport:
     """Snapshot of the entropy bookkeeping for one field."""
 
-    free_energy: float       # F relative to the stationary profile
+    free_energy: float       # F relative to the sampled profile
     fisher: float            # I, the entropy production
     quotient: float          # Q = I/F (inf if F == 0)
     mass: float
     second_moment: float
-    rel_second_moment: float  # K = second moment - K_star
-    rel_entropy: float        # S = int v^m - S_star
+    rel_second_moment: float  # K = second moment - the profile's
+    rel_entropy: float        # S = int v^m - the profile's
     deficit: float            # ((1-m)/m) (I - 4F)
 
 
@@ -60,31 +63,15 @@ def _relative_entropy(ex: ExponentSet, pf: float, mf: float, xf: float,
         + (p + 1.0) / (p - 1.0) * (c_lm * (mf + lam ** 2 * xf) - p_g)
 
 
-def relative_entropy(field: RadialField) -> float:
-    """Free energy F[v] relative to the stationary profile: E[f | g] at lam = mu = 1.
-
-    Returns ``inf`` when the second moment of the field diverges.
-    """
-    try:
-        xv = field.second_moment()
-    except DivergentTailError:
-        return math.inf
-    return _relative_entropy(field.exponents, field.entropy_integral(), field.mass(),
-                             xv, 1.0, 1.0)
-
-
-def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
-    """F[v] against a reference sampled on the same mesh.
+def relative_entropy(field: RadialField, ref: RadialField) -> float:
+    """Free energy F[v] against the profile ``ref`` sampled on the same mesh.
 
     Both integrands are differenced nodally before quadrature, so the
     systematic quadrature bias cancels; tail contributions are
     differenced through the two tail models.  The result vanishes only
-    when the fields coincide on the mesh *and* carry the same tail.  The
-    flow solvers, whose discrete stationary state is the nodal profile,
-    refit a snapshot's tail amplitude at the last node while their
-    reference carries the profile's exact one, so the sampled profile
-    itself reads F = -6.4e-12 at (d, m) = (3, 3/4) and F = +4.0e-8 at
-    (3, 2/3) on the default meshes (r_max = 50).
+    when the fields coincide on the mesh *and* carry the same tail, and a
+    field against itself reads exactly 0.  Returns ``inf`` when the second
+    moment of the field diverges.
     """
     ex = field.exponents
     if ref.r.shape != field.r.shape or np.any(ref.r != field.r):
@@ -92,9 +79,13 @@ def relative_entropy_pair(field: RadialField, ref: RadialField) -> float:
     m = ex.m
     ent = field.quad(np.maximum(field.v, 0.0) ** m - np.maximum(ref.v, 0.0) ** m)
     lin = field.quad((1.0 + field.r ** 2) * (field.v - ref.v))
-    ent += field.tail_integral(m) - ref.tail_integral(m)
-    lin += (field.tail_integral(1.0) - ref.tail_integral(1.0)) \
-        + (field.tail_integral(1.0, 2) - ref.tail_integral(1.0, 2))
+    try:
+        ent += field.tail_integral(m) - ref.tail_integral(m)
+        lin += (field.tail_integral(1.0) - ref.tail_integral(1.0)) \
+            + (field.tail_integral(1.0, 2) - ref.tail_integral(1.0, 2))
+    except DivergentTailError:
+        # of the three tails the second moment's diverges first
+        return math.inf
     return (ent - m * lin) / (m - 1.0)
 
 
@@ -118,25 +109,15 @@ def fisher_information(field: RadialField) -> float:
     return ex.m / (1.0 - ex.m) * val
 
 
-def entropy_report(field: RadialField,
-                   ref: RadialField | None = None) -> EntropyReport:
-    """Entropy bookkeeping of one field.
-
-    Without ``ref`` the relative quantities are taken against the closed
-    forms of the profile.  With a reference sampled on the same mesh they
-    are differenced against it (free energy through
-    :func:`relative_entropy_pair`, K and S against the reference's own
-    quadrature, which the reference keeps across calls), so the shared
-    quadrature bias cancels.
+def entropy_report(field: RadialField, ref: RadialField) -> EntropyReport:
+    """Entropy bookkeeping of one field against the profile ``ref`` sampled
+    on the same mesh: the free energy through :func:`relative_entropy`, K
+    and S against the reference's own quadrature, which the reference
+    keeps across calls, so the shared quadrature bias cancels.
     """
     ex = field.exponents
-    if ref is None:
-        mt = closed_form_moments(ex)
-        f_val = relative_entropy(field)
-        xsq_ref, s_ref = mt.second_moment, mt.entropy
-    else:
-        f_val = relative_entropy_pair(field, ref)
-        xsq_ref, s_ref = ref.second_moment(), ref.entropy_integral()
+    f_val = relative_entropy(field, ref)
+    xsq_ref, s_ref = ref.second_moment(), ref.entropy_integral()
     i_val = fisher_information(field)
     xsq = field.second_moment()
     return EntropyReport(
@@ -220,59 +201,51 @@ def xm_growth_bound(xm0: float, ex, c3: float) -> float:
 # -- Csiszar-Kullback ------------------------------------------------------
 
 
-def csiszar_kullback_gap(field: RadialField) -> tuple[float, float]:
-    """(lhs, rhs) of ||v - B||_1^2 <= (4 alpha / m) M F[v] at mass M.
+def csiszar_kullback_gap(field: RadialField, ref: RadialField) -> tuple[float, float]:
+    """(lhs, rhs) of ||v - B||_1^2 <= (4 alpha / m) M F[v] at mass M, with B
+    the profile ``ref`` sampled on the field's mesh.
 
     Rejects fields whose mass is not the profile mass to 1e-6
     (:func:`~fdstab.fields.require_profile_mass`).  A confined run's
     snapshots drift off it by up to 4.4e-5 relative (see
     :class:`~fdstab.flow.Trajectory`), so they pass only through
-    :func:`~fdstab.fields.normalized_to_profile_mass`.  F[v] is the
-    unpaired :func:`relative_entropy`, whose floor is the quadrature
-    error of F[B] itself: -5.7e-6 on the 400-cell flow mesh, -3.6e-9 on
-    ``quadrature_mesh()``.  Late in a run F reaches that floor and the
-    right side turns negative, so the bound says something only where F
-    stands well above |F[B]| on the field's mesh.
+    :func:`~fdstab.fields.normalized_to_profile_mass`.
     """
     require_profile_mass(field)
     ex = field.exponents
-    l1 = _l1_to_profile(field)
-    return l1 * l1, 4.0 * ex.alpha / ex.m * barenblatt_mass(ex) * relative_entropy(field)
+    l1 = _l1_to_profile(field, ref)
+    return l1 * l1, 4.0 * ex.alpha / ex.m * barenblatt_mass(ex) \
+        * relative_entropy(field, ref)
 
 
-def _l1_to_profile(field: RadialField) -> float:
-    """||v - B||_1, with the tail beyond the mesh.
+def _l1_to_profile(field: RadialField, ref: RadialField) -> float:
+    """||v - B||_1 against the sampled profile, with the tail beyond the mesh.
 
-    The tail part is exact when the field tail has the profile decay
-    power; otherwise the two tails are added, which overestimates but
-    keeps the bound safe.
+    The tail part is exact when the two tails share their decay power;
+    otherwise the two tails are added, which overestimates but keeps the
+    bound safe.
     """
-    ex = field.exponents
-    l1 = field.quad(np.abs(field.v - barenblatt(ex, field.r)))
-    rho_b = profile_tail(ex).power
-    b_tail = field.power_tail(1.0, ex.d + rho_b)
-    if abs(field.tail.power - rho_b) < 1e-12:
-        return l1 + abs(field.tail.amplitude - 1.0) * b_tail
-    return l1 + (field.tail_integral(1.0) + b_tail)
+    l1 = field.quad(np.abs(field.v - ref.v))
+    if abs(field.tail.power - ref.tail.power) < 1e-12:
+        return l1 + abs(field.tail.amplitude - ref.tail.amplitude) \
+            * field.power_tail(1.0, field.exponents.d + ref.tail.power)
+    return l1 + (field.tail_integral(1.0) + ref.tail_integral(1.0))
 
 
-def csiszar_kullback_fg_gap(field: RadialField) -> tuple[float, float]:
+def csiszar_kullback_fg_gap(field: RadialField, ref: RadialField) -> tuple[float, float]:
     """(lhs, rhs) of the f-side bound against the optimizer g.
 
     lhs = ||f^{2p} - g^{2p}||_1^2 and rhs = (8p/(p+1)) (int g^{3p-1}) E[f|g],
-    for fields normalized to ||f||_{2p} = ||g||_{2p}.  The same two floors
-    as in :func:`csiszar_kullback_gap` apply: the 1e-6 mass gate, which a
-    flow snapshot (off by up to 4.4e-5) passes only after
-    :func:`~fdstab.fields.normalized_to_profile_mass`, and the unpaired
-    E[f|g] = F[v], which reads -5.7e-6 at v = B on the 400-cell flow mesh
-    (-3.6e-9 on ``quadrature_mesh()``).
+    for fields normalized to ||f||_{2p} = ||g||_{2p}, with g^{2p} = B the
+    profile ``ref`` sampled on the field's mesh and E[f|g] = F[v].  The
+    mass gate of :func:`csiszar_kullback_gap` applies.
     """
     require_profile_mass(field)
     ex = field.exponents
-    l1 = _l1_to_profile(field)  # g^{2p} = B
+    l1 = _l1_to_profile(field, ref)
     s = (3.0 * ex.p - 1.0) / (ex.p - 1.0)
     g3p = math.exp(log_integral_inv_power(ex.d, s))
-    return l1 * l1, 8.0 * ex.p / (ex.p + 1.0) * g3p * relative_entropy(field)
+    return l1 * l1, 8.0 * ex.p / (ex.p + 1.0) * g3p * relative_entropy(field, ref)
 
 
 # -- best matching ---------------------------------------------------------

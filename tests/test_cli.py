@@ -106,6 +106,16 @@ def test_phase_command_csv(capsys):
     assert len(lines) > 50
 
 
+def test_phase_path_leaving_float64_exits_two(capsys):
+    # a start inside the admissible box whose energy overflows at once: no
+    # CSV of inf rows, a message naming the start
+    code = main(["phase", "--d", "3", "--m", "0.7", "--x0", "1e200",
+                 "--y0", "0", "--t-end", "0.003"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "x0 = 1e+200, y0 = 0.0" in captured.err
+
+
 def test_delay_command(capsys):
     code, out = run(["delay", "--d", "3", "--m", "0.6666666666666666",
                      "--k0", "0", "--s0", "0"], capsys)

@@ -7,12 +7,15 @@ integrands, independent of the trapezoid+tail machinery under test.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdstab import functionals as F
 from fdstab.fields import RadialField, TailModel, barenblatt_field, \
-    profile_tail, quadrature_mesh
+    graded_mesh, profile_tail, quadrature_mesh
 from fdstab.params import derive_exponents
 from fdstab.profiles import barenblatt_mass, closed_form_moments
 
@@ -43,20 +46,103 @@ def entropy_vs_optimizer(field, lam, mu):
 
 
 def test_entropy_zero_at_profile():
+    # the sampled profile against itself: every nodal difference is 0
     ex = derive_exponents(3, m=2.0 / 3.0)
     fld = barenblatt_field(ex, MESH)
-    assert abs(F.relative_entropy(fld)) < 1e-6
+    assert F.relative_entropy(fld, fld) == 0.0
     assert abs(F.fisher_information(fld)) < 1e-9
+
+
+def test_entropy_infinite_for_divergent_second_moment():
+    # a tail r^-4.6 at d = 3: the mass and int v^m converge, the second
+    # moment does not
+    ex = derive_exponents(3, m=2.0 / 3.0)
+    fld = field_from_function(ex, lambda rr: (1.0 + rr * rr) ** -2.3,
+                              MESH, tail_power=-4.6)
+    assert F.relative_entropy(fld, barenblatt_field(ex, MESH)) == math.inf
+
+
+def test_entropy_rejects_a_reference_off_the_mesh():
+    ex = derive_exponents(3, m=2.0 / 3.0)
+    fld = barenblatt_field(ex, MESH, lam=1.2)
+    with pytest.raises(ValueError, match="share the mesh"):
+        F.relative_entropy(fld, barenblatt_field(ex, MESH * 1.5))
+
+
+# -- F against its closed form over the admissible range -------------------
+#
+# F[B_lam] = (S*(lam^{d(1-m)/2} - 1) - m K*(lam - 1))/(m - 1), with the
+# profile's moments S* = 2m M/((d+2)m - d) and K* = d(1-m) M/((d+2)m - d)
+# taken in mpmath at 200 bits, since the library's Gamma ratio loses digits
+# as m -> 1.  quadrature_mesh() resolves profiles of unit width; the core
+# of B narrows like sqrt(1 - m), so from 1 - m < 0.1 on the core of the
+# mesh narrows with it.  F is an O(M) difference divided by m - 1, and its
+# second-moment tail divides by d + 2 + 2/(m - 1), so its rounding floor
+# grows like u kappa M with kappa = 1/(1 - m) + 1/((d + 2)m - d).  The bound
+# |F - F*| <= 5e-6 |F*| + 4 u kappa M is twice the worst measured on each
+# term (2.4e-6 relative at d = 2 near m = 1/2; 1.85 u kappa M near m = 1)
+# over these draws, 4 000 random ones and a sweep of m per d to the float
+# below 1.  Since F* ~ (d/2)(lam - 1 - ln lam) M as m -> 1, the rounding
+# term exceeds |F*| once 1 - m falls below 7e-13 (d = 1, lam = 0.95) to
+# 5e-16 (d = 10, lam = 1/2): there the bound holds F to its sign at best.
+
+_F_PROPS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def _admissible_dm_lam(draw):
+    """(d, m) over the whole admissible range, and a dilation lam at least
+    0.05 away from 1."""
+    d = draw(st.integers(1, 10))
+    lo = 0.5 if d <= 2 else (d - 1.0) / d
+    ex = derive_exponents(d, m=draw(st.floats(lo, 1.0, exclude_min=d <= 2,
+                                              exclude_max=True)))
+    return ex, draw(st.floats(0.5, 0.95) | st.floats(1.05, 2.0))
+
+
+def _closed_form_free_energy(ex, lam):
+    """(F[B_lam], M) in mpmath from the Gamma closed form of the moments."""
+    with mp.workprec(200):
+        d, m, lam = mp.mpf(ex.d), mp.mpf(ex.m), mp.mpf(lam)
+        s = 1 / (1 - m)
+        mass = mp.pi ** (d / 2) * mp.exp(mp.loggamma(s - d / 2) - mp.loggamma(s))
+        denom = (d + 2) * m - d
+        s_star, k_star = 2 * m * mass / denom, d * (1 - m) * mass / denom
+        f_star = (s_star * (lam ** (d * (1 - m) / 2) - 1) - m * k_star * (lam - 1)) \
+            / (m - 1)
+        return float(f_star), float(mass)
+
+
+@_F_PROPS
+@given(_admissible_dm_lam())
+def test_entropy_matches_closed_form(ex_lam):
+    ex, lam = ex_lam
+    d, m = ex.d, ex.m
+    width = min(1.0, math.sqrt(10.0 * (1.0 - m)))
+    mesh = graded_mesh(8.0 * width, 12000, 1e3, 9000)
+    try:
+        fld = barenblatt_field(ex, mesh, lam)
+    except ValueError:
+        # the field is refused only where its tail amplitude
+        # lam^{1/(1-m) - d/2} overflows float64
+        assert (1.0 / (1.0 - m) - d / 2.0) * math.log(lam) > 709.0
+        return
+    f_star, mass = _closed_form_free_energy(ex, lam)
+    kappa = 1.0 / (1.0 - m) + 1.0 / ((d + 2.0) * m - d)
+    f_val = F.relative_entropy(fld, barenblatt_field(ex, mesh))
+    assert abs(f_val - f_star) <= 5e-6 * abs(f_star) + 4.0 * 2.0 ** -53 * kappa * mass
 
 
 def test_entropy_frozen_values():
     ex = derive_exponents(3, m=2.0 / 3.0)
     fld = barenblatt_field(ex, MESH, lam=1.2)
-    assert abs(F.relative_entropy(fld) - F_B12_D3_M23) < 2e-6 * F_B12_D3_M23
+    assert abs(F.relative_entropy(fld, barenblatt_field(ex, MESH)) - F_B12_D3_M23) \
+        < 2e-6 * F_B12_D3_M23
     assert abs(F.fisher_information(fld) - I_B12_D3_M23) < 2e-6 * I_B12_D3_M23
     ex2 = derive_exponents(3, m=0.75)
     fld2 = barenblatt_field(ex2, MESH, lam=1.2)
-    assert abs(F.relative_entropy(fld2) - F_B12_D3_M34) < 2e-6 * F_B12_D3_M34
+    assert abs(F.relative_entropy(fld2, barenblatt_field(ex2, MESH)) - F_B12_D3_M34) \
+        < 2e-6 * F_B12_D3_M34
 
 
 def test_entropy_production_inequality():
@@ -64,7 +150,7 @@ def test_entropy_production_inequality():
     for d, m, lam in [(3, 2.0 / 3.0, 1.2), (3, 0.75, 0.8), (4, 0.8, 1.5)]:
         ex = derive_exponents(d, m=m)
         fld = barenblatt_field(ex, MESH, lam=lam)
-        f_val = F.relative_entropy(fld)
+        f_val = F.relative_entropy(fld, barenblatt_field(ex, MESH))
         i_val = F.fisher_information(fld)
         assert i_val >= 4.0 * f_val * (1.0 - 0.01)
 
@@ -73,10 +159,11 @@ def test_quotient_approaches_flow_gap():
     # scaling perturbations: I/F -> 4*alpha as the dilation approaches 1.
     # The smaller epsilon is kept above the quadrature noise floor of F.
     ex = derive_exponents(3, m=0.75)
+    ref = barenblatt_field(ex, MESH)
     gaps = []
     for eps in (3e-2, 1e-2):
         fld = barenblatt_field(ex, MESH, lam=1.0 + eps)
-        q = F.fisher_information(fld) / F.relative_entropy(fld)
+        q = F.fisher_information(fld) / F.relative_entropy(fld, ref)
         gaps.append(abs(q - 4.0 * ex.alpha))
     assert gaps[0] < 0.02 * 4.0 * ex.alpha
     assert gaps[1] < 0.5 * gaps[0]  # shrinks with eps
@@ -87,7 +174,7 @@ def test_deficit_identity_and_zero():
     ex = derive_exponents(3, p=2.0)
     fld = barenblatt_field(ex, MESH, lam=1.2)
     delta = F.deficit(fld)
-    f_val = F.relative_entropy(fld)
+    f_val = F.relative_entropy(fld, barenblatt_field(ex, MESH))
     i_val = F.fisher_information(fld)
     lhs = (ex.p + 1.0) / (ex.p - 1.0) * delta
     rhs = i_val - 4.0 * f_val
@@ -98,13 +185,13 @@ def test_deficit_identity_and_zero():
 def test_report_consistency():
     ex = derive_exponents(3, m=0.75)
     fld = barenblatt_field(ex, MESH, lam=1.3)
-    rep = F.entropy_report(fld)
+    ref = barenblatt_field(ex, MESH)
+    rep = F.entropy_report(fld, ref)
     assert math.isclose(rep.quotient * rep.free_energy, rep.fisher,
                         rel_tol=1e-12)
     assert rep.deficit >= -1e-8
-    mt = closed_form_moments(ex)
     assert math.isclose(rep.rel_second_moment,
-                        rep.second_moment - mt.second_moment, rel_tol=1e-12)
+                        rep.second_moment - ref.second_moment(), rel_tol=1e-12)
 
 
 def test_heisenberg_on_fields():
@@ -153,22 +240,25 @@ def test_csiszar_kullback():
     # constant of the bound at (3, 2/3): (4 alpha/m) M = 6 M
     assert math.isclose(4.0 * ex.alpha / ex.m, 6.0, rel_tol=1e-13)
     fld = barenblatt_field(ex, MESH, lam=1.5)
-    lhs, rhs = F.csiszar_kullback_gap(fld)
+    ref = barenblatt_field(ex, MESH)
+    lhs, rhs = F.csiszar_kullback_gap(fld, ref)
     assert abs(math.sqrt(lhs) - L1_B15_D3_M23) < 1e-5 * L1_B15_D3_M23
-    assert rhs == pytest.approx(6.0 * mass * F.relative_entropy(fld), rel=1e-12)
+    assert rhs == pytest.approx(6.0 * mass * F.relative_entropy(fld, ref), rel=1e-12)
     assert lhs < rhs
-    fldb = barenblatt_field(ex, MESH)
-    lhs0, rhs0 = F.csiszar_kullback_gap(fldb)
-    assert lhs0 < 1e-10 and abs(rhs0) < 1e-5
+    # the sampled profile against itself: both sides vanish exactly
+    lhs0, rhs0 = F.csiszar_kullback_gap(ref, ref)
+    assert lhs0 == 0.0 and rhs0 == 0.0
     # f-side variant
-    lhs2, rhs2 = F.csiszar_kullback_fg_gap(fld)
+    lhs2, rhs2 = F.csiszar_kullback_fg_gap(fld, ref)
     assert lhs2 < rhs2
 
 
 def test_csiszar_kullback_takes_the_mass_once(monkeypatch):
-    # one quadrature each for the mass gate, ||v - B||_1, the second
-    # moment and int v^m: F[v] reads the mass the gate measured
-    fld = barenblatt_field(derive_exponents(3, m=2.0 / 3.0), MESH, lam=1.5)
+    # one quadrature each for the mass gate, ||v - B||_1 and the two
+    # nodal differences of F[v]; the sampled profile is not measured
+    ex = derive_exponents(3, m=2.0 / 3.0)
+    fld = barenblatt_field(ex, MESH, lam=1.5)
+    ref = barenblatt_field(ex, MESH)
     calls = []
     quad = RadialField.quad
 
@@ -177,7 +267,7 @@ def test_csiszar_kullback_takes_the_mass_once(monkeypatch):
         return quad(self, integrand, moment)
 
     monkeypatch.setattr(RadialField, "quad", counted)
-    F.csiszar_kullback_fg_gap(fld)
+    F.csiszar_kullback_fg_gap(fld, ref)
     assert len(calls) == 4
 
 
@@ -186,7 +276,7 @@ def test_csiszar_kullback_mass_gate():
     fld = barenblatt_field(ex, MESH)
     bad = fld.with_values(fld.v * 1.01)
     with pytest.raises(ValueError):
-        F.csiszar_kullback_gap(bad)
+        F.csiszar_kullback_gap(bad, fld)
 
 
 def test_best_match_identity_and_scaling():
@@ -317,9 +407,10 @@ def test_constraint_box_on_fields():
     from fdstab.moments import psi_upper
     ex = derive_exponents(3, m=2.0 / 3.0)
     mt = closed_form_moments(ex)
+    ref = barenblatt_field(ex, MESH)
     for lam in (0.6, 0.9, 1.4):
         fld = barenblatt_field(ex, MESH, lam=lam)
-        rep = F.entropy_report(fld)
+        rep = F.entropy_report(fld, ref)
         k, s = rep.rel_second_moment, rep.rel_entropy
         assert k >= -mt.second_moment
         assert s >= -mt.entropy * (1 + 1e-9)
