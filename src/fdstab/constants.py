@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ledger import ConstantLedger
 from .logscale import ONE, LogReal, logreal
 from .moments import delay_bound
@@ -31,6 +29,7 @@ from .profiles import barenblatt_mass, closed_form_moments, omega_d
 from .spectral import critical_gap_parameters
 
 CHI = 1.0 / 580.0
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +88,16 @@ def _to_float_or_zero(x: LogReal) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """ln(e^x + e^y) on floats, branch for branch as numpy's logaddexp."""
+    if x == y:
+        return x + _LN2
+    tmp = x - y
+    if tmp > 0.0:
+        return x + math.log1p(math.exp(-tmp))
+    return y + math.log1p(math.exp(tmp))
+
+
 def sigma_series(d: int, rel_tail: float = 1e-40) -> LogReal:
     """sum_j (3/4)^j ((2+j)(1+j))^{2d+4}, accumulated in log space."""
     q = 2.0 * d + 4.0
@@ -97,14 +106,14 @@ def sigma_series(d: int, rel_tail: float = 1e-40) -> LogReal:
     j = 0
     while True:
         term = j * log34 + q * math.log((2.0 + j) * (1.0 + j))
-        total = np.logaddexp(total, term)
+        total = _logaddexp(total, term)
         # past the peak the increments decay geometrically
         if term < total + math.log(rel_tail) and j > q / math.log(4.0 / 3.0):
             break
         j += 1
         if j > 100000:
             raise RuntimeError("series did not converge")
-    return LogReal.from_ln(float(total))
+    return LogReal.from_ln(total)
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,11 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal) -> MoserCh
 
     # ln h = 2^{d+4} 3^d d + c0^3 * 2^{2(d+2)+3} (1 + 2^{d+2}/(sqrt2-1)^{2(d+2)}) sigma
     bracket = 1.0 + 2.0 ** (d + 2) / (math.sqrt(2.0) - 1.0) ** (2 * (d + 2))
-    ln_h_log = np.logaddexp(
+    ln_h_log = _logaddexp(
         math.log(2.0 ** (d + 4) * 3.0 ** d * d),
         3.0 * ln_c0 + (2.0 * (d + 2) + 3.0) * math.log(2.0)
         + math.log(bracket) + sig.ln_float())
-    h = LogReal.exp_of(LogReal.from_ln(float(ln_h_log)))
+    h = LogReal.exp_of(LogReal.from_ln(ln_h_log))
     hbar = h.pow_logreal(mu)
 
     # ln h >= 2^{d+4} 3^d d >= 96 and mu >= lam0 + 1/lam0 >= 2, so
@@ -251,8 +260,8 @@ def smoothing_constant(ex: ExponentSet) -> LogReal:
         - math.log(2.0 - m) - m / (1.0 - m) * math.log(1.0 - m)
     ln_a2 = (d - m * (d + 1.0)) / (1.0 - m) * math.log(2.0) \
         - d * math.log(3.0) - math.log(d)
-    ln_a_omega = float(np.logaddexp(ln_a1, ln_a2)) + math.log(omega_d(d))
-    ln_one_plus_a_omega = float(np.logaddexp(0.0, ln_a_omega))
+    ln_a_omega = _logaddexp(ln_a1, ln_a2) + math.log(omega_d(d))
+    ln_one_plus_a_omega = _logaddexp(0.0, ln_a_omega)
     xi = (2.0 / 3.0) ** (beta / (4.0 * (q + 1.0)))
     ln_b = 2.0 * (q + 1.0) * math.log(38.0) - 4.0 * (q + 1.0) * math.log(1.0 - xi)
     ln_k_pow_beta = beta * math.log(4.0 * beta / (beta + 2.0)) \

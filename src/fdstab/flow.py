@@ -336,6 +336,32 @@ def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
     return RadialField(ex, r, v, profile_tail(ex).through(r, v))
 
 
+def _second_moment_of(ex: ExponentSet, r: np.ndarray):
+    """v -> the second moment of _make_field(ex, r, v), without the field.
+
+    The weight omega_d r^{d+1}, the mesh differences and the tail factor
+    are formed once; per call the trapezoid sum and the tail term keep the
+    expressions and order of RadialField.quad and RadialField.power_tail,
+    with the amplitude fitted as TailModel.through fits it, so the float is
+    the field's own.  The tail term converges (expo < 0) wherever the
+    profile's second moment, which the delayed flow divides by, exists.
+    """
+    tail = profile_tail(ex)
+    weight = omega_d(ex.d) * r ** (ex.d + 1)
+    dr = r[1:] - r[:-1]
+    expo = ex.d + 2 + tail.power
+    omega, r_pow, r_last = omega_d(ex.d), float(r[-1]) ** expo, float(r[-1])
+
+    def second_moment(v: np.ndarray) -> float:
+        y = np.maximum(v, 0.0) * weight
+        total = float((dr * (y[1:] + y[:-1]) / 2.0).sum())
+        amplitude = max(float(v[-1]), 0.0) / r_last ** tail.power
+        if amplitude == 0.0:
+            return total
+        return total + omega * amplitude * r_pow / (-expo)
+    return second_moment
+
+
 def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
     """Scheme and renormalized nodal values shared by the confined flows.
 
@@ -413,6 +439,7 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, v)], [mass_ref], [0.0]
     drift, tau = 0.0, 0.0
     if delay:
+        second_moment = _second_moment_of(ex, r)
         ratio = snaps[0].second_moment() / m2_star
     dt = DT_INIT
     t_window, pace0 = 0.0, math.nan
@@ -431,12 +458,15 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
                     f"at t = {stepper.t} after {k} accepted steps (mean dt "
                     f"{pace:.3g} over the last {PACE_WINDOW}) the run cannot reach "
                     f"t_end = {t_end} within max_steps = {opts.max_steps}")
-        snap = None
+        # a field is built at save times only; there the delay update
+        # measures it, and its report reads the kept integral
+        saving = stepper.t >= save_times[len(times)] - 1e-12
+        snap = _make_field(ex, r, stepper.v) if saving else None
         if delay:
             # Heun update of the delay equation on the PDE grid
             g0 = ratio ** (-0.5 * ex.alpha) - 1.0
-            snap = _make_field(ex, r, stepper.v)
-            ratio = snap.second_moment() / m2_star
+            ratio = (snap.second_moment() if saving else second_moment(stepper.v)) \
+                / m2_star
             g1 = ratio ** (-0.5 * ex.alpha) - 1.0
             dtau = 0.5 * dt_taken * (g0 + g1)
             if dtau <= -dt_taken:
@@ -444,9 +474,9 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
             tau += dtau
         mass = bookkept_mass()
         drift = max(drift, abs(mass - mass_ref) / mass_ref)
-        if stepper.t >= save_times[len(times)] - 1e-12:
+        if saving:
             times.append(stepper.t)
-            snaps.append(_make_field(ex, r, stepper.v) if snap is None else snap)
+            snaps.append(snap)
             fv_mass.append(mass)
             taus.append(tau)
     if stepper.t < t_end - 1e-12:

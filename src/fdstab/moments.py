@@ -26,6 +26,9 @@ import numpy as np
 from .params import ExponentSet
 from .profiles import closed_form_moments
 
+# numbers per row block of a batch of phase paths (256 KB per array)
+_PHASE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PhaseState:
@@ -102,11 +105,14 @@ def xy_closed_form(state0: PhaseState, t) -> tuple[np.ndarray, np.ndarray]:
 
 def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
                        dt: float = 1e-3) -> dict:
-    """Classical RK4 paths from one start or an array of starts, all steps
-    and starts in one array expression on the same fixed grid.
+    """Classical RK4 paths from one start or an array of starts, all starts
+    at once on the same fixed grid.
 
     Returns arrays t, x, y and the energy level along the paths, with x,
-    y and energy shaped (steps + 1,) + shape of the start.  The paths are
+    y and energy shaped (steps + 1,) + shape of the start.  The three are
+    formed in place in the returned arrays, a block of steps at a time
+    with one block-sized scratch; the energy equals :func:`_energy` of
+    the returned x and y bit for bit.  The paths are
     the RK4 trajectories, not the exact flow: one step with h = dt is the
     fixed map R = P(hM), M = [[-4, a], [0, -b]], P(z) = 1 + z + z^2/2 +
     z^3/6 + z^4/24, so step k is R^k applied to the start, and
@@ -125,12 +131,26 @@ def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
     col = (n + 1,) + (1,) * x0.ndim
     p11, p12, p22 = (p.reshape(col) for p in _rk4_propagator(a, b, dt, n))
     xs = np.empty((n + 1,) + x0.shape)
-    ys = np.empty_like(xs)
-    # xs = p11 x0 + p12 y0, with ys as the scratch for the second term
-    np.multiply(p11, x0, out=xs)
-    xs += np.multiply(p12, y0, out=ys)
-    np.multiply(p22, y0, out=ys)
-    return {"t": t, "x": xs, "y": ys, "energy": _energy(a, b, xs, ys)}
+    ys, energy = np.empty_like(xs), np.empty_like(xs)
+    # row blocks of about _PHASE_BLOCK numbers, formed while they sit in
+    # cache, with one block-sized scratch
+    rows = max(1, _PHASE_BLOCK // max(1, x0.size))
+    scratch = np.empty((min(rows, n + 1),) + x0.shape)
+    for i in range(0, n + 1, rows):
+        j = min(i + rows, n + 1)
+        x, y, e, s = xs[i:j], ys[i:j], energy[i:j], scratch[:j - i]
+        # x = p11 x0 + p12 y0, y = p22 y0
+        np.multiply(p11[i:j], x0, out=x)
+        x += np.multiply(p12[i:j], y0, out=s)
+        np.multiply(p22[i:j], y0, out=y)
+        # _energy's operations in its order: e = a y - 4 x, e e, + (4 b)(x x)
+        np.multiply(a, y, out=e)
+        e -= np.multiply(4.0, x, out=s)
+        e *= e
+        np.multiply(x, x, out=s)
+        s *= 4.0 * b
+        e += s
+    return {"t": t, "x": xs, "y": ys, "energy": energy}
 
 
 def _rk4_propagator(a: float, b: float, h: float, n: int):

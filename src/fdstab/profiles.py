@@ -32,9 +32,10 @@ def barenblatt(ex: ExponentSet, r) -> np.ndarray | float:
 
 
 def dilation_power(lam: float, expo: float) -> float:
-    """lam ** expo; ``ValueError`` naming the dilation where it overflows."""
+    """lam ** expo as a Python float, so that a numpy scalar lam or expo
+    overflows into ``ValueError`` naming the dilation, not into inf."""
     try:
-        return lam ** expo
+        return float(lam) ** float(expo)
     except OverflowError:
         raise ValueError(f"dilation lam = {lam} out of range: lam^{expo:g} "
                          "overflows float64") from None

@@ -173,23 +173,43 @@ def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
 
 
 def test_delay_simulate_measures_each_state_once(monkeypatch, capsys):
-    # the Heun loop measures each state's second moment, and a save's
-    # report reads it again from the same field: one second-moment
-    # quadrature per state
-    measured = []
+    # the Heun loop measures each state's second moment once: between
+    # saves from the nodal values, without a field; at a save from the
+    # snapshot field, whose report reads that kept integral again.  So
+    # the measures number the states (the start and one per accepted
+    # step) plus the sampled profile the reports pair against, and no
+    # field or array is measured twice
+    fields, arrays, steps = [], [], []
     quad = RadialField.quad
+    second_moment_of = fdstab.flow._second_moment_of
+    advance = fdstab.flow._Stepper.advance
 
-    def counted(self, integrand, moment=0):
+    def counted_quad(self, integrand, moment=0):
         if moment == 2:
-            measured.append(self)  # kept alive, so ids stay distinct
+            fields.append(self)  # kept alive, so ids stay distinct
         return quad(self, integrand, moment)
 
-    monkeypatch.setattr(RadialField, "quad", counted)
+    def counted_second_moment_of(ex, r):
+        measure = second_moment_of(ex, r)
+
+        def counted(v):
+            arrays.append(v)
+            return measure(v)
+        return counted
+
+    def counted_advance(self, dt):
+        steps.append(dt)
+        return advance(self, dt)
+
+    monkeypatch.setattr(RadialField, "quad", counted_quad)
+    monkeypatch.setattr(fdstab.flow, "_second_moment_of", counted_second_moment_of)
+    monkeypatch.setattr(fdstab.flow._Stepper, "advance", counted_advance)
     code, _ = run(["delay", "--d", "3", "--m", "0.6666666666666666",
                    "--simulate"], capsys)
     assert code == 0
-    repeats = len(measured) - len({id(f) for f in measured})
-    assert len(measured) > 100 and repeats == 0
+    assert len(fields) == len({id(f) for f in fields})
+    assert len(arrays) == len({id(a) for a in arrays})
+    assert len(arrays) > 100 and len(fields) + len(arrays) == 1 + len(steps) + 1
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

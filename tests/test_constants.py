@@ -40,6 +40,21 @@ def test_sigma_series_truncation_stability():
     assert s20.log_representable
 
 
+def test_sigma_series_matches_numpy_logaddexp():
+    # the reference accumulates with np.logaddexp, as the series once did
+    def reference(d, rel_tail=1e-40):
+        q, total, j = 2.0 * d + 4.0, -math.inf, 0
+        while True:
+            term = j * math.log(0.75) + q * math.log((2.0 + j) * (1.0 + j))
+            total = np.logaddexp(total, term)
+            if term < total + math.log(rel_tail) and j > q / math.log(4.0 / 3.0):
+                return float(total)
+            j += 1
+
+    for d in range(1, 21):
+        assert C.sigma_series(d).ln_float().hex() == reference(d).hex()
+
+
 def test_moser_chain_anchors():
     mc = C.moser_chain(3, 0.5, 2.0)
     assert mc.c2 == 2592.0

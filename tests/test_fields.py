@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +189,15 @@ def test_field_is_measured_once_and_read_only(monkeypatch):
     v[0], mesh[-1] = 0.0, 2.0 * mesh[-1]
     assert (fld.v[0], fld.r[-1]) == (v0, 0.5 * mesh[-1])
     assert fld.mass() == RadialField(ex, fld.r, fld.v, fld.tail).mass() == mass
+
+
+def test_dilation_overflow_is_refused_for_numpy_scalars():
+    # np.float64 ** float returns inf with a RuntimeWarning where a Python
+    # float raises OverflowError; the refusal must not depend on the type
+    ex = derive_exponents(3, m=0.9999)
+    with pytest.raises(ValueError, match="dilation lam = 2.0 out of range"):
+        barenblatt_field(ex, graded_mesh(), np.float64(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="dilation lam = 2.0 out of range"):
+            barenblatt_field(ex, graded_mesh(), np.float64(2.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,30 @@ def test_closed_form_power_matches_stepping_loop():
         xs, ys = _rk4_loop(EX.a_param, EX.b_param, x0[j], y0[j], 10000, 1e-3)
         assert np.max(np.abs(path["x"][:, j] - xs)) < 1e-13
         assert np.max(np.abs(path["y"][:, j] - ys)) < 1e-13
+
+
+def test_energy_is_the_level_of_the_returned_path():
+    # formed in place a block of steps at a time, it is _energy bit for bit
+    rng = np.random.default_rng(7)
+    x0 = rng.uniform(-0.95 * MT.second_moment, 2.0 * MT.second_moment, 100)
+    y0 = rng.uniform(-0.95 * MT.entropy, 1.0, 100)
+    for path in (M.xy_integrate_batch(EX, x0, y0, 10.0),
+                 M.xy_integrate_batch(EX, 0.1, 0.05, 10.0)):
+        assert np.array_equal(path["energy"],
+                              M._energy(EX.a_param, EX.b_param, path["x"], path["y"]))
+
+
+def test_batch_memory_is_its_three_outputs():
+    # x, y and energy of 10 001 x 100 and a block-sized scratch (0.25 MB)
+    x0, y0 = np.linspace(-0.5, 1.0, 100), np.linspace(0.5, -0.2, 100)
+    M.xy_integrate_batch(EX, x0, y0, 10.0)
+    tracemalloc.start()
+    try:
+        M.xy_integrate_batch(EX, x0, y0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 10001 * 100 * 8 + 1e6
 
 
 @st.composite

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fdstab.constants import moser_chain
-from fdstab.parabolic import (checkerboard_coefficient, harnack_ratio,
+from fdstab.parabolic import (_BLOCK_STEPS, checkerboard_coefficient, harnack_ratio,
                               solve_linear_parabolic)
 
 
@@ -78,3 +80,76 @@ def test_validation():
                                   1.0, 1.0, (-1, 1), 0.5)
     with pytest.raises(ValueError):
         harnack_ratio(hist, 0.4, 0.0, 1.0)  # cylinders leave the time range
+
+
+def _stepwise_history(coeff, lam0, lam1, x_span, t_end, n_x, n_t):
+    """The history by one coefficient call, one window check and one
+    tridiagonal solve per time step, with scalar t and 1-D faces."""
+    x = np.linspace(x_span[0], x_span[1], n_x)
+    dx = x[1] - x[0]
+    t = np.linspace(0.0, t_end, n_t + 1)
+    dt = t[1] - t[0]
+    v = 0.1 + np.exp(-x ** 2)
+    hist = np.empty((n_t + 1, n_x))
+    hist[0] = v
+    faces = 0.5 * (x[1:] + x[:-1])
+    for k in range(n_t):
+        a_face = np.asarray(coeff(t[k] + 0.5 * dt, faces), dtype=float)
+        assert np.all(a_face >= lam0 * (1 - 1e-12)) and np.all(a_face <= lam1 * (1 + 1e-12))
+        w = dt / dx ** 2 * a_face
+        diag = np.ones(n_x)
+        diag[:-1] += w
+        diag[1:] += w
+        *_, v, info = scipy.linalg.lapack.dgtsv(-w, diag, -w, v)
+        assert info == 0
+        hist[k + 1] = v
+    return hist
+
+
+@pytest.mark.parametrize("n_t", [800, 2 * _BLOCK_STEPS, 130, 1])
+@pytest.mark.parametrize("which", ["checkerboard", "x-only"])
+def test_block_march_is_the_step_march(which, n_t):
+    # 800 and 130 leave a partial last block; the x-only coefficient
+    # returns (1, n_x - 1), which must broadcast over the block's steps
+    coeff = {"checkerboard": checkerboard_coefficient(0.5, 2.0),
+             "x-only": lambda t, x: np.full_like(x, 2.0)}[which]
+    hist = solve_linear_parabolic(coeff, 0.5, 2.0, (-4.0, 4.0), 2.2, n_t=n_t)
+    ref = _stepwise_history(coeff, 0.5, 2.0, (-4.0, 4.0), 2.2, 401, n_t)
+    assert np.array_equal(hist.v, ref)
+
+
+def test_coefficient_is_called_once_per_block():
+    shapes = []
+
+    def coeff(t, x):
+        shapes.append((t.shape, x.shape))
+        return np.ones_like(x)
+
+    solve_linear_parabolic(coeff, 1.0, 1.0, (-1.0, 1.0), 0.5, n_x=51, n_t=150)
+    assert shapes == [((_BLOCK_STEPS, 1), (1, 50))] * 2 + [((150 - 2 * _BLOCK_STEPS, 1), (1, 50))]
+
+
+def test_window_left_in_the_last_block_raises():
+    n_t, t_end = 800, 2.2
+    last = (n_t // _BLOCK_STEPS) * _BLOCK_STEPS * t_end / n_t
+    assert n_t % _BLOCK_STEPS and last < 2.19
+
+    def coeff(t, x):
+        return np.where(t > 2.19, 5.0, 1.0) * np.ones_like(x)
+
+    with pytest.raises(ValueError, match="ellipticity window"):
+        solve_linear_parabolic(coeff, 0.5, 2.0, (-4.0, 4.0), t_end, n_t=n_t)
+
+
+def test_memory_is_the_history_plus_one_block():
+    # (801, 401) history of 2.57 MB; one block of bands and coefficient
+    # adds about 1.0 MB
+    cb = checkerboard_coefficient(0.5, 2.0)
+    solve_linear_parabolic(cb, 0.5, 2.0, (-4.0, 4.0), 2.2)
+    tracemalloc.start()
+    try:
+        solve_linear_parabolic(cb, 0.5, 2.0, (-4.0, 4.0), 2.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 801 * 401 * 8 + 1.5e6
