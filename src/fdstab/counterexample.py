@@ -10,11 +10,15 @@ entropy, diverges; the deficit still vanishes.  The family is
 axisymmetric, so every integral reduces to a 2D (z, s) quadrature in
 d = 3.  The bulk of each integral is carried by the exact single-bump
 values; only the superposition corrector, which is concentrated where
-the bumps interact, is integrated numerically.
+the bumps interact, is integrated numerically.  It is formed about the
+dominant bump in log form, with ``log1p`` and ``expm1``, so that nothing
+cancels (``_Corrector.fill``).
 
 Along z the integrands are even and fall below 1e-17 well inside the
-grid, so the uniform trapezoid there is spectrally accurate.  Along s
-the measure s ds makes them s F(s^2), whose slope at s = 0 keeps the
+grid, so the uniform trapezoid there is spectrally accurate.  Each z
+node count is the smallest found whose reports equal, bit for bit,
+those of a grid with 4x the nodes in every segment.  Along s the measure
+s ds makes the integrands s F(s^2), whose slope at s = 0 keeps the
 trapezoid's h^2 error term, so s is integrated with Gauss-Legendre
 panels instead.
 
@@ -50,10 +54,17 @@ _N_BIG = 15
 # the axial grid resolves each bump out to this distance from its center
 _REACH = 50.0
 # uniform z nodes on [0, center + _REACH] when the bumps are that near
-_Z_CORE = 800
+_Z_CORE = 350
+# for centers beyond 3 _REACH: uniform nodes on [0, 12], geometric ones
+# out to center - _REACH and uniform ones on center -+ _REACH
+_Z_NEAR, _Z_MID, _Z_FAR = 200, 300, 400
+# geometric z nodes from center + _REACH out to 3 (center + _REACH)
+_Z_TAIL = 250
 # a block is skipped when its corrector bound is at most this fraction of
 # both exact single-bump totals
 _SKIP_REL = 1e-17
+# (radius, node) pairs per chunk of the tail scan's direct band sums
+_TAIL_CHUNK = 4096
 # r^e overflows float64 once e ln r exceeds this
 _LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -84,6 +95,8 @@ def counterexample_report(ex: ExponentSet, k: int,
     if k < 2:
         raise ValueError("k must be >= 2")
     X = float(k) ** 2 if center is None else float(center)
+    if not math.isfinite(X):
+        raise ValueError(f"bump center {X} is not finite")
     if X < 12.0:
         raise ValueError(f"bump separation {X} too small; the profiles overlap")
     # the tail norm first: it rejects p too close to 1 before any quadrature
@@ -135,9 +148,14 @@ class _Corrector:
         self.w = w_s * self.s
         self.n_blocks = -(-self.z.size // _BLOCK_ROWS)
         self.rows_p, self.rows_g = np.zeros_like(self.z), np.zeros_like(self.z)
-        # axial offsets to the three bumps, (3, z, 1), and their squares
+        # a zero weight (k = 2) drops its bump: log c = -inf, so a_i = 0
+        c = np.array(self.c)
+        self.log_c = np.log(c, out=np.full(3, -np.inf), where=c > 0)[:, None, None]
+        # axial offsets to the three bumps, (3, z, 1), their squares and
+        # their pair products dz_0 dz_1, dz_0 dz_2, dz_1 dz_2
         self.dz = self.z[None, :, None] - np.array([0.0, X, -X])[:, None, None]
         self.dz2 = self.dz ** 2
+        self.dz_pairs = self.dz[[0, 0, 1]] * self.dz[[1, 2, 2]]
 
     def block_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on |4 pi sum_{z in block} w_z row_z| of every z block,
@@ -171,9 +189,7 @@ class _Corrector:
         log_t_lo = np.log1p(np.minimum.reduceat(dz2, cells_z, axis=1)[:, :, None]
                             + np.minimum.reduceat(s2, cells_s))
         dz2_hi = np.maximum.reduceat(dz2, cells_z, axis=1)
-        # a zero weight (k = 2) drops its bump: log c = -inf, so a_i = g_i = 0
-        c = np.array(self.c)
-        log_c = np.log(c, out=np.full(3, -np.inf), where=c > 0)[:, None, None]
+        c, log_c = np.array(self.c), self.log_c
         j = np.argmin(np.where(c[:, None] > 0, dz2_hi, np.inf), axis=0)
         blocks = np.arange(self.n_blocks)
         log_t_hi_j = np.log1p(dz2_hi[j, blocks][:, None]
@@ -197,71 +213,82 @@ class _Corrector:
 
     def fill(self, blocks: np.ndarray) -> None:
         """Rows of the given z blocks, every temporary a view of one
-        (_N_BIG, rows, s) buffer allocated once for all of them; sums and
-        products are taken left to right as in the formulas
-        (c0 b0 + c1 b1 + c1 b2, ...), the order the pinned values were
-        computed in."""
-        p, m, q2p = self.p, self.m, self.q
-        c0, c1, _ = self.c
-        s, s2, w = self.s, self.s ** 2, self.w
-        big = np.empty((_N_BIG, _BLOCK_ROWS, s.size))
-        cm = tuple(c ** m for c in self.c)
-        # |grad (c_i g^{2p})^{1/(2p)}|^2 = c_i^{1/p} (2/(p-1))^2 u2 (1+u2)^(-q2p)
-        cg = tuple(c ** (1.0 / p) * (2.0 / (p - 1.0)) ** 2 for c in self.c)
-        grad_scale = -2.0 * q2p
+        (_N_BIG, rows, s) buffer allocated once for all of them.
+
+        Both correctors are formed so that nothing cancels.  With j the
+        dominant bump at a point and rho = sum_{i != j} a_i / a_j,
+        A^m - sum_i a_i^m = a_j^m expm1(m log1p rho) - sum_{i != j} a_i^m.
+        With f_i = a_i^r, grad A^r = sum_i theta_i grad f_i and
+        theta_i = (a_i/A)^(1-r), so the gradient corrector is
+        sum_i (theta_i^2 - 1)|grad f_i|^2 + 2 sum_{i<k} theta_i theta_k
+        grad f_i . grad f_k, where grad f_i = -(2/(p-1)) (a_i^r/t_i)(dz_i, s)
+        and theta_i^2 - 1 = expm1(2 (1-r) log(a_i/A)).  Every power is the
+        exp of a scaled log a_i = log c_i - q log1p(u_i^2).  On z >= 0 the
+        bump at -X never dominates, so j is the larger of bumps 0 and 1,
+        and log(a_j/A) = -log1p rho exactly.
+        """
+        p, m, q = self.p, self.m, self.q
+        r = 1.0 / (2.0 * p)
+        s2, w = self.s ** 2, self.w
+        log_c = self.log_c
+        big = np.empty((_N_BIG, _BLOCK_ROWS, s2.size))
         for b in blocks:
-            b_lo = b * _BLOCK_ROWS
-            b_hi = min(b_lo + _BLOCK_ROWS, self.z.size)
-            n = b_hi - b_lo
-            u2s, ts, bs = big[0:3, :n], big[3:6, :n], big[6:9, :n]
-            big_a, pw, tmp, acc, da_z, da_s = big[9:15, :n]
-            dzs = self.dz[:, b_lo:b_hi]
-            for i in range(3):
-                np.add(self.dz2[i, b_lo:b_hi], s2, out=u2s[i])
-                np.add(1.0, u2s[i], out=ts[i])
-                np.power(ts[i], -q2p, out=bs[i])
-            np.multiply(c0, bs[0], out=big_a)
-            big_a += np.multiply(c1, bs[1], out=tmp)
-            big_a += np.multiply(c1, bs[2], out=tmp)
+            rows = slice(b * _BLOCK_ROWS, min((b + 1) * _BLOCK_ROWS, self.z.size))
+            n = rows.stop - rows.start
+            u2, v, la, e = big[0:3, :n], big[3:6, :n], big[6:9, :n], big[9:12, :n]
+            # top, low and tmp hold e's rows until e is formed
+            top, low, tmp = e
+            l1, acc, t1 = big[12:15, :n]
+            np.add(self.dz2[:, rows], s2, out=u2)
+            np.log1p(u2, out=v)
+            np.multiply(v, -q, out=la)
+            la += log_c
+            # v_i = log(a_i^r / t_i)
+            v *= -p / (p - 1.0)
+            v += r * log_c
+            np.maximum(la[0], la[1], out=top)
+            np.minimum(la[0], la[1], out=low)
+            np.subtract(low, top, out=tmp)
+            np.exp(tmp, out=tmp)
+            np.subtract(la[2], top, out=t1)
+            tmp += np.exp(t1, out=t1)
+            np.log1p(tmp, out=l1)
 
             # L^{p+1} part: int A^m with the single-bump contributions exact
-            np.power(big_a, m, out=pw)
-            np.power(bs[0], m, out=acc)
-            acc *= cm[0]
-            for i in (1, 2):
-                np.power(bs[i], m, out=tmp)
-                tmp *= cm[i]
-                acc += tmp
-            pw -= acc
-            np.einsum("ij,j->i", pw, w, out=self.rows_p[b_lo:b_hi])
+            np.multiply(l1, m, out=acc)
+            np.expm1(acc, out=acc)
+            np.multiply(top, m, out=t1)
+            acc *= np.exp(t1, out=t1)
+            low *= m
+            acc -= np.exp(low, out=low)
+            np.multiply(la[2], m, out=t1)
+            acc -= np.exp(t1, out=t1)
+            np.einsum("ij,j->i", acc, w, out=self.rows_p[rows])
 
-            # gradient part: |grad f|^2 = (1/2p)^2 A^{1/p-2} |grad A|^2; the
-            # bump gradient is -2 q2p (1+u2)^(-q2p-1) (dz, s), and
-            # (1+u2)^(-q2p-1) = b / t, kept in place of t
-            ws = ts
-            for i in range(3):
-                np.divide(bs[i], ts[i], out=ws[i])
-                ws[i] *= grad_scale
-            for da, x in ((da_z, dzs), (da_s, (s, s, s))):
-                np.multiply(ws[0], x[0], out=da)
-                da *= c0
-                for i in (1, 2):
-                    np.multiply(ws[i], x[i], out=tmp)
-                    tmp *= c1
-                    da += tmp
-            safe_a = np.maximum(big_a, 1e-280, out=big_a)
-            f_grad_sq = np.power(safe_a, 1.0 / p - 2.0, out=safe_a)
-            f_grad_sq *= (1.0 / (2.0 * p)) ** 2
-            np.square(da_z, out=da_z)
-            da_z += np.square(da_s, out=da_s)
-            f_grad_sq *= da_z
-            for i in range(3):
-                u2s[i] *= cg[i]
-                u2s[i] *= bs[i]
-            u2s[0] += u2s[1]
-            u2s[0] += u2s[2]
-            f_grad_sq -= u2s[0]
-            np.einsum("ij,j->i", f_grad_sq, w, out=self.rows_g[b_lo:b_hi])
+            # gradient part, over the factor (2/(p-1))^2: la becomes
+            # y_i = (1-r) log(a_i/A), then log(theta_i a_i^r / t_i)
+            la -= top
+            la -= l1
+            la *= 1.0 - r
+            np.multiply(la, 2.0, out=e)
+            np.expm1(e, out=e)
+            la += v
+            v *= 2.0
+            e *= np.exp(v, out=v)
+            e *= u2
+            np.add(e[0], e[1], out=acc)
+            acc += e[2]
+            h = np.exp(la, out=la)
+            np.multiply(h[0], h[1:3], out=v[0:2])
+            np.multiply(h[1], h[2], out=v[2])
+            np.add(self.dz_pairs[:, rows], s2, out=u2)
+            u2 *= v
+            u2[0] += u2[1]
+            u2[0] += u2[2]
+            u2[0] *= 2.0
+            acc += u2[0]
+            np.einsum("ij,j->i", acc, w, out=self.rows_g[rows])
+            self.rows_g[rows] *= (2.0 / (p - 1.0)) ** 2
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -288,11 +315,11 @@ def _axisym_grids(center: float):
     if center <= 3.0 * _REACH:
         core = np.linspace(0.0, center + _REACH, _Z_CORE)
     else:
-        near = np.linspace(0.0, 12.0, 550)
-        mid = 12.0 * ((center - _REACH) / 12.0) ** np.linspace(0.0, 1.0, 400)[1:]
-        far = np.linspace(center - _REACH, center + _REACH, 1100)[1:]
+        near = np.linspace(0.0, 12.0, _Z_NEAR)
+        mid = 12.0 * ((center - _REACH) / 12.0) ** np.linspace(0.0, 1.0, _Z_MID)[1:]
+        far = np.linspace(center - _REACH, center + _REACH, _Z_FAR)[1:]
         core = np.concatenate([near, mid, far])
-    tail = (center + _REACH) * 3.0 ** np.linspace(0.0, 1.0, 250)[1:]
+    tail = (center + _REACH) * 3.0 ** np.linspace(0.0, 1.0, _Z_TAIL)[1:]
     z = np.unique(np.concatenate([core, tail]))
     growth = max(center, 24.0) / 12.0
     n_near = round(12.0 / _S_PANEL_WIDTH)
@@ -333,11 +360,17 @@ def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
     own end; the centered bump's mass is the suffix sum interpolated at r.
     (Total minus cumulative would cancel at large r.)
 
-    For r < X the fraction inside the band is
-    (X - r)(X + r)/(4Xu) + (2X + u)/(4X), both terms >= 0, so the inner
-    band nodes of every such r are differences of two suffix sums; the
-    band's end nodes carry fraction 1.  For r >= X a separable form would
-    cancel near u = r - X, so those radii are summed one at a time.
+    Inside the band the fraction is
+    (X - r)(X + r)/(4Xu) + (2X + u)/(4X), so the inner band nodes of every
+    r are differences of two suffix sums.  For r < X both terms are >= 0;
+    the band's end nodes carry fraction 1.  For r >= X the first term is
+    negative and the form cancels where the fraction f is small: the
+    second term is at most (3X + r)/(4X), 1.15 at the scan's largest
+    radius 1.6 X, so where f >= 0.1 it cancels by at most 11.5x.  The
+    fraction grows with u across the band, so the band nodes with f < 0.1
+    are the ones below u = sqrt(r^2 - 0.36 X^2) - 0.8 X; those are summed
+    node by node, in chunks of at most _TAIL_CHUNK (radius, node) pairs.
+    The band's end nodes carry fractions 0 and 1.
     """
     du = np.diff(u)
     seg = 0.5 * (w[1:] + w[:-1]) * du
@@ -347,27 +380,38 @@ def _tail_masses(u: np.ndarray, w: np.ndarray, X: float,
 
     lo = np.searchsorted(u, np.abs(X - radii), side="right") - 1
     hi = np.minimum(np.searchsorted(u, X + radii, side="left"), u.size - 1)
-    shifted = np.empty_like(radii)
-
     near = radii < X
-    r, i, h = radii[near], lo[near], hi[near]
+    # the first band node summed from suffix sums
+    u_sep = np.sqrt(np.maximum(radii * radii - 0.36 * X * X, 0.0)) - 0.8 * X
+    sep = np.where(near, lo + 1,
+                   np.clip(np.searchsorted(u, u_sep, side="left"), lo + 1, hi))
+
     # suffix sums of the nodes' trapezoid weights times w / u and w (2X + u)
     cw = _trapezoid_weights(u) * w
     by_u = np.divide(cw, u, out=np.zeros_like(u), where=u > 0.0)
     suffix_u = np.concatenate([np.cumsum(by_u[::-1])[::-1], [0.0]])
     suffix_x = np.concatenate([np.cumsum((cw * (2.0 * X + u))[::-1])[::-1], [0.0]])
-    inner = ((X - r) * (X + r) * (suffix_u[i + 1] - suffix_u[h])
-             + (suffix_x[i + 1] - suffix_x[h])) / (4.0 * X)
-    ends = 0.5 * (du[i] * w[i] + du[h - 1] * w[h])
-    shifted[near] = below[i] + (ends + inner) + above[h]
+    inner = ((X - radii) * (X + radii) * (suffix_u[sep] - suffix_u[hi])
+             + (suffix_x[sep] - suffix_x[hi])) / (4.0 * X)
+    ends = 0.5 * (np.where(near, du[lo] * w[lo], 0.0) + du[hi - 1] * w[hi])
 
-    x2_u2, two_xu = X * X + u ** 2, 2.0 * X * np.maximum(u, 1e-300)
-    for n in np.flatnonzero(~near):
-        r, i, h = radii[n], lo[n], hi[n]
-        mu0 = (r * r - x2_u2[i:h + 1]) / two_xu[i:h + 1]
-        g = w[i:h + 1] * np.clip(0.5 * (1.0 - mu0), 0.0, 1.0)
-        shifted[n] = 0.5 * float(du[i:h] @ (g[1:] + g[:-1])) + above[h]
-    return centered, shifted
+    # far radii: the band nodes lo + 1 .. sep - 1, one by one
+    far = np.flatnonzero(~near)
+    first, count = lo[far] + 1, sep[far] - lo[far] - 1
+    direct = np.zeros(far.size)
+    step = max(1, _TAIL_CHUNK // max(int(count.max(initial=0)), 1))
+    for a in range(0, far.size, step):
+        n = count[a:a + step]
+        owner = np.repeat(np.arange(n.size), n)
+        node = np.arange(owner.size) + np.repeat(first[a:a + step] - (np.cumsum(n) - n), n)
+        un = u[node]
+        mu0 = ((radii[far[a:a + step]][owner] ** 2 - (X * X + un ** 2))
+               / (2.0 * X * np.maximum(un, 1e-300)))
+        direct[a:a + step] = np.bincount(owner, cw[node] * (0.5 * (1.0 - mu0)),
+                                         minlength=n.size)
+    lower = below[lo]
+    lower[far] = direct
+    return centered, lower + (ends + inner) + above[hi]
 
 
 def _xm_norm_three_bumps(ex: ExponentSet, k: int, X: float) -> float:

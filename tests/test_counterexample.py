@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,11 +51,12 @@ def test_pinned_battery_values(k):
 
 
 def test_quadrature_memory_is_blocked():
-    # the k = 4 grid has 1049 x 136 points, 1.09 MiB per full-grid array;
-    # the quadrature works on blocks of z rows and holds none of those, so
-    # a warm report peaks below one of them (0.68 MB measured)
+    # the k = 4 grid has 599 x 136 points.  The quadrature works on blocks
+    # of z rows and the tail scan on chunks of its bands, so a warm report
+    # peaks at 0.74 MB (measured), below 1.09 MiB: one full-grid array of
+    # the 1049 x 136 grid that an 800-node z core gives
     z, s, _ = CE._axisym_grids(16.0)
-    assert (z.size, s.size) == (1049, 136)
+    assert (z.size, s.size) == (599, 136)
     counterexample_report(EX, 4)
     tracemalloc.start()
     try:
@@ -62,7 +64,7 @@ def test_quadrature_memory_is_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < z.size * s.size * 8
+    assert peak < 1049 * 136 * 8
 
 
 def _hex(rep):
@@ -103,6 +105,31 @@ def test_overlap_and_dimension_guards():
         counterexample_report(EX, 1)
     with pytest.raises(ValueError):
         counterexample_report(derive_exponents(2, p=1.5), 8)
+
+
+@pytest.mark.parametrize("center", [math.nan, math.inf])
+def test_non_finite_center_is_rejected(center):
+    # nan passes a "< 12" guard, since it compares false
+    with pytest.raises(ValueError, match=f"bump center {center} is not finite"):
+        counterexample_report(EX, 8, center=center)
+
+
+def test_far_separation_report_is_finite():
+    # at center 1e30 the corrector's powers of A would overflow float64;
+    # its logs do not.  The interaction has died off, so the deficit is the
+    # far-separation value, 9.41e-11 relative from the k = 8 deficit at
+    # center 64 (measured)
+    rep = counterexample_report(EX, 8, center=1e30)
+    assert all(math.isfinite(v) for v in (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio))
+    assert rep.deficit == pytest.approx(_report(8).deficit, rel=2e-10)
+
+
+def test_zero_center_weight_is_finite():
+    # at k = 2 the center bump's weight is 0 and its log weight -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = counterexample_report(EX, 2, center=20.0)
+    assert all(math.isfinite(v) for v in (rep.deficit, rep.entropy, rep.xm_norm, rep.ratio))
 
 
 def test_tail_norm_near_p_one_raises_before_overflow():
@@ -182,39 +209,31 @@ def _cancellation_free_rows(cor, b):
     return corr_p @ cor.w, corr_g @ cor.w
 
 
-@pytest.mark.parametrize("k", [4, 8, 16, 32])
-def test_block_bound_is_sound(k):
-    # on every skipped block and on the three blocks with the largest
-    # bounds, the bound holds for the corrector evaluated without
-    # cancellation.  Where the corrector is resolved the report's own
-    # kernel agrees with that evaluation to rounding; in the skipped
-    # blocks the kernel's rows are rounding noise, up to 1e13 times the
-    # exact corrector there but together below 1e-15 of the totals.
-    cor = CE._Corrector(EX, k, float(k * k))
+# (k, center) at the default centers k^2, with the ids of k alone
+_DEFAULT_CENTERS = [pytest.param(k, float(k * k), id=str(k)) for k in (4, 8, 16, 32, 64)]
+
+
+@pytest.mark.parametrize("k, center", _DEFAULT_CENTERS + [(2, 20.0)])
+def test_block_bound_is_sound(k, center):
+    # on every block the bound holds for the corrector evaluated without
+    # cancellation, and for the report's own kernel, which agrees with that
+    # evaluation to rounding
+    cor = CE._Corrector(EX, k, center)
     bound_p, bound_g = cor.block_bounds()
     total_p, total_g = _single_bump_totals(k)
-    skipped = np.flatnonzero((bound_p <= CE._SKIP_REL * total_p)
-                             & (bound_g <= CE._SKIP_REL * total_g))
-    assert skipped.size == _report(k).skipped_blocks
-    largest = np.argsort(bound_g)[-3:]
-    cor.fill(np.union1d(skipped, largest))
+    skipped = (bound_p <= CE._SKIP_REL * total_p) & (bound_g <= CE._SKIP_REL * total_g)
+    assert np.count_nonzero(skipped) == counterexample_report(EX, k, center).skipped_blocks
+    cor.fill(np.arange(cor.n_blocks))
     w_z = 4.0 * math.pi * CE._trapezoid_weights(cor.z)
 
-    noise_p = noise_g = 0.0
-    for b in np.union1d(skipped, largest):
+    for b in range(cor.n_blocks):
         rows = slice(b * CE._BLOCK_ROWS, (b + 1) * CE._BLOCK_ROWS)
         exact_p, exact_g = (w_z[rows] @ r for r in _cancellation_free_rows(cor, b))
         kernel_p, kernel_g = w_z[rows] @ cor.rows_p[rows], w_z[rows] @ cor.rows_g[rows]
-        assert abs(exact_p) <= bound_p[b]
-        assert abs(exact_g) <= bound_g[b]
-        if b in largest:
-            assert abs(kernel_p - exact_p) <= 1e-14 * abs(exact_p) + 1e-16 * total_p
-            assert abs(kernel_g - exact_g) <= 1e-14 * abs(exact_g) + 1e-16 * total_g
-        else:
-            noise_p += kernel_p
-            noise_g += kernel_g
-    assert abs(noise_p) <= 1e-15 * total_p
-    assert abs(noise_g) <= 1e-15 * total_g
+        assert abs(exact_p) <= bound_p[b] and abs(kernel_p) <= bound_p[b]
+        assert abs(exact_g) <= bound_g[b] and abs(kernel_g) <= bound_g[b]
+        assert abs(kernel_p - exact_p) <= 1e-14 * abs(exact_p) + 1e-16 * total_p
+        assert abs(kernel_g - exact_g) <= 1e-14 * abs(exact_g) + 1e-16 * total_g
 
 
 @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
@@ -236,7 +255,7 @@ def _corrector_totals(k):
                      for rows in (cor.rows_p, cor.rows_g)])
 
 
-@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("k", [4, 8, 16])
 def test_s_rule_has_converged(k, monkeypatch):
     # the corrector totals on the shipped s panels and on panels of half
     # the width agree to 1e-13 of the single-bump totals
@@ -251,13 +270,16 @@ def test_s_rule_has_converged(k, monkeypatch):
     assert np.all(np.abs(shipped - refined) <= 1e-13 * _single_bump_totals(k))
 
 
-@pytest.mark.parametrize("k", [4, 8])
-def test_z_rule_has_converged(k, monkeypatch):
-    # the z trapezoid is spectrally accurate: the reports on the shipped
-    # 800-node core and on a 3200-node core agree bit for bit
-    shipped = _report(k)
-    monkeypatch.setattr(CE, "_Z_CORE", 4 * CE._Z_CORE)
-    refined = counterexample_report(EX, k)
+@pytest.mark.parametrize("k, center", _DEFAULT_CENTERS
+                         + [(k, c) for c in (12.0, 149.0, 151.0) for k in (4, 8, 16, 32, 64)])
+def test_z_rule_has_converged(k, center, monkeypatch):
+    # the z trapezoid is spectrally accurate: the reports on the shipped z
+    # grid and on one with 4x the nodes in every segment agree bit for bit,
+    # on both sides of the core/far switch at center 150
+    shipped = counterexample_report(EX, k, center)
+    for name in ("_Z_CORE", "_Z_NEAR", "_Z_MID", "_Z_FAR", "_Z_TAIL"):
+        monkeypatch.setattr(CE, name, 4 * getattr(CE, name))
+    refined = counterexample_report(EX, k, center)
     assert refined.blocks > shipped.blocks
     assert _hex(refined) == _hex(shipped)
 
