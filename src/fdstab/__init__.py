@@ -16,8 +16,7 @@ from .profiles import (BarenblattSpec, GNSConstants, MomentTable,
 from .fields import RadialField, TailModel, barenblatt_field, graded_mesh, quadrature_mesh
 from .functionals import (EntropyReport, best_match, csiszar_kullback_gap,
                           deficit, entropy_report, fisher_information,
-                          normalization_map, relative_entropy,
-                          rigidity_residual, xm_norm)
+                          normalization_map, relative_entropy, xm_norm)
 from .counterexample import counterexample_report
 from .flow import (SolverOptions, SolverStats, Trajectory, default_flow_mesh,
                    solve_fd_original, solve_fdr, solve_fdr_delayed)
@@ -38,7 +37,7 @@ __all__ = [
     "quadrature_mesh",
     "EntropyReport", "best_match", "csiszar_kullback_gap", "deficit",
     "entropy_report", "fisher_information", "normalization_map",
-    "relative_entropy", "rigidity_residual", "xm_norm",
+    "relative_entropy", "xm_norm",
     "counterexample_report",
     "SolverOptions", "SolverStats", "Trajectory", "default_flow_mesh",
     "solve_fd_original",

@@ -21,9 +21,8 @@ from .counterexample import counterexample_report
 from .fields import (barenblatt_field, moment_matched_field,
                      normalized_to_profile_mass, quadrature_mesh)
 from .flow import Trajectory, default_flow_mesh, solve_fdr, solve_fdr_delayed
-from .functionals import (csiszar_kullback_fg_gap, csiszar_kullback_gap,
-                          heisenberg_sides, second_moment_bound_sides,
-                          xm_growth_bound, xm_norm)
+from .functionals import (csiszar_kullback_gap, heisenberg_sides,
+                          second_moment_bound_sides, xm_growth_bound, xm_norm)
 from .ledger import ConstantLedger
 from .parabolic import (checkerboard_coefficient, harnack_ratio,
                         solve_linear_parabolic)
@@ -323,13 +322,13 @@ def check_paper_inequalities() -> CheckResult:
     cap = xm_growth_bound(xm[0], ex, C.mass_displacement_constant(ex).to_float())
     ok &= k_ratio >= 1.0 and cap >= max(xm)
     # both Csiszar-Kullback forms on every save, against the profile
-    # sampled on the mesh, each save rescaled past the mass gate (see their
-    # docstrings)
+    # sampled on the mesh, each save rescaled past the mass gate; the f-side
+    # ratio is half the standard one (see csiszar_kullback_gap), so both
+    # hold where it does
     ref = barenblatt_field(ex, mesh)
     saves = [normalized_to_profile_mass(snap) for snap in snaps]
     ck = [rhs / lhs for lhs, rhs in (csiszar_kullback_gap(s, ref) for s in saves)]
-    ck_fg = [rhs / lhs for lhs, rhs in (csiszar_kullback_fg_gap(s, ref) for s in saves)]
-    held = sum(a >= 1.0 and b >= 1.0 for a, b in zip(ck, ck_fg))
+    held = sum(a / 2.0 >= 1.0 for a in ck)
     ok &= held == len(snaps)
     # the threshold time of the critical case exceeds the delay bound
     chain = C.ghp_chain(derive_exponents(3, m=2.0 / 3.0), 1.0)
@@ -339,7 +338,7 @@ def check_paper_inequalities() -> CheckResult:
                    f"Heisenberg rhs/lhs-1 {min(heis):.2e}..{max(heis):.2e} "
                    f"(mix {heis_mix:.1e}); K bound ratio {k_ratio:.2f}; "
                    f"tail-norm cap margin {cap / max(xm):.1e}; CK ratio {min(ck):.2f}, "
-                   f"fg {min(ck_fg):.2f} on {held}/{len(snaps)} saves; "
+                   f"fg {min(ck) / 2.0:.2f} on {held}/{len(snaps)} saves; "
                    f"T lead {lead:.3f} > tau_bullet {tau_b:.3f}", t0)
 
 

@@ -125,11 +125,10 @@ class Trajectory:
 
 class _RadialScheme:
     """Geometry and flux assembly shared by the two nonlinear flows: the
-    confined flow when given an outer ghost value, the free flow with a
-    zero-flux outer boundary when not."""
+    confined flow, whose outer ghost node carries the profile value, when
+    ``confined``, the free flow with a zero-flux outer boundary when not."""
 
-    def __init__(self, ex: ExponentSet, mesh: np.ndarray,
-                 ghost_value: float | None):
+    def __init__(self, ex: ExponentSet, mesh: np.ndarray, confined: bool):
         self.ex = ex
         self.r = np.asarray(mesh, dtype=float)
         d = ex.d
@@ -144,10 +143,10 @@ class _RadialScheme:
         self.omega = omega_d(d)
         self.h = np.diff(self.r)
         self.h_ghost = r_ghost - self.r[-1]
-        self.confined = ghost_value is not None
-        self.ghost_value = ghost_value
-        if self.confined:
-            self.w_ghost = max(ghost_value, DENSITY_FLOOR) ** (ex.m - 1.0)
+        self.confined = confined
+        if confined:
+            self.ghost_value = float(barenblatt(ex, r_ghost))
+            self.w_ghost = max(self.ghost_value, DENSITY_FLOOR) ** (ex.m - 1.0)
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """rhs(v) and the flux through the outer face, from one pass, and
@@ -366,15 +365,11 @@ def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
     """Scheme and renormalized nodal values shared by the confined flows.
 
     The initial mass is renormalized to the profile mass when within 1e-6
-    relative and rejected otherwise; the outer ghost node carries the
-    profile value.
+    relative and rejected otherwise.
     """
     ex = v0.exponents
     mass0 = require_profile_mass(v0)
-    r = v0.r
-    ghost = float(barenblatt(ex, 2.0 * r[-1] - r[-2]))
-    scheme = _RadialScheme(ex, r, ghost)
-    return scheme, v0.v * (barenblatt_mass(ex) / mass0)
+    return _RadialScheme(ex, v0.r, confined=True), v0.v * (barenblatt_mass(ex) / mass0)
 
 
 def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions = SolverOptions(),
@@ -388,7 +383,7 @@ def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions = SolverOptions
 def solve_fd_original(u0: RadialField, t_end: float,
                       opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
     """Integrate the unconfined flow with a zero-flux outer boundary."""
-    scheme = _RadialScheme(u0.exponents, u0.r, None)
+    scheme = _RadialScheme(u0.exponents, u0.r, confined=False)
     return _run(scheme, u0.v.copy(), t_end, opts, n_saves)
 
 

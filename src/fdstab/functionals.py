@@ -2,13 +2,12 @@
 
 Everything here acts on a :class:`~fdstab.fields.RadialField` holding the
 density v = f^{2p}.  The free energy, Fisher information, deficit,
-tail-decay norm, Csiszar-Kullback bounds, best-matching optimizer
-parameters, the normalization map and the rigidity residual are all
-evaluated against the stationary profile B = (1+r^2)^{1/(m-1)} (or its
-dilations).
+tail-decay norm, the Csiszar-Kullback bound, best-matching optimizer
+parameters and the normalization map are all evaluated against the
+stationary profile B = (1+r^2)^{1/(m-1)} (or its dilations).
 
 Every functional relative to B itself (the free energy, the relative
-moments of :func:`entropy_report` and the Csiszar-Kullback bounds) takes
+moments of :func:`entropy_report` and the Csiszar-Kullback bound) takes
 B sampled on the field's own mesh and differences the two nodally
 (:func:`relative_entropy`), so the shared quadrature bias cancels.  The
 relative entropy E[f | g_{lam,mu}] of f = v^{1/(2p)} against a general
@@ -31,8 +30,7 @@ import numpy as np
 from .fields import (DivergentTailError, RadialField, gradient_integral,
                      require_profile_mass)
 from .params import ExponentSet
-from .profiles import (barenblatt_mass, closed_form_moments, gns_optimal_constants,
-                       log_integral_inv_power)
+from .profiles import barenblatt_mass, closed_form_moments, gns_optimal_constants
 
 
 @dataclass(frozen=True)
@@ -205,6 +203,16 @@ def csiszar_kullback_gap(field: RadialField, ref: RadialField) -> tuple[float, f
     """(lhs, rhs) of ||v - B||_1^2 <= (4 alpha / m) M F[v] at mass M, with B
     the profile ``ref`` sampled on the field's mesh.
 
+    The f-side form against the optimizer g, with g^{2p} = B and
+    E[f|g] = F[v], has the constant (8p/(p+1)) int g^{3p-1}.  Since
+    8p/(p+1) = 4/m and g^{3p-1} = B^{2-m}, that constant is
+    (4/m) int B^{2-m}, the ``pow_2m`` entry of
+    :class:`~fdstab.profiles.MomentTable`.  With s = 1/(1-m),
+    int B^{2-m} = pi^{d/2} Gamma(s+1-d/2)/Gamma(s+1) is (s-d/2)/s = alpha/2
+    times int B by Gamma(s+1) = s Gamma(s), so the f-side constant is
+    (2 alpha/m) M, half of this one: its ratio rhs/lhs is half of this
+    bound's.
+
     Rejects fields whose mass is not the profile mass to 1e-6
     (:func:`~fdstab.fields.require_profile_mass`).  A confined run's
     snapshots drift off it by up to 4.4e-5 relative (see
@@ -230,22 +238,6 @@ def _l1_to_profile(field: RadialField, ref: RadialField) -> float:
         return l1 + abs(field.tail.amplitude - ref.tail.amplitude) \
             * field.power_tail(1.0, field.exponents.d + ref.tail.power)
     return l1 + (field.tail_integral(1.0) + ref.tail_integral(1.0))
-
-
-def csiszar_kullback_fg_gap(field: RadialField, ref: RadialField) -> tuple[float, float]:
-    """(lhs, rhs) of the f-side bound against the optimizer g.
-
-    lhs = ||f^{2p} - g^{2p}||_1^2 and rhs = (8p/(p+1)) (int g^{3p-1}) E[f|g],
-    for fields normalized to ||f||_{2p} = ||g||_{2p}, with g^{2p} = B the
-    profile ``ref`` sampled on the field's mesh and E[f|g] = F[v].  The
-    mass gate of :func:`csiszar_kullback_gap` applies.
-    """
-    require_profile_mass(field)
-    ex = field.exponents
-    l1 = _l1_to_profile(field, ref)
-    s = (3.0 * ex.p - 1.0) / (ex.p - 1.0)
-    g3p = math.exp(log_integral_inv_power(ex.d, s))
-    return l1 * l1, 8.0 * ex.p / (ex.p + 1.0) * g3p * relative_entropy(field, ref)
 
 
 # -- best matching ---------------------------------------------------------
@@ -309,42 +301,3 @@ def normalization_map(field: RadialField) -> Normalization:
         * _relative_entropy(ex, pf, mf, field.second_moment(), 1.0 / sigma,
                             kappa ** (-2.0 * p))
     return Normalization(sigma=sigma, kappa=kappa, a_p=a_p, e_p=e_p)
-
-
-# -- rigidity residual -----------------------------------------------------
-
-
-def rigidity_residual(field: RadialField) -> tuple[float, float]:
-    """The two nonnegative integrals of the rigidity identity.
-
-    For P = ((p+1)/(p-1)) f^{1-p} on a radial mesh the traceless Hessian
-    reduces to ((d-1)/d) (P'' - P'/r)^2, and the Laplacian trace term is
-    measured against the constant (p+1)^2 ||grad f||^2 / ||f||_{p+1}^{p+1}.
-    Both vanish identically when P is quadratic in r.  Boundary nodes are
-    excluded from the differencing stencil.
-    """
-    ex = field.exponents
-    p, d = ex.p, ex.d
-    f = field.f_values()
-    pressure = (p + 1.0) / (p - 1.0) * f ** (1.0 - p)
-    r = field.r
-    dp = np.gradient(pressure, r)
-    d2p = np.gradient(dp, r)
-    dp_over_r = np.empty_like(dp)
-    dp_over_r[1:] = dp[1:] / r[1:]
-    dp_over_r[0] = d2p[0]  # even extension at the origin
-    lap = d2p + (d - 1.0) * dp_over_r
-
-    lp1 = field.entropy_integral()
-    grad_sq = gradient_integral(field)
-    target = (p + 1.0) ** 2 * grad_sq / lp1
-
-    w = field.weight()
-    fp1 = f ** (p + 1.0)
-    trace_term = fp1 * (lap - target) ** 2 * w
-    hess_term = fp1 * (d - 1.0) / d * (d2p - dp_over_r) ** 2 * w
-    # boundary nodes carry one-sided stencils: drop them
-    sl = slice(1, -1)
-    t1 = (d - p * (d - 2.0)) * float(np.trapezoid(trace_term[sl], r[sl]))
-    t2 = 2.0 * d * p * float(np.trapezoid(hess_term[sl], r[sl]))
-    return t1, t2

@@ -87,7 +87,7 @@ def test_evaluate_bands_and_outer_flux(confined):
     if confined:
         scheme, v = _confined_start(fld)
     else:
-        scheme, v = _RadialScheme(EX34, fld.r, None), fld.v
+        scheme, v = _RadialScheme(EX34, fld.r, confined=False), fld.v
     rhs, outer, parts = scheme.evaluate(v)
     # the Jacobian J of rhs from the Newton system I - h J at h = 1
     lower, diag, upper = scheme.system(parts, 1.0)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from fdstab import functionals as F
 from fdstab.fields import RadialField, TailModel, barenblatt_field, \
-    graded_mesh, profile_tail, quadrature_mesh
+    graded_mesh, normalized_to_profile_mass, profile_tail, quadrature_mesh
 from fdstab.params import derive_exponents
-from fdstab.profiles import barenblatt_mass, closed_form_moments
+from fdstab.profiles import barenblatt_mass, closed_form_moments, log_integral_inv_power
 
 # adaptive-quadrature oracles (see module docstring)
 F_B12_D3_M23 = 0.134864738821443       # F[B_1.2], d=3, m=2/3
@@ -248,9 +248,9 @@ def test_csiszar_kullback():
     # the sampled profile against itself: both sides vanish exactly
     lhs0, rhs0 = F.csiszar_kullback_gap(ref, ref)
     assert lhs0 == 0.0 and rhs0 == 0.0
-    # f-side variant
-    lhs2, rhs2 = F.csiszar_kullback_fg_gap(fld, ref)
-    assert lhs2 < rhs2
+    # the f-side form, whose constant is half this one's: rhs/lhs reads 27.6,
+    # the f-side ratio 13.8
+    assert lhs < rhs / 2.0
 
 
 def test_csiszar_kullback_takes_the_mass_once(monkeypatch):
@@ -267,8 +267,24 @@ def test_csiszar_kullback_takes_the_mass_once(monkeypatch):
         return quad(self, integrand, moment)
 
     monkeypatch.setattr(RadialField, "quad", counted)
-    F.csiszar_kullback_fg_gap(fld, ref)
+    F.csiszar_kullback_gap(fld, ref)
     assert len(calls) == 4
+
+
+def test_csiszar_kullback_adds_both_tails_of_different_powers():
+    # a profile-mass field decaying like r^-7 against the profile's r^-6 at
+    # (3, 2/3): the tail beyond the mesh is bounded by both tail masses
+    ex = derive_exponents(3, m=2.0 / 3.0)
+    ref = barenblatt_field(ex, MESH)
+    scale = barenblatt_mass(ex) / math.exp(log_integral_inv_power(3, 3.5))
+    fld = normalized_to_profile_mass(field_from_function(
+        ex, lambda r: scale * (1.0 + r * r) ** -3.5, MESH, tail_power=-7.0))
+    assert ref.tail.power == pytest.approx(-6.0, rel=1e-15)
+    nodal = fld.quad(np.abs(fld.v - ref.v))
+    tails = fld.tail_integral(1.0) + ref.tail_integral(1.0)
+    assert tails > 0.0
+    lhs, _ = F.csiszar_kullback_gap(fld, ref)
+    assert lhs == (nodal + tails) ** 2
 
 
 def test_csiszar_kullback_mass_gate():
@@ -372,34 +388,6 @@ def test_normalized_field_nodal_transform():
     # norms of f equals E of the transformed field itself
     e_n = entropy_vs_optimizer(out, 1.0, 1.0)
     assert abs(nm.e_p - e_n) <= 1e-12 * max(1.0, abs(e_n))
-
-
-def test_rigidity_residual():
-    ex = derive_exponents(3, p=2.0)
-    fldg = barenblatt_field(ex, MESH)
-    t1, t2 = F.rigidity_residual(fldg)
-    assert abs(t1) < 1e-6 and abs(t2) < 1e-6
-    # g^{1.1} has a strictly positive residual
-    def vfun(r):
-        return aubin_talenti(ex, r) ** (1.1 * 2 * ex.p)
-    fld = field_from_function(ex, vfun, MESH,
-                              tail_power=1.1 * 2 / (ex.m - 1))
-    s1, s2 = F.rigidity_residual(fld)
-    assert s1 > 1e-3 and s2 > 1e-3
-
-
-def test_rigidity_quadratic_scaling():
-    ex = derive_exponents(3, p=2.0)
-    totals = []
-    for eps in (1e-2, 1e-3):
-        def vfun(r, e=eps):
-            f = aubin_talenti(ex, r) * (1.0 + e * np.exp(-r * r))
-            return f ** (2 * ex.p)
-        fld = field_from_function(ex, vfun, MESH, tail_power=2 / (ex.m - 1))
-        t1, t2 = F.rigidity_residual(fld)
-        totals.append(t1 + t2)
-    slope = math.log(totals[0] / totals[1]) / math.log(10.0)
-    assert abs(slope - 2.0) < 0.1
 
 
 def test_constraint_box_on_fields():

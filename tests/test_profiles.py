@@ -152,11 +152,26 @@ def _admissible_dp(draw):
 @_GAMMA_PROPS
 @given(_admissible_dm())
 def test_log_integral_inv_power_matches_mpmath(ex):
-    # both call sites: the mass, s = 1/(1-m), and the Csiszar-Kullback
-    # integral of g^{3p-1}, s = (3p-1)/(p-1); measured worst 7.8 u
+    # the mass, s = 1/(1-m), and the integral of g^{3p-1} = B^{2-m},
+    # s = (3p-1)/(p-1) = 1/(1-m) + 1; measured worst 7.8 u
     for s in (1.0 / (1.0 - ex.m), (3.0 * ex.p - 1.0) / (ex.p - 1.0)):
         want, scale = _ref_log_integral_inv_power(ex.d, s)
         assert abs(log_integral_inv_power(ex.d, s) - want) <= 16 * _U * scale
+
+
+@_GAMMA_PROPS
+@given(_admissible_dm())
+def test_pow_2m_is_half_alpha_mass(ex):
+    # int B^{2-m} = (alpha/2) int B by Gamma(s+1) = s Gamma(s), with
+    # (s-d/2)/s = alpha/2: the identity that halves the f-side
+    # Csiszar-Kullback constant.  In u of the mass's scale: measured worst
+    # 8.9 u over these draws, 15.2 u over a 20 000-point sweep of m per d
+    # (at d = 1, s near 2.5) and 1.9 u on m = 1 - 2^-k up to k = 52; the
+    # bound is twice the worst.
+    s = 1.0 / (1.0 - ex.m)
+    _, scale = _ref_log_integral_inv_power(ex.d, s)
+    shifted = math.log(ex.alpha / 2.0) + log_integral_inv_power(ex.d, s)
+    assert abs(log_integral_inv_power(ex.d, s + 1.0) - shifted) <= 32 * _U * scale
 
 
 @_GAMMA_PROPS
