@@ -22,8 +22,7 @@ import numpy as np
 from . import flow
 from .acceptance import harnack_quotient, moment_matched_delay_run, run_all
 from .constants import build_ledger
-from .fields import (barenblatt_field, moment_matched_field,
-                     normalized_to_profile_mass)
+from .fields import barenblatt_field, moment_matched_field
 from .ledger import ConstantLedger
 from .moments import classify_region, delay_bound, xy_integrate_batch
 from .params import derive_exponents
@@ -68,18 +67,14 @@ def _load_config(argv: list[str]) -> dict:
 
 def _parse_init(spec: str, ex, mesh):
     if spec == "barenblatt":
-        fld = barenblatt_field(ex, mesh)
-    elif spec.startswith("scaled-barenblatt:"):
-        fld = barenblatt_field(ex, mesh, lam=float(spec.split(":", 1)[1]))
-    elif spec.startswith("moment-matched:"):
+        return barenblatt_field(ex, mesh)
+    if spec.startswith("scaled-barenblatt:"):
+        return barenblatt_field(ex, mesh, lam=float(spec.split(":", 1)[1]))
+    if spec.startswith("moment-matched:"):
         l1, l2 = (float(v) for v in spec.split(":", 1)[1].split(","))
-        fld = moment_matched_field(ex, mesh, l1, l2)
-    else:
-        raise ValueError(f"unknown initial datum {spec!r}; use barenblatt, "
-                         "scaled-barenblatt:LAM or moment-matched:L1,L2")
-    # align the analytic normalization with the mesh's own quadrature so
-    # coarse meshes do not trip the solver's mass gate
-    return normalized_to_profile_mass(fld, f"initial datum {spec!r}")
+        return moment_matched_field(ex, mesh, l1, l2)
+    raise ValueError(f"unknown initial datum {spec!r}; use barenblatt, "
+                     "scaled-barenblatt:LAM or moment-matched:L1,L2")
 
 
 def _constants(args) -> str:

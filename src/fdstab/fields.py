@@ -246,27 +246,35 @@ def normalized_to_profile_mass(field: RadialField,
                                datum: str = "datum") -> RadialField:
     """Rescale so the field's own quadrature mass equals the profile mass.
 
-    Coarse meshes measure the analytically normalized profile with a
-    relative error above the flow solvers' mass gate; this aligns the
-    discrete measure without changing the analytic object.  It corrects
-    that quadrature bias and does not repair data: ``ValueError``, naming
-    the datum and the factor, when the factor is off 1 by more than
-    MASS_FACTOR_TOL.
+    The flows' one mass gate: the confined flows start from their datum
+    rescaled here, and the Csiszar-Kullback check rescales the saves it
+    reads.  A datum sampled from a closed form of mass int B measures a
+    little off it on a coarse mesh (2.3e-6 for the moment-matched mix of
+    B_0.8 and B_1.3 at (3, 2/3) on 400 cells); this aligns the discrete
+    measure without changing the analytic object.  It corrects that
+    quadrature bias and does not repair data: ``ValueError``, naming the
+    datum and the factor, when the factor is off 1 by more than
+    MASS_FACTOR_TOL, which either a datum off the profile mass or a mesh
+    that does not resolve it causes.
     """
     factor = barenblatt_mass(field.exponents) / field.mass()
     if not abs(factor - 1.0) <= MASS_FACTOR_TOL:
         raise ValueError(
             f"{datum}: rescaling it to the profile mass takes the factor "
-            f"{factor:.6g}, off 1 by more than {MASS_FACTOR_TOL:g}; the mesh "
-            "does not resolve it")
+            f"{factor:.6g}, off 1 by more than {MASS_FACTOR_TOL:g}: either it "
+            "is off the profile mass or the mesh does not resolve it")
     return field.dilated(1.0, factor)
 
 
 def require_profile_mass(field: RadialField) -> float:
-    """The field's mass; ``ValueError`` unless it is int B to 1e-6 relative."""
+    """The field's mass; ``ValueError`` unless it is int B to 1e-6 relative.
+
+    The gate of the Csiszar-Kullback bound, which holds at the profile
+    mass only.
+    """
     mass, mass_b = field.mass(), barenblatt_mass(field.exponents)
     if abs(mass - mass_b) > 1e-6 * mass_b:
         raise ValueError(
             f"mass {mass} is not the profile mass {mass_b}; rescale the "
-            "datum with fields.normalized_to_profile_mass")
+            "field with fields.normalized_to_profile_mass")
     return mass

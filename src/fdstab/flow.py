@@ -13,6 +13,13 @@ midpoints, control volumes around nodes):
   equation dtau/dt = (moment ratio)^{-alpha/2} - 1 integrated with Heun
   steps on the same grid.
 
+The three flows share one entry, :func:`_run`, and take their datum as
+sampled: a confined datum is rescaled to the profile mass there
+(:func:`~fdstab.fields.normalized_to_profile_mass` is the flows' one
+mass gate), and any datum whose cell-volume mass is off its quadrature
+mass by more than RESOLUTION_TOL, a datum the mesh does not resolve, is
+refused with ``ValueError`` before the first step.
+
 Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
 estimate of Hosea and Shampine controlling the step; a step that cannot
@@ -32,12 +39,11 @@ import numpy as np
 import scipy  # scipy.linalg loads at the first solve, so importing fdstab skips it
 
 from .fields import (DENSITY_FLOOR, RadialField, barenblatt_field, graded_mesh,
-                     profile_tail, require_profile_mass)
+                     normalized_to_profile_mass, profile_tail)
 from .functionals import EntropyReport, entropy_report
 from .moments import DelayRecord
 from .params import ExponentSet
-from .profiles import (barenblatt, barenblatt_mass, closed_form_moments,
-                       gns_optimal_constants, omega_d)
+from .profiles import barenblatt, closed_form_moments, gns_optimal_constants, omega_d
 
 # TR-BDF2: the trapezoid stage reaches t + _GAMMA dt, both stages carry the
 # implicit weight _D dt, and the BDF2 stage is v1 = v0 + _A (vg - v0) + _D dt f1
@@ -56,6 +62,15 @@ DT_INIT = 1e-4
 DT_MAX = 0.05
 # a run checks its pace (mean dt) every PACE_WINDOW accepted steps
 PACE_WINDOW = 100
+# the largest |cell-volume mass / quadrature mass - 1| of a datum a flow
+# accepts.  Resolved data read at most 2.9e-3 on the CLI tests' 120-cell
+# mesh and 2.3e-2 on 60 cells at d = 2, 3 and 5, and every dilation
+# 1e-4 <= lam <= 1e4 of B that the 1e-3 mass gate admits on 120-1600
+# cells at d = 3 reads at most 0.055 (a margin of 1.8x); the data the mesh
+# does not resolve read 0.31 (lam = 1e-3 on 400 cells at (3, 3/4)), -0.18
+# (1e3), -0.996 (1e4) and 6.2e105 (1e-30, also rescaled to the profile
+# mass), so the nearest is 1.8x above the bound
+RESOLUTION_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,8 @@ class SolverStats:
 class Trajectory:
     """Saved snapshots, entropy reports and bookkeeping of one run.
 
+    Snapshot 0 holds the values the run starts from: a confined datum's
+    rescaled to the profile mass, a free datum's as given.
     ``conserved_mass`` is the scheme's own measure (cell volumes times
     nodal values, corrected by the outer-face flux), which the implicit
     steps conserve to Newton tolerance; the reports' ``mass`` field is
@@ -88,10 +105,10 @@ class Trajectory:
     mesh-resolution level while the profile changes shape.  From B_1.2 at
     (d, m) = (3, 3/4) on 400 cells, the snapshots drift off the profile's
     quadrature mass by up to 4.4e-5 relative by t = 3 while the bookkept
-    mass drifts by 2.2e-14; so the 1e-6 gate of
-    :func:`~fdstab.fields.require_profile_mass` rejects every save after
-    the first unless :func:`~fdstab.fields.normalized_to_profile_mass`
-    rescales it.
+    mass drifts by 2.2e-14; so the Csiszar-Kullback bound, whose 1e-6 gate
+    is :func:`~fdstab.fields.require_profile_mass`, reads a save after the
+    first only once :func:`~fdstab.fields.normalized_to_profile_mass` has
+    rescaled it.
     """
 
     exponents: ExponentSet
@@ -361,30 +378,19 @@ def _second_moment_of(ex: ExponentSet, r: np.ndarray):
     return second_moment
 
 
-def _confined_start(v0: RadialField) -> tuple[_RadialScheme, np.ndarray]:
-    """Scheme and renormalized nodal values shared by the confined flows.
-
-    The initial mass is renormalized to the profile mass when within 1e-6
-    relative and rejected otherwise.
-    """
-    ex = v0.exponents
-    mass0 = require_profile_mass(v0)
-    return _RadialScheme(ex, v0.r, confined=True), v0.v * (barenblatt_mass(ex) / mass0)
-
-
 def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions = SolverOptions(),
               n_saves: int = 60) -> Trajectory:
-    """Integrate the confined flow; initial mass is renormalized to the
-    profile mass when within 1e-6 relative, rejected otherwise."""
-    scheme, v = _confined_start(v0)
-    return _run(scheme, v, t_end, opts, n_saves)
+    """Integrate the confined flow from v0 as sampled; :func:`_run` rescales
+    it to the profile mass and refuses what the mesh does not resolve."""
+    return _run(v0, t_end, opts, n_saves, confined=True)
 
 
 def solve_fd_original(u0: RadialField, t_end: float,
                       opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
-    """Integrate the unconfined flow with a zero-flux outer boundary."""
-    scheme = _RadialScheme(u0.exponents, u0.r, confined=False)
-    return _run(scheme, u0.v.copy(), t_end, opts, n_saves)
+    """Integrate the unconfined flow with a zero-flux outer boundary from u0
+    as given, at its own mass; :func:`_run` refuses what the mesh does not
+    resolve."""
+    return _run(u0, t_end, opts, n_saves, confined=False)
 
 
 def _out_of_steps(remaining: float, pace: float, pace0: float, windows_run: int,
@@ -405,11 +411,16 @@ def _out_of_steps(remaining: float, pace: float, pace0: float, windows_run: int,
         < math.log1p(remaining * (g - 1.0) / (PACE_WINDOW * pace * g))
 
 
-def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions,
-         n_saves: int, delay: bool = False) -> Trajectory:
-    """Step to t_end and keep the time, snapshot, bookkept mass and (delayed
-    flow) tau at n_saves + 1 save times; reports, errors and delay records
-    are formed from the saved snapshots after the run.
+def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
+         confined: bool, delay: bool = False) -> Trajectory:
+    """The one entry of the three flows: step from the datum to t_end and
+    keep the time, snapshot, bookkept mass and (delayed flow) tau at
+    n_saves + 1 save times; reports, errors and delay records are formed
+    from the saved snapshots after the run.
+
+    Before any step, a confined datum is rescaled to the profile mass, as
+    the relative entropy is measured against the profile of the datum's
+    own mass, and any datum is refused as the module docstring says.
 
     Every PACE_WINDOW accepted steps the run projects the steps it still
     needs (see :func:`_out_of_steps`) and raises ``RuntimeError`` at once
@@ -419,7 +430,10 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
     if not t_end > 0.0 or n_saves < 1:
         raise ValueError(f"a flow run needs t_end > 0 and n_saves >= 1, "
                          f"got t_end = {t_end}, n_saves = {n_saves}")
-    ex, r = scheme.ex, scheme.r
+    if confined:
+        datum = normalized_to_profile_mass(datum, "initial datum")
+    ex, r, v = datum.exponents, datum.r, datum.v
+    scheme = _RadialScheme(ex, r, confined)
     m2_star = closed_form_moments(ex).second_moment
     stepper = _Stepper(scheme, opts, v)
     save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
@@ -430,7 +444,12 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
         return float((scheme.vol * stepper.v).sum()) * scheme.omega \
             - stepper.boundary_mass
 
-    mass_ref = bookkept_mass()
+    mass_ref, quad_mass = bookkept_mass(), datum.mass()
+    if not abs(mass_ref - quad_mass) <= RESOLUTION_TOL * quad_mass:
+        raise ValueError(
+            f"the mesh does not resolve the initial datum: its cell-volume "
+            f"mass {mass_ref:.6g} and its quadrature mass {quad_mass:.6g} "
+            f"differ by more than RESOLUTION_TOL = {RESOLUTION_TOL:g} relative")
     times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, v)], [mass_ref], [0.0]
     drift, tau = 0.0, 0.0
     if delay:
@@ -500,7 +519,8 @@ def _run(scheme: _RadialScheme, v: np.ndarray, t_end: float, opts: SolverOptions
 
 def solve_fdr_delayed(v0: RadialField, t_end: float,
                       opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
-    """Confined flow plus the delay equation.
+    """Confined flow plus the delay equation, from v0 as sampled and with
+    the entry rules of :func:`_run`.
 
     The trajectory carries one ``DelayRecord`` per save: the time, tau,
     the r-factor e^{2 tau} and the matching scale lambda.  Nothing is
@@ -508,8 +528,7 @@ def solve_fdr_delayed(v0: RadialField, t_end: float,
     snapshot, and ``test_delayed_flow_tau_bound`` checks at the last save
     that the rescaled snapshot's second moment is lambda times the
     profile's."""
-    scheme, v = _confined_start(v0)
-    return _run(scheme, v, t_end, opts, n_saves, delay=True)
+    return _run(v0, t_end, opts, n_saves, confined=True, delay=True)
 
 
 def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialField]:

@@ -214,10 +214,13 @@ def csiszar_kullback_gap(field: RadialField, ref: RadialField) -> tuple[float, f
     bound's.
 
     Rejects fields whose mass is not the profile mass to 1e-6
-    (:func:`~fdstab.fields.require_profile_mass`).  A confined run's
+    (:func:`~fdstab.fields.require_profile_mass`, whose one caller this
+    is), because the bound holds at that mass only.  A confined run starts
+    there, its datum rescaled by the flows' mass gate
+    :func:`~fdstab.fields.normalized_to_profile_mass`, but its later
     snapshots drift off it by up to 4.4e-5 relative (see
-    :class:`~fdstab.flow.Trajectory`), so they pass only through
-    :func:`~fdstab.fields.normalized_to_profile_mass`.
+    :class:`~fdstab.flow.Trajectory`), so they pass only once that
+    normalizer has rescaled them.
     """
     require_profile_mass(field)
     ex = field.exponents

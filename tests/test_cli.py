@@ -7,8 +7,7 @@ import sys
 import fdstab.flow
 from fdstab import acceptance as acc
 from fdstab.cli import main
-from fdstab.fields import (RadialField, barenblatt_field,
-                           normalized_to_profile_mass)
+from fdstab.fields import RadialField, barenblatt_field
 from fdstab.flow import default_flow_mesh, solve_fd_original
 from fdstab.params import derive_exponents
 
@@ -161,7 +160,7 @@ def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
                  "--out", str(out)]) == 0
     ex = derive_exponents(3, m=0.75)
     mesh = default_flow_mesh(120, 50.0)
-    fld = normalized_to_profile_mass(barenblatt_field(ex, mesh, lam=1.2))
+    fld = barenblatt_field(ex, mesh, lam=1.2)
     traj = solve_fd_original(fld, 0.1, n_saves=3)
     rows = ["t,mass,entropy_integral"] + [
         ",".join("%.17g" % v for v in (t, m_fv, snap.entropy_integral()))

@@ -10,8 +10,8 @@ from fdstab import flow
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail)
-from fdstab.flow import (DT_MAX, PACE_WINDOW, SolverOptions, _confined_start,
-                         _RadialScheme, default_flow_mesh, entropy_growth_floor,
+from fdstab.flow import (DT_MAX, PACE_WINDOW, SolverOptions, _RadialScheme,
+                         default_flow_mesh, entropy_growth_floor,
                          reconstruct_delayed, solve_fd_original, solve_fdr,
                          solve_fdr_delayed)
 from fdstab.functionals import entropy_report
@@ -82,12 +82,8 @@ def test_solver_work_counts(monkeypatch):
 
 @pytest.mark.parametrize("confined", [True, False])
 def test_evaluate_bands_and_outer_flux(confined):
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
-    if confined:
-        scheme, v = _confined_start(fld)
-    else:
-        scheme, v = _RadialScheme(EX34, fld.r, confined=False), fld.v
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
+    scheme, v = _RadialScheme(EX34, fld.r, confined), fld.v
     rhs, outer, parts = scheme.evaluate(v)
     # the Jacobian J of rhs from the Newton system I - h J at h = 1
     lower, diag, upper = scheme.system(parts, 1.0)
@@ -117,8 +113,7 @@ def test_newton_accepts_residual_at_rounding_floor():
     # on this 3200-cell draw one stage's line search finds no decrease at a
     # residual just above 1e-12 max(base); ending Newton there and applying
     # the final 100x test accepts it, where a bare failure retried the step
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(3200), lam=1.2012509546660468))
+    fld = barenblatt_field(EX34, default_flow_mesh(3200), lam=1.2012509546660468)
     assert solve_fdr(fld, 3.0).stats.rejected == 0
 
 
@@ -137,36 +132,30 @@ def test_accuracy_against_tight_tolerance():
 
 
 def test_unreachable_step_tol_raises():
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     with pytest.raises(RuntimeError, match="step_tol"):
         solve_fdr(fld, 0.1, SolverOptions(step_tol=0.0))
 
 
 def test_max_steps_raises():
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     with pytest.raises(RuntimeError, match="max_steps"):
         solve_fdr(fld, 3.0, SolverOptions(max_steps=10))
 
 
-def test_unresolved_datum_fails_fast():
-    # B_1e-30 sits inside the first cell; rescaled by hand past the 1e-3
-    # gate of normalized_to_profile_mass (factor 9.4e65), it steps at dt
-    # 4.6e-10 and would need 2e7 steps to t = 0.01; the pace rule stops it
-    # after two windows instead of after max_steps = 2e6 (about 1.4 h)
-    fld = barenblatt_field(EX34, default_flow_mesh(400), lam=1e-30)
-    fld = fld.dilated(1.0, barenblatt_mass(EX34) / fld.mass())
+def test_pace_rule_stops_runs_that_cannot_fit():
+    # t = 100 needs at least 2 000 steps of DT_MAX; from DT_INIT the pace
+    # rule stops the run after two windows instead of after max_steps
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="max_steps") as err:
-        solve_fdr(fld, 0.01)
+        solve_fdr(fld, 100.0, SolverOptions(max_steps=1000))
     assert time.perf_counter() - t0 < 2.0
     assert f"after {2 * PACE_WINDOW} accepted steps" in str(err.value)
 
 
 def test_pace_rule_spares_runs_that_fit():
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     # from DT_INIT, the first window's pace (5.5e-3) projects 1 822 steps
     # to t = 10; the run takes 430, as the pace grows to DT_MAX
     traj = solve_fdr(fld, 10.0, SolverOptions(max_steps=1000), n_saves=10)
@@ -180,8 +169,7 @@ def test_pace_rule_spares_runs_that_fit():
 def test_short_confined_run_pinned():
     # final report of a short run, pinned so that a refactor of the
     # quadrature, the tails or the stepper cannot move it unnoticed
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.2))
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     traj = solve_fdr(fld, 0.5, n_saves=5)
     rep = traj.reports[-1]
     assert len(traj.times) == 6 and traj.times[-1] == 0.5
@@ -204,8 +192,7 @@ def test_short_free_run_pinned():
 
 
 def test_short_delayed_run_pinned():
-    fld = normalized_to_profile_mass(
-        moment_matched_field(EX23, default_flow_mesh(200), 0.8, 1.3))
+    fld = moment_matched_field(EX23, default_flow_mesh(200), 0.8, 1.3)
     traj = solve_fdr_delayed(fld, 0.5, n_saves=5)
     rec = traj.delay[-1]
     assert len(traj.delay) == 6 and rec.t == 0.5
@@ -308,10 +295,9 @@ def test_selfsimilar_round_trip():
     lb = ex.lambda_bullet
     fmesh = default_flow_mesh(500)
     v0_vals = np.interp(fmesh, mesh * lb, u0.v * lb ** -ex.d)
-    v0 = normalized_to_profile_mass(RadialField(
-        ex, fmesh, v0_vals,
-        TailModel(u0.tail.amplitude * lb ** (-ex.d - u0.tail.power),
-                  u0.tail.power)))
+    v0 = RadialField(ex, fmesh, v0_vals,
+                     TailModel(u0.tail.amplitude * lb ** (-ex.d - u0.tail.power),
+                               u0.tail.power))
     s_end = 0.5 * math.log((1.0 + ex.alpha * t_fd) ** (1.0 / ex.alpha))
     traj_v = solve_fdr(v0, s_end, n_saves=6)
 
@@ -329,7 +315,7 @@ def test_selfsimilar_round_trip():
 def test_delayed_flow_tau_bound():
     mesh = default_flow_mesh(400)
     tau_star = delay_bound(EX23, 0.0, 0.0).tau_bullet
-    fld = normalized_to_profile_mass(moment_matched_field(EX23, mesh, 0.8, 1.3))
+    fld = moment_matched_field(EX23, mesh, 0.8, 1.3)
     traj = solve_fdr_delayed(fld, 2.5, n_saves=25)
     taus = np.array([rec.tau for rec in traj.delay])
     assert np.max(np.abs(taus)) <= tau_star
@@ -346,7 +332,7 @@ def test_delayed_flow_tau_bound():
 
 
 def test_barenblatt_data_keep_zero_delay():
-    fld = normalized_to_profile_mass(barenblatt_field(EX23, default_flow_mesh(300)))
+    fld = barenblatt_field(EX23, default_flow_mesh(300))
     traj = solve_fdr_delayed(fld, 1.0, n_saves=10)
     taus = [abs(rec.tau) for rec in traj.delay]
     lams = [rec.lam for rec in traj.delay]
@@ -377,13 +363,60 @@ def test_second_moment_tail_norm_bound():
 def test_mass_gate():
     fld = barenblatt_field(EX34, default_flow_mesh(300))
     bad = RadialField(EX34, fld.r, fld.v * 1.01, fld.tail)
-    with pytest.raises(ValueError, match="normalized_to_profile_mass"):
+    with pytest.raises(ValueError, match=r"^initial datum: .* factor 0\.990099, "
+                       r"off 1 by more than 0\.001: either it is off the "
+                       r"profile mass or the mesh does not resolve it$"):
         solve_fdr(bad, 0.1)
 
 
+@pytest.mark.parametrize("sampled", [
+    moment_matched_field(EX23, default_flow_mesh(400), 0.8, 1.3),
+    barenblatt_field(EX34, default_flow_mesh(120), lam=1.2)])
+def test_confined_flows_take_the_datum_as_sampled(sampled):
+    # 2.3e-6 and 3.7e-6 off the profile mass on these meshes: the confined
+    # flows rescale the datum themselves, so it runs as its rescaled copy
+    assert abs(sampled.mass() / barenblatt_mass(sampled.exponents) - 1.0) > 1e-6
+    for solver in (solve_fdr, solve_fdr_delayed):
+        run = solver(sampled, 0.2, n_saves=4)
+        ref = solver(normalized_to_profile_mass(sampled), 0.2, n_saves=4)
+        assert run.times == ref.times
+        for a, b in zip(run.snapshots, ref.snapshots):
+            assert np.allclose(a.v, b.v, rtol=1e-12, atol=0.0)
+        for a, b in zip(run.reports, ref.reports):
+            assert math.isclose(a.free_energy, b.free_energy, rel_tol=1e-12)
+            assert math.isclose(a.mass, b.mass, rel_tol=1e-12)
+        if solver is solve_fdr_delayed:
+            for a, b in zip(run.delay, ref.delay):
+                assert math.isclose(a.tau, b.tau, rel_tol=1e-12)
+
+
+_SPIKE = barenblatt_field(EX34, default_flow_mesh(400), lam=1e-30)
+
+
+@pytest.mark.parametrize("solver", [solve_fdr, solve_fd_original, solve_fdr_delayed])
+@pytest.mark.parametrize("datum", [
+    _SPIKE, _SPIKE.dilated(1.0, barenblatt_mass(EX34) / _SPIKE.mass())],
+    ids=["sampled", "rescaled"])
+def test_unresolved_datum_is_refused_before_any_step(monkeypatch, solver, datum):
+    # B_1e-30 sits inside the first cell: its cell-volume mass is 6.2e105
+    # times its quadrature mass, also once rescaled past the mass gate by
+    # hand (factor 9.4e65); the rescaled spike steps at dt 4.6e-10 and
+    # would need 2e7 steps to t = 0.01
+    steps = []
+    advance = flow._Stepper.advance
+    monkeypatch.setattr(flow._Stepper, "advance",
+                        lambda self, dt: steps.append(dt) or advance(self, dt))
+    with pytest.raises(ValueError, match="the mesh does not resolve") as err:
+        solver(datum, 0.01)
+    assert steps == []
+    # the confined flows refuse the sampled spike at the mass gate first
+    if solver is solve_fd_original or datum is not _SPIKE:
+        assert "cell-volume mass" in str(err.value)
+        assert "RESOLUTION_TOL = 0.1 relative" in str(err.value)
+
+
 def test_trajectory_csv():
-    fld = normalized_to_profile_mass(
-        barenblatt_field(EX34, default_flow_mesh(200), lam=1.1))
+    fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.1)
     traj = solve_fdr(fld, 0.3, n_saves=3)
     header, rows = traj.table()
     assert header.startswith("t,F,I,Q,mass")
@@ -420,8 +453,7 @@ def _core_errors(traj, exact):
 
 
 def _dilated_run(ex, cells, t_end, n_saves, solver):
-    fld = normalized_to_profile_mass(
-        barenblatt_field(ex, default_flow_mesh(cells), lam=1.2))
+    fld = barenblatt_field(ex, default_flow_mesh(cells), lam=1.2)
     traj = solver(fld, t_end, n_saves=n_saves)
     return traj, _core_errors(
         traj, lambda t, r: barenblatt_scaled(ex, _lam_exact(ex, 1.2, t), r))
