@@ -18,8 +18,8 @@ from .functionals import (EntropyReport, best_match, csiszar_kullback_gap,
                           deficit, entropy_report, fisher_information,
                           normalization_map, relative_entropy, xm_norm)
 from .counterexample import counterexample_report
-from .flow import (SolverOptions, SolverStats, Trajectory, default_flow_mesh,
-                   solve_fd_original, solve_fdr, solve_fdr_delayed)
+from .flow import (SolverStats, Trajectory, default_flow_mesh, solve_fd_original,
+                   solve_fdr, solve_fdr_delayed)
 from .parabolic import harnack_ratio, solve_linear_parabolic
 from .spectral import SpectrumQuery, critical_gap_parameters, eigenvalue, spectral_gap
 from .moments import PhaseState, classify_region, delay_bound, xy_closed_form, xy_integrate_batch
@@ -39,8 +39,7 @@ __all__ = [
     "entropy_report", "fisher_information", "normalization_map",
     "relative_entropy", "xm_norm",
     "counterexample_report",
-    "SolverOptions", "SolverStats", "Trajectory", "default_flow_mesh",
-    "solve_fd_original",
+    "SolverStats", "Trajectory", "default_flow_mesh", "solve_fd_original",
     "solve_fdr", "solve_fdr_delayed",
     "harnack_ratio", "solve_linear_parabolic",
     "SpectrumQuery", "critical_gap_parameters", "eigenvalue", "spectral_gap",

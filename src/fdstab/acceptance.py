@@ -7,6 +7,7 @@ here, not configurable.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -113,9 +114,11 @@ def check_closed_form_moments() -> CheckResult:
                    f"M(3,2/3)-pi^2/4={mass - math.pi ** 2 / 4:.2e}", t0)
 
 
+@functools.cache
 def _dilated_profile_run() -> Trajectory:
     """The confined flow from B_1.2 at (d, m) = (3, 3/4) on the 400-cell
-    flow mesh up to t = 3, 61 saves."""
+    flow mesh up to t = 3, 61 saves; run once and shared by the two checks
+    that read it, neither of which changes it."""
     ex = derive_exponents(3, m=0.75)
     return solve_fdr(barenblatt_field(ex, default_flow_mesh(400), lam=1.2), 3.0)
 

@@ -30,6 +30,9 @@ from .spectral import critical_gap_parameters
 
 CHI = 1.0 / 580.0
 _LN2 = math.log(2.0)
+# sigma_series stops past the peak once a term falls below this fraction
+# of the running sum
+_SIGMA_TAIL = 1e-40
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +59,13 @@ def embedding_constant(d: int, p: float | None = None) -> float:
     return 2.0 ** (1.0 + 2.0 / p) * max((p - 2.0) / math.pi ** 2, 0.25)
 
 
-def holder_lp_interp_constant(d: int, nu: LogReal | float) -> LogReal:
+def holder_lp_interp_constant(d: int, nu: LogReal) -> LogReal:
     """Constant of the sup-norm interpolation between L^1 and C^nu norms.
 
     All four factors are assembled with LogReal arithmetic so the
     doubly-small Hoelder exponents coming out of the Harnack chain are
     handled without underflow.
     """
-    if not isinstance(nu, LogReal):
-        nu = logreal(float(nu))
     dn = logreal(float(d)) / nu                      # d/nu
     denom = logreal(float(d)).add(nu)                # d + nu
     exp_small = nu / denom                           # nu/(d+nu)
@@ -98,7 +99,7 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(tmp))
 
 
-def sigma_series(d: int, rel_tail: float = 1e-40) -> LogReal:
+def sigma_series(d: int) -> LogReal:
     """sum_j (3/4)^j ((2+j)(1+j))^{2d+4}, accumulated in log space."""
     q = 2.0 * d + 4.0
     log34 = math.log(0.75)
@@ -108,7 +109,7 @@ def sigma_series(d: int, rel_tail: float = 1e-40) -> LogReal:
         term = j * log34 + q * math.log((2.0 + j) * (1.0 + j))
         total = _logaddexp(total, term)
         # past the peak the increments decay geometrically
-        if term < total + math.log(rel_tail) and j > q / math.log(4.0 / 3.0):
+        if term < total + math.log(_SIGMA_TAIL) and j > q / math.log(4.0 / 3.0):
             break
         j += 1
         if j > 100000:
@@ -200,11 +201,9 @@ def _nu_from_hbar(hbar: LogReal) -> LogReal:
 # ---------------------------------------------------------------------------
 
 
-def bombieri_giusti_kappa0(beta: float, c1: LogReal | float, c2: float,
+def bombieri_giusti_kappa0(beta: float, c1: LogReal, c2: float,
                            theta: float) -> LogReal:
     """kappa0 = exp[max(2 c2, 8 c1^3 / (1-theta)^{2 beta})]."""
-    if isinstance(c1, float):
-        c1 = logreal(c1)
     alt = c1.powf(3.0) * logreal(8.0) / logreal((1.0 - theta) ** (2.0 * beta))
     two_c2 = logreal(2.0 * c2)
     return LogReal.exp_of(alt if two_c2 < alt else two_c2)

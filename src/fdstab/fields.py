@@ -16,8 +16,8 @@ the closed-form cross-checks.
 A field is measured once: its arrays are read-only (a writable input is
 copied), so each power integral (:meth:`RadialField.integrate_power`,
 behind the mass, the second moment and int v^m) is taken at its first
-use and kept with the field.  A derived field (:meth:`~RadialField.dilated`,
-:meth:`~RadialField.with_values`) is a new field and is measured afresh.
+use and kept with the field.  A derived field (:meth:`~RadialField.dilated`)
+is a new field and is measured afresh.
 """
 
 from __future__ import annotations
@@ -171,9 +171,6 @@ class RadialField:
         dw[0] = 0.0
         return dw
 
-    def with_values(self, v: np.ndarray) -> "RadialField":
-        return RadialField(self.exponents, self.r, v, self.tail)
-
     def dilated(self, s: float, c: float) -> "RadialField":
         """c v(s r): r -> r/s, v -> c v, tail A -> c s^rho A; mass times c s^{-d}."""
         tail = TailModel(c * s ** self.tail.power * self.tail.amplitude,
@@ -198,8 +195,7 @@ def gradient_integral(field: RadialField) -> float:
 # -- meshes ---------------------------------------------------------------
 
 
-def graded_mesh(r_core: float = 5.0, n_core: int = 200,
-                r_max: float = 50.0, n_outer: int = 200) -> np.ndarray:
+def graded_mesh(r_core: float, n_core: int, r_max: float, n_outer: int) -> np.ndarray:
     """Uniform nodes on [0, r_core], geometric nodes on (r_core, r_max]."""
     core = np.linspace(0.0, r_core, n_core + 1)
     outer = r_core * (r_max / r_core) ** (np.arange(1, n_outer + 1) / n_outer)
@@ -251,11 +247,14 @@ def normalized_to_profile_mass(field: RadialField,
     reads.  A datum sampled from a closed form of mass int B measures a
     little off it on a coarse mesh (2.3e-6 for the moment-matched mix of
     B_0.8 and B_1.3 at (3, 2/3) on 400 cells); this aligns the discrete
-    measure without changing the analytic object.  It corrects that
-    quadrature bias and does not repair data: ``ValueError``, naming the
-    datum and the factor, when the factor is off 1 by more than
-    MASS_FACTOR_TOL, which either a datum off the profile mass or a mesh
-    that does not resolve it causes.
+    measure without changing the analytic object.  The band corrects that
+    quadrature bias of the datum's mass and does not repair data:
+    ``ValueError``, naming the datum and the factor, when the factor is off
+    1 by more than MASS_FACTOR_TOL.  It is no resolution check, since the
+    trapezoid error of the mass can change sign across dilations (B_0.0562
+    at (5, 0.8) on 120 cells needs the factor 1 - 2.6e-4 although its
+    cell-volume and quadrature masses differ by 0.105); the flows'
+    resolution check is ``flow.RESOLUTION_TOL``.
     """
     factor = barenblatt_mass(field.exponents) / field.mass()
     if not abs(factor - 1.0) <= MASS_FACTOR_TOL:

@@ -22,12 +22,13 @@ refused with ``ValueError`` before the first step.
 
 Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
-estimate of Hosea and Shampine controlling the step; a step that cannot
-meet the tolerance, a run that takes max_steps steps short of t_end, or
-one whose recent pace projects past max_steps, raises RuntimeError.  Mass
-is bookkept as the scheme's cell-volume sum corrected by the flux through
+estimate of Hosea and Shampine holding each step to STEP_TOL; a step that
+cannot meet it, a run that takes MAX_STEPS steps short of t_end, or one
+whose recent pace projects past MAX_STEPS, raises RuntimeError.  Mass is
+bookkept as the scheme's cell-volume sum corrected by the flux through
 the outer face, weighted as the stages apply it, so the reported drift
-isolates solver error.
+isolates solver error.  The solver settings are the module constants
+below, one value for every run.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ _A = 1.0 / (_GAMMA * (2.0 - _GAMMA))
 _E0, _E1, _E2 = (_GAMMA - 1.0) / 3.0, 1.0 / 3.0, -_GAMMA / 3.0
 
 
+# the local error of one step, max norm over max v, and the accepted steps
+# a run may take
+STEP_TOL = 1e-8
+MAX_STEPS = 2_000_000
 # Newton stops at max|residual| < NEWTON_TOL max(base); the time step
 # starts at DT_INIT and never grows past DT_MAX
 NEWTON_TOL = 1e-12
@@ -71,12 +76,6 @@ PACE_WINDOW = 100
 # (1e3), -0.996 (1e4) and 6.2e105 (1e-30, also rescaled to the profile
 # mass), so the nearest is 1.8x above the bound
 RESOLUTION_TOL = 0.1
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    step_tol: float = 1e-8       # local error of one step, max norm over max v
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -285,9 +284,8 @@ class _Stepper:
     3 tridiagonal solves.
     """
 
-    def __init__(self, scheme: _RadialScheme, opts: SolverOptions, v: np.ndarray):
+    def __init__(self, scheme: _RadialScheme, v: np.ndarray):
         self.scheme = scheme
-        self.opts = opts
         self.stats = SolverStats()
         self.t = 0.0
         self.v = v
@@ -296,13 +294,13 @@ class _Stepper:
 
     def advance(self, dt: float) -> tuple[float, float]:
         """One step with local error control; returns (dt_taken, dt_next)."""
-        scheme, opts, stats = self.scheme, self.opts, self.stats
+        scheme, stats = self.scheme, self.stats
         v0, f0 = self.v, self.f
         while True:
             if dt < 1e-14:
                 raise RuntimeError(
                     f"time step fell below 1e-14 near t = {self.t} without "
-                    f"meeting step_tol = {opts.step_tol}")
+                    f"meeting STEP_TOL = {STEP_TOL}")
             h = _D * dt
             # Newton starts from an explicit Euler predictor for the
             # trapezoid stage and from the line through v0 and vg for BDF2,
@@ -328,10 +326,10 @@ class _Stepper:
                                dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
             err = math.inf if info != 0 else \
                 float(np.abs(est).max()) / (float(np.abs(v1).max()) + 1e-30)
-            if err <= opts.step_tol:
+            if err <= STEP_TOL:
                 break
             stats.rejected += 1
-            dt *= max(0.2, 0.7 * (opts.step_tol / err) ** (1.0 / 3.0))
+            dt *= max(0.2, 0.7 * (STEP_TOL / err) ** (1.0 / 3.0))
         # the outer-face flux weighted as the two stages apply it
         self.boundary_mass += h * (_A * (self.outer + outer_g) + outer1) \
             * scheme.area[-1] * scheme.omega
@@ -341,7 +339,7 @@ class _Stepper:
         stats.dt_min = min(stats.dt_min, dt)
         stats.dt_max = max(stats.dt_max, dt)
         stats.dt_last = dt
-        grow = 0.9 * (opts.step_tol / max(err, 1e-30)) ** (1.0 / 3.0)
+        grow = 0.9 * (STEP_TOL / max(err, 1e-30)) ** (1.0 / 3.0)
         return dt, min(DT_MAX, dt * min(4.0, max(0.2, grow)))
 
 
@@ -378,19 +376,17 @@ def _second_moment_of(ex: ExponentSet, r: np.ndarray):
     return second_moment
 
 
-def solve_fdr(v0: RadialField, t_end: float, opts: SolverOptions = SolverOptions(),
-              n_saves: int = 60) -> Trajectory:
+def solve_fdr(v0: RadialField, t_end: float, n_saves: int = 60) -> Trajectory:
     """Integrate the confined flow from v0 as sampled; :func:`_run` rescales
     it to the profile mass and refuses what the mesh does not resolve."""
-    return _run(v0, t_end, opts, n_saves, confined=True)
+    return _run(v0, t_end, n_saves, confined=True)
 
 
-def solve_fd_original(u0: RadialField, t_end: float,
-                      opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
+def solve_fd_original(u0: RadialField, t_end: float, n_saves: int = 60) -> Trajectory:
     """Integrate the unconfined flow with a zero-flux outer boundary from u0
     as given, at its own mass; :func:`_run` refuses what the mesh does not
     resolve."""
-    return _run(u0, t_end, opts, n_saves, confined=False)
+    return _run(u0, t_end, n_saves, confined=False)
 
 
 def _out_of_steps(remaining: float, pace: float, pace0: float, windows_run: int,
@@ -411,8 +407,8 @@ def _out_of_steps(remaining: float, pace: float, pace0: float, windows_run: int,
         < math.log1p(remaining * (g - 1.0) / (PACE_WINDOW * pace * g))
 
 
-def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
-         confined: bool, delay: bool = False) -> Trajectory:
+def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
+         delay: bool = False) -> Trajectory:
     """The one entry of the three flows: step from the datum to t_end and
     keep the time, snapshot, bookkept mass and (delayed flow) tau at
     n_saves + 1 save times; reports, errors and delay records are formed
@@ -424,7 +420,7 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
 
     Every PACE_WINDOW accepted steps the run projects the steps it still
     needs (see :func:`_out_of_steps`) and raises ``RuntimeError`` at once
-    when they exceed those left under max_steps.  The rule reads the step
+    when they exceed those left under MAX_STEPS.  The rule reads the step
     count and the simulated time, not the clock, and changes no step.
     """
     if not t_end > 0.0 or n_saves < 1:
@@ -435,7 +431,7 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
     ex, r, v = datum.exponents, datum.r, datum.v
     scheme = _RadialScheme(ex, r, confined)
     m2_star = closed_form_moments(ex).second_moment
-    stepper = _Stepper(scheme, opts, v)
+    stepper = _Stepper(scheme, v)
     save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
 
     def bookkept_mass():
@@ -457,7 +453,7 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
         ratio = snaps[0].second_moment() / m2_star
     dt = DT_INIT
     t_window, pace0 = 0.0, math.nan
-    while stepper.t < t_end - 1e-12 and stepper.stats.accepted < opts.max_steps:
+    while stepper.t < t_end - 1e-12 and stepper.stats.accepted < MAX_STEPS:
         dt = min(dt, t_end - stepper.t, max(1e-12, save_times[len(times)] - stepper.t))
         dt_taken, dt = stepper.advance(dt)
         k = stepper.stats.accepted
@@ -467,11 +463,11 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
             if k == PACE_WINDOW:
                 pace0 = pace
             elif _out_of_steps(t_end - stepper.t, pace, pace0, k // PACE_WINDOW - 1,
-                               (opts.max_steps - k) / PACE_WINDOW):
+                               (MAX_STEPS - k) / PACE_WINDOW):
                 raise RuntimeError(
                     f"at t = {stepper.t} after {k} accepted steps (mean dt "
                     f"{pace:.3g} over the last {PACE_WINDOW}) the run cannot reach "
-                    f"t_end = {t_end} within max_steps = {opts.max_steps}")
+                    f"t_end = {t_end} within MAX_STEPS = {MAX_STEPS}")
         # a field is built at save times only; there the delay update
         # measures it, and its report reads the kept integral
         saving = stepper.t >= save_times[len(times)] - 1e-12
@@ -496,7 +492,7 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
     if stepper.t < t_end - 1e-12:
         raise RuntimeError(
             f"stopped at t = {stepper.t} short of t_end = {t_end}: "
-            f"max_steps = {opts.max_steps} accepted steps taken")
+            f"MAX_STEPS = {MAX_STEPS} accepted steps taken")
     reports, rel_errs, delays = [None] * len(times), [math.nan] * len(times), None
     if scheme.confined:
         # differenced against the discretized profile (the scheme's fixed
@@ -517,8 +513,7 @@ def _run(datum: RadialField, t_end: float, opts: SolverOptions, n_saves: int,
                       conserved_mass=fv_mass, stats=stepper.stats, delay=delays)
 
 
-def solve_fdr_delayed(v0: RadialField, t_end: float,
-                      opts: SolverOptions = SolverOptions(), n_saves: int = 60) -> Trajectory:
+def solve_fdr_delayed(v0: RadialField, t_end: float, n_saves: int = 60) -> Trajectory:
     """Confined flow plus the delay equation, from v0 as sampled and with
     the entry rules of :func:`_run`.
 
@@ -528,7 +523,7 @@ def solve_fdr_delayed(v0: RadialField, t_end: float,
     snapshot, and ``test_delayed_flow_tau_bound`` checks at the last save
     that the rescaled snapshot's second moment is lambda times the
     profile's."""
-    return _run(v0, t_end, opts, n_saves, confined=True, delay=True)
+    return _run(v0, t_end, n_saves, confined=True, delay=True)
 
 
 def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialField]:

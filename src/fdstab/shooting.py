@@ -107,10 +107,10 @@ def _rms(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
 
-def _first_step(fun, y, f, rtol: float) -> float:
+def _first_step(fun, y, f) -> float:
     """Hairer's initial step for a pair with a fourth-order error estimate
     (Hairer, Norsett & Wanner, sec. II.4), from _R0 towards r = 1."""
-    scale = _ATOL + rtol * np.abs(y)
+    scale = _ATOL + _RTOL * np.abs(y)
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0 - _R0)
     d2 = _rms((fun(_R0 + h0, y + h0 * f) - f) / scale) / h0
@@ -118,11 +118,11 @@ def _first_step(fun, y, f, rtol: float) -> float:
     return min(100.0 * h0, h1, 1.0 - _R0)
 
 
-def _rk45(fun, y0: np.ndarray, rtol: float, radii: np.ndarray, rows: int, what: str):
+def _rk45(fun, y0: np.ndarray, radii: np.ndarray, rows: int, what: str):
     """Integrate y' = fun(r, y) from r = _R0 to r = 1 by Dormand-Prince 5(4).
 
     The step control is the standard one for this pair: Hairer's first
-    step, an RMS error norm with the scale _ATOL + rtol max(|y|, |y_new|),
+    step, an RMS error norm with the scale _ATOL + _RTOL max(|y|, |y_new|),
     a safety factor 0.9, step factors clamped to [0.2, 10], and no growth
     on the step after a rejection.
     The first ``rows`` rows of y are sampled at ``radii`` (in [_R0, 1],
@@ -140,7 +140,7 @@ def _rk45(fun, y0: np.ndarray, rtol: float, radii: np.ndarray, rows: int, what: 
     at = radii[order]
     samples = np.empty((cut, radii.size))
     r, f, done, steps = _R0, fun(_R0, y), 0, 0
-    h = _first_step(fun, y, f, rtol)
+    h = _first_step(fun, y, f)
     rejected = False
     while r < 1.0:
         if h < 10.0 * np.spacing(r):
@@ -153,7 +153,7 @@ def _rk45(fun, y0: np.ndarray, rtol: float, radii: np.ndarray, rows: int, what: 
             stage[s] = fun(r + _DP_C[s] * h, y + h * dy)
         y_new = y + h * (_DP_B @ stages[:6]).reshape(y.shape)
         stage[6] = f_new = fun(r_new, y_new)
-        scale = _ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+        scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
         err = _rms(h * (_DP_E @ stages) / scale)
         if not math.isfinite(err):
             raise RuntimeError(f"{what}: non-finite state on the step from r = {r!r}")
@@ -185,7 +185,7 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return counts
 
 
-def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
+def _disk_scan(grid: np.ndarray, radii: np.ndarray):
     """(a, f'(1), sign changes) for every height of the grid, and every
     height's f at the given radii (clipped to the start radius _R0).
 
@@ -195,7 +195,7 @@ def _disk_scan(grid: np.ndarray, rtol: float, radii: np.ndarray):
     """
     y0 = np.array([_series_start(a) for a in grid]).T
     radii = np.maximum(radii, _R0)
-    y, (f,), _ = _rk45(_disk_field, y0, rtol, np.concatenate([_SIGN_GRID, radii]), 1,
+    y, (f,), _ = _rk45(_disk_field, y0, np.concatenate([_SIGN_GRID, radii]), 1,
                        f"stacked disk scan over a in [{grid[0]}, {grid[-1]}]")
     changes = _sign_changes(f[:, :_SIGN_GRID.size])
     trace = [(float(a), float(s), c) for a, s, c in zip(grid, y[1], changes)]
@@ -251,7 +251,7 @@ def collocate_disk(f0: np.ndarray) -> tuple[float, float, int]:
                        f"{_NEWTON_MAX} steps (last step {np.max(np.abs(step)):.2e})")
 
 
-def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
+def shoot_disk_radial(scan_lo: float = 1.5) -> ShootResult:
     """Locate the one-sign-change Neumann solution on the unit disk.
 
     Scans the initial height for a bracket of s(a) = f'(1) restricted to
@@ -262,7 +262,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     no sign change) and is excluded by the scan range.
     """
     grid = np.arange(scan_lo, _SCAN_HI + 0.5 * _SCAN_STEP, _SCAN_STEP)
-    trace, profiles = _disk_scan(grid, rtol, _cheb(_CHEB_N)[0])
+    trace, profiles = _disk_scan(grid, _cheb(_CHEB_N)[0])
     for j, ((a0, s0, n0), (a1, s1, n1)) in enumerate(zip(trace, trace[1:])):
         if n0 == 1 and n1 == 1 and s0 * s1 < 0.0:
             break
@@ -277,7 +277,7 @@ def shoot_disk_radial(scan_lo: float = 1.5, rtol: float = _RTOL) -> ShootResult:
     # as a third row, so the identity r f' - R0 f'(R0) = q is read off the
     # samples without differentiating or quadrature
     y0 = np.array([*_series_start(a_star), 0.0])[:, None]
-    y, ((f,), (fp,), (q,)), _ = _rk45(_disk_field, y0, rtol, _SIGN_GRID, 3,
+    y, ((f,), (fp,), (q,)), _ = _rk45(_disk_field, y0, _SIGN_GRID, 3,
                                       f"disk ODE at a = {a_star}")
     residual = float(np.max(np.abs(_SIGN_GRID * fp - _R0 * y0[1, 0] - q)))
     return ShootResult(a_star=a_star, constant=constant, residual=residual,

@@ -31,9 +31,11 @@ def test_embedding_constants():
         C.embedding_constant(1, 3.0)     # p must exceed 4
 
 
-def test_sigma_series_truncation_stability():
-    s30 = C.sigma_series(3, rel_tail=1e-30)
-    s35 = C.sigma_series(3, rel_tail=1e-35)
+def test_sigma_series_truncation_stability(monkeypatch):
+    monkeypatch.setattr(C, "_SIGMA_TAIL", 1e-30)
+    s30 = C.sigma_series(3)
+    monkeypatch.setattr(C, "_SIGMA_TAIL", 1e-35)
+    s35 = C.sigma_series(3)
     assert abs(s30.ln_float() - s35.ln_float()) <= 1e-12 * abs(s30.ln_float())
     # larger dimensions stay finite through the log-space sum
     s20 = C.sigma_series(20)
@@ -100,7 +102,7 @@ def test_nu_small_hbar_branches():
 
 
 def test_kappa0_and_small_lemma_constants():
-    k0 = C.bombieri_giusti_kappa0(5.0, 2.0, 2592.0, 0.5)
+    k0 = C.bombieri_giusti_kappa0(5.0, logreal(2.0), 2592.0, 0.5)
     # exponent max(2*2592, 8*8/(1/2)^10) = max(5184, 65536)
     assert math.isclose(k0.ln_float(), 65536.0, rel_tol=1e-12)
     assert math.isclose(C.aleksandrov_constant(1), 2.0, rel_tol=1e-14)
@@ -408,7 +410,7 @@ def test_ledger_json_schema():
 
 def test_holder_interp_constant_plain_values():
     # at nu = 1/2, p = 1, d = 3 everything is order one
-    val = C.holder_lp_interp_constant(3, 0.5).to_float()
+    val = C.holder_lp_interp_constant(3, logreal(0.5)).to_float()
     d, nu, p = 3, 0.5, 1.0
     om = 4.0 * math.pi
     lead = 2.0 ** (((p - 1) * (d + p * nu) + d * p) / (p * (d + p * nu)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdstab.fields import (DivergentTailError, RadialField, TailModel,
-                           barenblatt_field, gradient_integral, graded_mesh,
+                           barenblatt_field, gradient_integral,
                            moment_matched_field, normalized_to_profile_mass,
                            profile_tail, quadrature_mesh)
 from fdstab.flow import default_flow_mesh
@@ -57,7 +57,7 @@ def test_gradient_integral_matches_g_norm():
 
 def test_divergent_tail_flagged():
     ex = derive_exponents(3, m=0.75)  # d = 3, p = 2
-    r = graded_mesh()
+    r = default_flow_mesh(400)
 
     def field(power):
         v = (1.0 + r ** 2) ** (0.5 * power)
@@ -76,7 +76,7 @@ def test_divergent_tail_flagged():
 
 def test_mass_beyond_monotone():
     ex = derive_exponents(3, m=0.75)
-    fld = barenblatt_field(ex, graded_mesh())
+    fld = barenblatt_field(ex, default_flow_mesh(400))
     beyond = fld.mass_beyond()
     assert np.all(np.diff(beyond) <= 0.0)
     assert math.isclose(beyond[0], fld.mass(), rel_tol=1e-12)
@@ -119,7 +119,7 @@ def _battery_data(ex, mesh):
 
 def test_dilated_scales_mass_and_tail():
     ex = derive_exponents(3, m=0.75)
-    for fld in _battery_data(ex, graded_mesh()):
+    for fld in _battery_data(ex, default_flow_mesh(400)):
         for s, c in [(1.0, 1.7), (0.6, 1.0), (1.9, 0.3)]:
             out = fld.dilated(s, c)
             factor = c * s ** -ex.d
@@ -133,7 +133,7 @@ def test_normalized_to_profile_mass_is_the_plain_rescaling():
     # bit for bit the rescaling v -> c v, A -> c A with c = int B / mass
     for m in (2.0 / 3.0, 0.75):
         ex = derive_exponents(3, m=m)
-        for fld in _battery_data(ex, graded_mesh(5.0, 200, 50.0, 200)):
+        for fld in _battery_data(ex, default_flow_mesh(400)):
             scale = barenblatt_mass(ex) / fld.mass()
             out = normalized_to_profile_mass(fld)
             assert np.array_equal(out.r, fld.r)
@@ -145,7 +145,7 @@ def test_normalizer_refuses_what_the_mesh_does_not_resolve():
     # it corrects quadrature bias, not data: a factor off 1 by more than
     # MASS_FACTOR_TOL is an error naming the datum and the factor
     ex = derive_exponents(3, m=0.75)
-    fld = barenblatt_field(ex, graded_mesh())
+    fld = barenblatt_field(ex, default_flow_mesh(400))
     with pytest.raises(ValueError, match=r"^scaled: .* factor 0\.666667, off 1 by more than 0\.001"):
         normalized_to_profile_mass(fld.dilated(1.0, 1.5), "scaled")
     mesh = default_flow_mesh(400)
@@ -156,7 +156,7 @@ def test_normalizer_refuses_what_the_mesh_does_not_resolve():
 
 def test_field_is_measured_once_and_read_only(monkeypatch):
     ex = derive_exponents(3, m=0.75)
-    mesh = graded_mesh()
+    mesh = default_flow_mesh(400)
     v = barenblatt_field(ex, mesh).v.copy()
     fld = RadialField(ex, mesh, v, profile_tail(ex))
     quads = []
@@ -173,12 +173,9 @@ def test_field_is_measured_once_and_read_only(monkeypatch):
     assert quads == [0, 2]
     # derived fields are new fields, measured afresh
     assert fld.dilated(1.0, 2.0).mass() == pytest.approx(2.0 * mass, rel=1e-14)
-    tail = fld.tail_integral(1.0)  # with_values keeps the tail
-    assert fld.with_values(0.5 * fld.v).mass() \
-        == pytest.approx(0.5 * (mass - tail) + tail, rel=1e-14)
     assert normalized_to_profile_mass(fld.dilated(1.0, 1.0002)).mass() \
         == pytest.approx(barenblatt_mass(ex), rel=1e-14)
-    assert len(quads) == 6
+    assert len(quads) == 5
     # the field's arrays are read-only; the caller's stay writable, and
     # writing into them leaves the field as it was
     with pytest.raises(ValueError):
@@ -196,8 +193,8 @@ def test_dilation_overflow_is_refused_for_numpy_scalars():
     # float raises OverflowError; the refusal must not depend on the type
     ex = derive_exponents(3, m=0.9999)
     with pytest.raises(ValueError, match="dilation lam = 2.0 out of range"):
-        barenblatt_field(ex, graded_mesh(), np.float64(2.0))
+        barenblatt_field(ex, default_flow_mesh(400), np.float64(2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="dilation lam = 2.0 out of range"):
-            barenblatt_field(ex, graded_mesh(), np.float64(2.0))
+            barenblatt_field(ex, default_flow_mesh(400), np.float64(2.0))

@@ -10,7 +10,7 @@ from fdstab import flow
 from fdstab.fields import (RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail)
-from fdstab.flow import (DT_MAX, PACE_WINDOW, SolverOptions, _RadialScheme,
+from fdstab.flow import (DT_MAX, PACE_WINDOW, _RadialScheme,
                          default_flow_mesh, entropy_growth_floor,
                          reconstruct_delayed, solve_fd_original, solve_fdr,
                          solve_fdr_delayed)
@@ -117,12 +117,13 @@ def test_newton_accepts_residual_at_rounding_floor():
     assert solve_fdr(fld, 3.0).stats.rejected == 0
 
 
-def test_accuracy_against_tight_tolerance():
+def test_accuracy_against_tight_tolerance(monkeypatch):
     # measured 5.5e-7 (state) and 5.3e-5 (F); implicit Euler with step
     # doubling gave 1.0e-5 and 9.2e-4 against the same reference
     fld = barenblatt_field(EX34, default_flow_mesh(400), lam=1.2)
     run = solve_fdr(fld, 1.0, n_saves=20)
-    ref = solve_fdr(fld, 1.0, SolverOptions(step_tol=1e-11), n_saves=20)
+    monkeypatch.setattr(flow, "STEP_TOL", 1e-11)
+    ref = solve_fdr(fld, 1.0, n_saves=20)
     v, v_ref = run.snapshots[-1].v, ref.snapshots[-1].v
     assert np.max(np.abs(v - v_ref)) <= 1e-6 * np.max(v_ref)
     F = np.array([r.free_energy for r in run.reports])
@@ -131,38 +132,43 @@ def test_accuracy_against_tight_tolerance():
     assert np.all(np.abs(F[mask] / F_ref[mask] - 1.0) <= 5e-3)
 
 
-def test_unreachable_step_tol_raises():
+def test_unreachable_step_tol_raises(monkeypatch):
     fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
-    with pytest.raises(RuntimeError, match="step_tol"):
-        solve_fdr(fld, 0.1, SolverOptions(step_tol=0.0))
+    monkeypatch.setattr(flow, "STEP_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="STEP_TOL"):
+        solve_fdr(fld, 0.1)
 
 
-def test_max_steps_raises():
+def test_max_steps_raises(monkeypatch):
     fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
-    with pytest.raises(RuntimeError, match="max_steps"):
-        solve_fdr(fld, 3.0, SolverOptions(max_steps=10))
+    monkeypatch.setattr(flow, "MAX_STEPS", 10)
+    with pytest.raises(RuntimeError, match="MAX_STEPS"):
+        solve_fdr(fld, 3.0)
 
 
-def test_pace_rule_stops_runs_that_cannot_fit():
+def test_pace_rule_stops_runs_that_cannot_fit(monkeypatch):
     # t = 100 needs at least 2 000 steps of DT_MAX; from DT_INIT the pace
-    # rule stops the run after two windows instead of after max_steps
+    # rule stops the run after two windows instead of after MAX_STEPS
     fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
+    monkeypatch.setattr(flow, "MAX_STEPS", 1000)
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="max_steps") as err:
-        solve_fdr(fld, 100.0, SolverOptions(max_steps=1000))
+    with pytest.raises(RuntimeError, match="MAX_STEPS") as err:
+        solve_fdr(fld, 100.0)
     assert time.perf_counter() - t0 < 2.0
     assert f"after {2 * PACE_WINDOW} accepted steps" in str(err.value)
 
 
-def test_pace_rule_spares_runs_that_fit():
+def test_pace_rule_spares_runs_that_fit(monkeypatch):
     fld = barenblatt_field(EX34, default_flow_mesh(200), lam=1.2)
     # from DT_INIT, the first window's pace (5.5e-3) projects 1 822 steps
     # to t = 10; the run takes 430, as the pace grows to DT_MAX
-    traj = solve_fdr(fld, 10.0, SolverOptions(max_steps=1000), n_saves=10)
+    monkeypatch.setattr(flow, "MAX_STEPS", 1000)
+    traj = solve_fdr(fld, 10.0, n_saves=10)
     assert traj.stats.accepted == 430
     # every step clipped at a save time: the pace is the save spacing, and
     # the run fits with 5 steps to spare
-    traj = solve_fdr(fld, 1.0, SolverOptions(max_steps=1010), n_saves=1000)
+    monkeypatch.setattr(flow, "MAX_STEPS", 1010)
+    traj = solve_fdr(fld, 1.0, n_saves=1000)
     assert traj.stats.accepted == 1005
 
 

@@ -290,7 +290,7 @@ def test_csiszar_kullback_adds_both_tails_of_different_powers():
 def test_csiszar_kullback_mass_gate():
     ex = derive_exponents(3, m=2.0 / 3.0)
     fld = barenblatt_field(ex, MESH)
-    bad = fld.with_values(fld.v * 1.01)
+    bad = RadialField(ex, fld.r, 1.01 * fld.v, fld.tail)
     with pytest.raises(ValueError):
         F.csiszar_kullback_gap(bad, fld)
 

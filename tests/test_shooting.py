@@ -26,10 +26,10 @@ def _scipy_solve(a, rtol=shooting._RTOL):
     return sol
 
 
-def _one_height(a, rtol=shooting._RTOL):
+def _one_height(a):
     """fdstab's pair on one height (rows f, f'): (y at r = 1, accepted steps)."""
     y0 = np.array(shooting._series_start(a))[:, None]
-    y, _, steps = shooting._rk45(shooting._disk_field, y0, rtol, np.ones(1), 1, f"a = {a}")
+    y, _, steps = shooting._rk45(shooting._disk_field, y0, np.ones(1), 1, f"a = {a}")
     return y[:, 0], steps
 
 
@@ -147,15 +147,16 @@ def _serial_row(a, rtol):
     return sol.y[1][-1], int(np.sum(s[1:] != s[:-1]))
 
 
-def test_batched_scan_matches_serial_solves():
+def test_batched_scan_matches_serial_solves(monkeypatch):
     # the stacked scan shares one step sequence and one error norm across
     # heights, which moves its slopes by about 1e-8 relative from serial
     # scipy solves; the sign changes must agree exactly
     serial = {}
     for rtol in (1e-10, 5e-11):
+        monkeypatch.setattr(shooting, "_RTOL", rtol)
         for lo in (1.5, 1.6, 1.75):
             grid = np.arange(lo, 20.125, 0.25)  # shoot_disk_radial's default scan
-            trace, _ = shooting._disk_scan(grid, rtol, np.ones(1))
+            trace, _ = shooting._disk_scan(grid, np.ones(1))
             for a, slope, changes in trace:
                 if (a, rtol) not in serial:
                     serial[a, rtol] = _serial_row(a, rtol)
@@ -186,13 +187,15 @@ def test_disk_trivial_branch():
     assert abs(y[1]) < 1e-9
 
 
-def test_disk_richardson_stability():
+def test_disk_richardson_stability(monkeypatch):
     # the integration tolerance reaches the shooting root, so the brentq
     # roots of the one-height slope at two tolerances must agree to 1e-6;
     # it reaches the collocated a* only through the Newton start, which
     # leaves the root to rounding (1.9e-13 apart, measured)
-    res = shoot_disk_radial(rtol=1e-10)
-    res2 = shoot_disk_radial(rtol=5e-11)
+    monkeypatch.setattr(shooting, "_RTOL", 1e-10)
+    res = shoot_disk_radial()
+    monkeypatch.setattr(shooting, "_RTOL", 5e-11)
+    res2 = shoot_disk_radial()
     bracket = next((a0, a1) for (a0, s0, n0), (a1, s1, n1) in zip(res.scan, res.scan[1:])
                    if n0 == n1 == 1 and s0 * s1 < 0.0)
     roots = [brentq(lambda a: float(_scipy_solve(a, rtol=rtol).y[1][-1]),
