@@ -22,7 +22,7 @@ from .flow import (SolverStats, Trajectory, default_flow_mesh, solve_fd_original
                    solve_fdr, solve_fdr_delayed)
 from .parabolic import harnack_ratio, solve_linear_parabolic
 from .spectral import SpectrumQuery, critical_gap_parameters, eigenvalue, spectral_gap
-from .moments import PhaseState, classify_region, delay_bound, xy_closed_form, xy_integrate_batch
+from .moments import classify_region, delay_bound, xy_closed_form, xy_integrate_batch
 from .shooting import emden_fowler_verify, shoot_disk_radial
 from .constants import build_ledger, moser_chain
 from .ledger import ConstantLedger
@@ -43,8 +43,7 @@ __all__ = [
     "solve_fdr", "solve_fdr_delayed",
     "harnack_ratio", "solve_linear_parabolic",
     "SpectrumQuery", "critical_gap_parameters", "eigenvalue", "spectral_gap",
-    "PhaseState", "classify_region", "delay_bound", "xy_closed_form",
-    "xy_integrate_batch",
+    "classify_region", "delay_bound", "xy_closed_form", "xy_integrate_batch",
     "emden_fowler_verify", "shoot_disk_radial",
     "build_ledger", "moser_chain", "ConstantLedger", "LogReal",
 ]

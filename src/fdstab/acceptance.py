@@ -167,8 +167,7 @@ def check_phase_system() -> CheckResult:
     x0 = np.array(x0)
     y0 = np.array(y0)
     path = Mo.xy_integrate_batch(ex, x0, y0, 10.0, dt=1e-3)
-    xc, yc = Mo.xy_closed_form(Mo.PhaseState.make(ex, x0[:20], y0[:20]),
-                               path["t"][:, None])
+    xc, yc = Mo.xy_closed_form(ex, x0[:20], y0[:20], path["t"][:, None])
     err = max(float(np.max(np.abs(path["x"][:, :20] - xc))),
               float(np.max(np.abs(path["y"][:, :20] - yc))))
     ok = err < 1e-8

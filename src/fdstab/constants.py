@@ -119,9 +119,6 @@ def sigma_series(d: int) -> LogReal:
 
 @dataclass(frozen=True)
 class MoserChain:
-    d: int
-    lam0: LogReal
-    lam1: LogReal
     mu: LogReal          # lam1 + 1/lam0; itself beyond float64 range for
     embed_K: float       # some admissible fast-diffusion chains
     sigma: LogReal
@@ -181,9 +178,8 @@ def moser_chain(d: int, lam0: float | LogReal, lam1: float | LogReal) -> MoserCh
     # float precision
     nu = _nu_from_hbar(hbar)
     vartheta = nu / logreal(float(d))
-    return MoserChain(d=d, lam0=lam0, lam1=lam1, mu=mu, embed_K=K,
-                      sigma=sig, c0=c0, c1=c1, c2=c2, h=h, hbar=hbar,
-                      nu=nu, vartheta=vartheta)
+    return MoserChain(mu=mu, embed_K=K, sigma=sig, c0=c0, c1=c1, c2=c2, h=h,
+                      hbar=hbar, nu=nu, vartheta=vartheta)
 
 
 def _nu_from_hbar(hbar: LogReal) -> LogReal:
@@ -308,7 +304,6 @@ class GHPChain:
     kappa_bar: LogReal
     kappa: LogReal
     kappa_star: float
-    c_shift: LogReal         # max{1, 2^{5-m} kappa_bar^{1-m} b^alpha}
     t_bar: LogReal
     M_bar: LogReal
     t_under_bound: float
@@ -404,7 +399,7 @@ def ghp_chain(ex: ExponentSet, A: float) -> GHPChain:
     a_exp = logreal(al * (2.0 - m) / (1.0 - m)) / moser.vartheta
     cbar = cbar_star(ex, eps_md, c_shift, kappa_star, K_control, moser.vartheta)
     return GHPChain(ex=ex, A=A, c3=c3, kappa_bar=kb, kappa=kappa,
-                    kappa_star=kappa_star, c_shift=c_shift, t_bar=t_bar,
+                    kappa_star=kappa_star, t_bar=t_bar,
                     M_bar=M_bar, t_under_bound=t_under_bound, M_under=M_under,
                     eps_bar=eps_bar, eps_under=eps_under,
                     one_minus_eps_under=one_minus_eps_under, eps_md=eps_md,
@@ -549,7 +544,6 @@ class SubcriticalStability:
     zeta_star: LogReal
     Z: LogReal
     C_stab: LogReal
-    threshold: ThresholdConstants
 
 
 def stability_constants_subcritical(chain: GHPChain, G: float) -> SubcriticalStability:
@@ -573,7 +567,7 @@ def stability_constants_subcritical(chain: GHPChain, G: float) -> SubcriticalSta
     C_stab = zeta * logreal((ex.p - 1.0) / (ex.p + 1.0))
     return SubcriticalStability(eta=eta, chi=CHI, eps_star=eps_star, c_alpha=cal,
                                 zeta=zeta, zeta_star=zeta_star, Z=Z,
-                                C_stab=C_stab, threshold=thr)
+                                C_stab=C_stab)
 
 
 def _eps_star(chain: GHPChain, eta: float) -> float:
@@ -591,16 +585,12 @@ def _zeta_from_T(eta: float, T: LogReal) -> LogReal:
 @dataclass(frozen=True)
 class CriticalStability:
     eta: float
-    a_gap: float
-    eta_branches: tuple[float, float]
     tau_bullet: float
     q_scale: float
     c_frak_star: LogReal
     F_frak_star: LogReal
     C_star: LogReal
-    c_alpha: float
     G: float                  # S_star/(1-m), the threshold time's energy bound
-    threshold_base: ThresholdConstants
 
 
 def stability_constants_critical(chain: GHPChain) -> CriticalStability:
@@ -608,16 +598,15 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
 
     The energy bound is G = S_star/(1-m), which enters only the threshold
     time.  eta follows the low branch of the published pair for d <= 6 and the
-    high branch above; both are carried so the d = 6 mismatch stays
-    visible.  tau_bullet comes from the delay analysis with vanishing
-    relative second moment.
+    high branch above; ``spectral.CriticalGap`` carries both branches, and
+    ``verify`` reports their d = 6 mismatch.  tau_bullet comes from the
+    delay analysis with vanishing relative second moment.
     """
     ex, A = chain.ex, chain.A
     d = ex.d
     if not ex.is_critical:
         raise ValueError(f"the critical chain requires m = m_1 = {ex.m_1}, got {ex.m}")
-    crit = critical_gap_parameters(d)
-    eta = crit.eta
+    eta = critical_gap_parameters(d).eta
     mt = closed_form_moments(ex)
     tau_b = delay_bound(ex, 0.0, 0.0).tau_bullet
     assert tau_b is not None
@@ -634,11 +623,9 @@ def stability_constants_critical(chain: GHPChain) -> CriticalStability:
            / (logreal(2.0 * al) * c_frak)).powf(2.0 / al) \
         * logreal(cal)
     c_star_of_A = f_frak / logreal(1.0 + A ** (1.0 / (2.0 * d)))
-    return CriticalStability(eta=eta, a_gap=crit.a_gap,
-                             eta_branches=(crit.eta_low, crit.eta_high),
-                             tau_bullet=tau_b, q_scale=q, c_frak_star=c_frak,
-                             F_frak_star=f_frak, C_star=c_star_of_A,
-                             c_alpha=cal, G=G_crit, threshold_base=thr)
+    return CriticalStability(eta=eta, tau_bullet=tau_b, q_scale=q,
+                             c_frak_star=c_frak, F_frak_star=f_frak,
+                             C_star=c_star_of_A, G=G_crit)
 
 
 def critical_time_margin(chain: GHPChain,

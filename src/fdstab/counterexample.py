@@ -71,7 +71,6 @@ _LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class EscapeFamilyReport:
-    k: int
     center: float
     deficit: float
     entropy: float
@@ -124,7 +123,7 @@ def counterexample_report(ex: ExponentSet, k: int,
     deficit = _gns_deficit(ex, grad_int, p_int, mt.mass)
 
     ratio = entropy / xm ** (2.0 * (1.0 - m) / ex.alpha)
-    return EscapeFamilyReport(k=k, center=X, deficit=deficit, entropy=entropy,
+    return EscapeFamilyReport(center=X, deficit=deficit, entropy=entropy,
                               xm_norm=xm, ratio=ratio,
                               skipped_blocks=cor.n_blocks - kept.size,
                               blocks=cor.n_blocks)

@@ -254,14 +254,13 @@ def normalized_to_profile_mass(field: RadialField,
     trapezoid error of the mass can change sign across dilations (B_0.0562
     at (5, 0.8) on 120 cells needs the factor 1 - 2.6e-4 although its
     cell-volume and quadrature masses differ by 0.105); the flows'
-    resolution check is ``flow.RESOLUTION_TOL``.
+    resolution check is ``flow.RESOLUTION_TOL``, which they apply first.
     """
     factor = barenblatt_mass(field.exponents) / field.mass()
     if not abs(factor - 1.0) <= MASS_FACTOR_TOL:
         raise ValueError(
             f"{datum}: rescaling it to the profile mass takes the factor "
-            f"{factor:.6g}, off 1 by more than {MASS_FACTOR_TOL:g}: either it "
-            "is off the profile mass or the mesh does not resolve it")
+            f"{factor:.6g}, off 1 by more than {MASS_FACTOR_TOL:g}")
     return field.dilated(1.0, factor)
 
 

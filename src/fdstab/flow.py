@@ -14,11 +14,12 @@ midpoints, control volumes around nodes):
   steps on the same grid.
 
 The three flows share one entry, :func:`_run`, and take their datum as
-sampled: a confined datum is rescaled to the profile mass there
+sampled: any datum whose cell-volume mass is off its quadrature mass by
+more than RESOLUTION_TOL, a datum the mesh does not resolve, is refused
+with ``ValueError`` before the first step, and only then is a confined
+datum rescaled to the profile mass
 (:func:`~fdstab.fields.normalized_to_profile_mass` is the flows' one
-mass gate), and any datum whose cell-volume mass is off its quadrature
-mass by more than RESOLUTION_TOL, a datum the mesh does not resolve, is
-refused with ``ValueError`` before the first step.
+mass gate).
 
 Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
@@ -414,9 +415,10 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
     n_saves + 1 save times; reports, errors and delay records are formed
     from the saved snapshots after the run.
 
-    Before any step, a confined datum is rescaled to the profile mass, as
-    the relative entropy is measured against the profile of the datum's
-    own mass, and any datum is refused as the module docstring says.
+    Before any step, a datum the mesh does not resolve is refused, as the
+    module docstring says; only then is a confined datum rescaled to the
+    profile mass, as the relative entropy is measured against the profile
+    of the datum's own mass.
 
     Every PACE_WINDOW accepted steps the run projects the steps it still
     needs (see :func:`_out_of_steps`) and raises ``RuntimeError`` at once
@@ -426,12 +428,20 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
     if not t_end > 0.0 or n_saves < 1:
         raise ValueError(f"a flow run needs t_end > 0 and n_saves >= 1, "
                          f"got t_end = {t_end}, n_saves = {n_saves}")
+    ex, r = datum.exponents, datum.r
+    scheme = _RadialScheme(ex, r, confined)
+    # checked on the datum as sampled: rescaling leaves the relative gap as it is
+    cell_mass = float((scheme.vol * datum.v).sum()) * scheme.omega
+    quad_mass = datum.mass()
+    if not abs(cell_mass - quad_mass) <= RESOLUTION_TOL * quad_mass:
+        raise ValueError(
+            f"the mesh does not resolve the initial datum: its cell-volume "
+            f"mass {cell_mass:.6g} and its quadrature mass {quad_mass:.6g} "
+            f"differ by more than RESOLUTION_TOL = {RESOLUTION_TOL:g} relative")
     if confined:
         datum = normalized_to_profile_mass(datum, "initial datum")
-    ex, r, v = datum.exponents, datum.r, datum.v
-    scheme = _RadialScheme(ex, r, confined)
     m2_star = closed_form_moments(ex).second_moment
-    stepper = _Stepper(scheme, v)
+    stepper = _Stepper(scheme, datum.v)
     save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
 
     def bookkept_mass():
@@ -440,13 +450,8 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
         return float((scheme.vol * stepper.v).sum()) * scheme.omega \
             - stepper.boundary_mass
 
-    mass_ref, quad_mass = bookkept_mass(), datum.mass()
-    if not abs(mass_ref - quad_mass) <= RESOLUTION_TOL * quad_mass:
-        raise ValueError(
-            f"the mesh does not resolve the initial datum: its cell-volume "
-            f"mass {mass_ref:.6g} and its quadrature mass {quad_mass:.6g} "
-            f"differ by more than RESOLUTION_TOL = {RESOLUTION_TOL:g} relative")
-    times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, v)], [mass_ref], [0.0]
+    mass_ref = bookkept_mass()
+    times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, datum.v)], [mass_ref], [0.0]
     drift, tau = 0.0, 0.0
     if delay:
         second_moment = _second_moment_of(ex, r)
@@ -505,7 +510,7 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
         rel_errs = [float(np.abs(snap.v / ref.v - 1.0).max())
                     for snap in snaps]
     if delay:
-        delays = [DelayRecord(t=t, tau=tau, r_factor=math.exp(2.0 * tau),
+        delays = [DelayRecord(t=t, tau=tau,
                               lam=rep.second_moment / m2_star / math.exp(4.0 * tau))
                   for t, tau, rep in zip(times, taus, reports)]
     return Trajectory(exponents=ex, times=times, snapshots=snaps,
@@ -517,10 +522,10 @@ def solve_fdr_delayed(v0: RadialField, t_end: float, n_saves: int = 60) -> Traje
     """Confined flow plus the delay equation, from v0 as sampled and with
     the entry rules of :func:`_run`.
 
-    The trajectory carries one ``DelayRecord`` per save: the time, tau,
-    the r-factor e^{2 tau} and the matching scale lambda.  Nothing is
-    checked along the run; ``reconstruct_delayed`` rescales a saved
-    snapshot, and ``test_delayed_flow_tau_bound`` checks at the last save
+    The trajectory carries one ``DelayRecord`` per save: the time, tau
+    and the matching scale lambda.  Nothing is checked along the run;
+    ``reconstruct_delayed`` rescales a saved snapshot by the r-factor
+    e^{2 tau}, and ``test_delayed_flow_tau_bound`` checks at the last save
     that the rescaled snapshot's second moment is lambda times the
     profile's."""
     return _run(v0, t_end, n_saves, confined=True, delay=True)
@@ -532,7 +537,7 @@ def reconstruct_delayed(traj: Trajectory, index: int) -> tuple[float, RadialFiel
         raise ValueError("trajectory carries no delay records")
     rec = traj.delay[index]
     snap = traj.snapshots[index]
-    rf = rec.r_factor
+    rf = math.exp(2.0 * rec.tau)
     return rec.t + rec.tau, snap.dilated(rf, rf ** traj.exponents.d)
 
 

@@ -280,7 +280,6 @@ class Normalization:
 
     sigma: float
     kappa: float
-    a_p: float      # scale-invariant tail-norm functional
     e_p: float      # E[N f | g]
 
 
@@ -296,11 +295,9 @@ def normalization_map(field: RadialField) -> Normalization:
     grad_sq = gradient_integral(field)
     expo = 2.0 * p / (ex.d - p * (ex.d - 4.0))
     sigma = (2.0 * ex.d * kappa ** (p - 1.0) / (p * p - 1.0) * pf / grad_sq) ** expo
-    tail_expo = (ex.d - p * (ex.d - 4.0)) / (p - 1.0)  # = alpha/(1-m) for v
-    a_p = mass_g / (sigma ** tail_expo * mf) * xm_norm(field)
     # scaling identity: E[N f | g] = kappa^{p+1} sigma^{-d(p-1)/(2p)}
     # E[f | g_{1/sigma, kappa^{-2p}}]
     e_p = kappa ** (p + 1.0) * sigma ** (-ex.d * (p - 1.0) / (2.0 * p)) \
         * _relative_entropy(ex, pf, mf, field.second_moment(), 1.0 / sigma,
                             kappa ** (-2.0 * p))
-    return Normalization(sigma=sigma, kappa=kappa, a_p=a_p, e_p=e_p)
+    return Normalization(sigma=sigma, kappa=kappa, e_p=e_p)

@@ -30,37 +30,30 @@ from .profiles import closed_form_moments
 _PHASE_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """One point of the comparison system with its coefficients."""
+def _energy(a: float, b: float, x, y, out=None, scratch=None):
+    """Lyapunov level L = (aY - 4X)^2 + 4 b X^2 of scalars or arrays.
 
-    x: float
-    y: float
-    a: float
-    b: float
-
-    @staticmethod
-    def make(ex: ExponentSet, x: float, y: float) -> "PhaseState":
-        return PhaseState(x=x, y=y, a=ex.a_param, b=ex.b_param)
-
-    def energy(self) -> float:
-        """Lyapunov level L = (aY - 4X)^2 + 4 b X^2."""
-        return _energy(self.a, self.b, self.x, self.y)
-
-
-def _energy(a: float, b: float, x, y):
-    # squares written x*x, so that scalars and arrays round alike
-    e = a * y - 4.0 * x
-    return e * e + 4.0 * b * (x * x)
+    Formed in ``out`` when given, with ``scratch`` (shaped like x) as its
+    one temporary; the squares are written x*x, so that scalars and arrays
+    round alike.
+    """
+    e = np.multiply(a, y, out=out)
+    e -= np.multiply(4.0, x, out=scratch)
+    e *= e
+    s = np.multiply(x, x, out=scratch)
+    s *= 4.0 * b
+    e += s
+    return e
 
 
 @dataclass(frozen=True)
 class DelayRecord:
-    """Delay bookkeeping along a rescaled trajectory."""
+    """Delay bookkeeping along a rescaled trajectory: the time t, the
+    delay tau and the matching scale lambda; the rescaling r-factor is
+    e^{2 tau}."""
 
     t: float
     tau: float
-    r_factor: float  # e^{2 tau}
     lam: float
 
     def __post_init__(self):
@@ -90,16 +83,18 @@ def psi_upper(ex: ExponentSet, x: float) -> float:
     return mt.entropy * base ** ex.m - mt.entropy
 
 
-def xy_closed_form(state0: PhaseState, t) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit solution X(t), Y(t) of the comparison system."""
+def xy_closed_form(ex: ExponentSet, x0, y0, t) -> tuple[np.ndarray, np.ndarray]:
+    """Explicit solution X(t), Y(t) of the comparison system from the
+    starts (x0, y0) that :func:`xy_integrate_batch` takes; t broadcasts
+    against them."""
     t = np.asarray(t, dtype=float)
-    a, b = state0.a, state0.b
-    y = state0.y * np.exp(-b * t)
+    a, b = ex.a_param, ex.b_param
+    y = y0 * np.exp(-b * t)
     if abs(4.0 - b) < 1e-14:
         mix = a * t * np.exp(-4.0 * t)
     else:
         mix = a / (4.0 - b) * (np.exp(-b * t) - np.exp(-4.0 * t))
-    x = state0.x * np.exp(-4.0 * t) + mix * state0.y
+    x = x0 * np.exp(-4.0 * t) + mix * y0
     return x, y
 
 
@@ -111,14 +106,15 @@ def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
     Returns arrays t, x, y and the energy level along the paths, with x,
     y and energy shaped (steps + 1,) + shape of the start.  The three are
     formed in place in the returned arrays, a block of steps at a time
-    with one block-sized scratch; the energy equals :func:`_energy` of
-    the returned x and y bit for bit.  The paths are
-    the RK4 trajectories, not the exact flow: one step with h = dt is the
-    fixed map R = P(hM), M = [[-4, a], [0, -b]], P(z) = 1 + z + z^2/2 +
-    z^3/6 + z^4/24, so step k is R^k applied to the start, and
-    :func:`_rk4_propagator` gives the three entries of R^k.  The closed
-    form is the accuracy oracle; RK4 at dt = 1e-3 sits far below the 1e-8
-    comparison tolerance.  ``ValueError`` unless t_end > 0 and dt > 0.
+    with one block-sized scratch; each block's energy is :func:`_energy`,
+    the one written form of L, so it equals that of the returned x and y
+    bit for bit.  The paths are the RK4 trajectories, not the exact flow:
+    one step with h = dt is the fixed map R = P(hM), M = [[-4, a], [0, -b]],
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so step k is R^k applied to the
+    start, and :func:`_rk4_propagator` gives the three entries of R^k.  The
+    closed form :func:`xy_closed_form`, which takes the same starts, is the
+    accuracy oracle; RK4 at dt = 1e-3 sits far below the 1e-8 comparison
+    tolerance.  ``ValueError`` unless t_end > 0 and dt > 0.
     """
     if not (t_end > 0.0 and dt > 0.0):
         raise ValueError(f"a phase path needs t_end > 0 and dt > 0, "
@@ -143,13 +139,7 @@ def xy_integrate_batch(ex: ExponentSet, x0, y0, t_end: float,
         np.multiply(p11[i:j], x0, out=x)
         x += np.multiply(p12[i:j], y0, out=s)
         np.multiply(p22[i:j], y0, out=y)
-        # _energy's operations in its order: e = a y - 4 x, e e, + (4 b)(x x)
-        np.multiply(a, y, out=e)
-        e -= np.multiply(4.0, x, out=s)
-        e *= e
-        np.multiply(x, x, out=s)
-        s *= 4.0 * b
-        e += s
+        _energy(a, b, x, y, out=e, scratch=s)
     return {"t": t, "x": xs, "y": ys, "energy": energy}
 
 

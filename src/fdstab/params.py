@@ -32,7 +32,6 @@ class ExponentSet:
     m_c: float
     m_1: float
     m_tilde1: float
-    p_star: float
     lambda_bullet: float
 
     # phase-plane coefficients of the second-moment system
@@ -98,5 +97,5 @@ def derive_exponents(d: int, m: float | None = None, p: float | None = None) -> 
     return ExponentSet(
         d=d, m=m, p=p, theta=theta, gamma=gamma, alpha=alpha,
         m_c=m_c, m_1=(d - 1.0) / d, m_tilde1=d / (d + 2.0),
-        p_star=p_star, lambda_bullet=lambda_bullet,
+        lambda_bullet=lambda_bullet,
     )

@@ -60,7 +60,6 @@ def lambda_ess(query: SpectrumQuery) -> float:
 @dataclass(frozen=True)
 class EigenvalueResult:
     value: float
-    discrete: bool
     status: str  # "discrete" | "not-square-integrable" | "embedded"
 
 
@@ -87,10 +86,10 @@ def eigenvalue(ell: int, k: int, query: SpectrumQuery) -> EigenvalueResult:
         value = -2.0 * a * (ell + 2 * k) - 4.0 * k * (k + ell + d / 2.0 - 1.0)
         integrable = (ell + 2 * k - 1) < -(d + 2.0 * a) / 2.0
     if not integrable:
-        return EigenvalueResult(value, False, "not-square-integrable")
+        return EigenvalueResult(value, "not-square-integrable")
     if value >= lambda_ess(query):
-        return EigenvalueResult(value, False, "embedded")
-    return EigenvalueResult(value, True, "discrete")
+        return EigenvalueResult(value, "embedded")
+    return EigenvalueResult(value, "discrete")
 
 
 # -- gaps -------------------------------------------------------------------

@@ -15,28 +15,25 @@ MT = closed_form_moments(EX)
 
 
 def test_fixed_point():
-    st = M.PhaseState.make(EX, 0.0, 0.0)
-    x, y = M.xy_closed_form(st, np.linspace(0, 5, 11))
+    x, y = M.xy_closed_form(EX, 0.0, 0.0, np.linspace(0, 5, 11))
     assert np.all(x == 0.0) and np.all(y == 0.0)
 
 
 def test_closed_form_peak():
     # from (0, 1): X(t) = (1/m)(e^{-2t} - e^{-4t}), peak 3/8 at t = ln2/2
-    st = M.PhaseState.make(EX, 0.0, 1.0)
-    assert st.a == 3.0 and st.b == 2.0
+    assert EX.a_param == 3.0 and EX.b_param == 2.0
     assert math.isclose(EX.a_param / (4.0 - EX.b_param), 1.0 / EX.m,
                         rel_tol=1e-14)
-    x, _ = M.xy_closed_form(st, math.log(2.0) / 2.0)
+    x, _ = M.xy_closed_form(EX, 0.0, 1.0, math.log(2.0) / 2.0)
     assert math.isclose(float(x), 0.375, rel_tol=1e-13)
     tt = np.linspace(0.0, 3.0, 300)
-    xs, _ = M.xy_closed_form(st, tt)
+    xs, _ = M.xy_closed_form(EX, 0.0, 1.0, tt)
     assert xs.max() <= 0.375 + 1e-12
 
 
 def test_rk4_matches_closed_form():
-    st = M.PhaseState.make(EX, -2.0, 1.5)
-    path = M.xy_integrate_batch(EX, st.x, st.y, 10.0)
-    xc, yc = M.xy_closed_form(st, path["t"])
+    path = M.xy_integrate_batch(EX, -2.0, 1.5, 10.0)
+    xc, yc = M.xy_closed_form(EX, -2.0, 1.5, path["t"])
     assert np.max(np.abs(path["x"] - xc)) < 1e-8
     assert np.max(np.abs(path["y"] - yc)) < 1e-8
 
@@ -126,10 +123,9 @@ def test_propagator_divided_differences_match_stepping_loop(ex):
 
 def test_energy_dissipation_identity():
     # dL/dt = -2(b+4)(aY-4X)^2 along the flow
-    st = M.PhaseState.make(EX, 1.0, -1.0)
-    path = M.xy_integrate_batch(EX, st.x, st.y, 2.0, dt=1e-3)
+    path = M.xy_integrate_batch(EX, 1.0, -1.0, 2.0, dt=1e-3)
     t, L = path["t"], path["energy"]
-    a, b = st.a, st.b
+    a, b = EX.a_param, EX.b_param
     mid_rate = np.gradient(L, t)[1:-1]
     pred = -2.0 * (b + 4.0) * (a * path["y"] - 4.0 * path["x"]) ** 2
     err = np.max(np.abs(mid_rate - pred[1:-1])) / np.max(np.abs(pred) + 1e-30)
@@ -140,9 +136,8 @@ def test_energy_dissipation_identity():
 def test_state_energy_matches_path_energy():
     # one formula for L: the point-wise level equals the path's column
     # bit for bit (the phase command's path from (0, 1))
-    st = M.PhaseState.make(EX, 0.0, 1.0)
-    path = M.xy_integrate_batch(EX, st.x, st.y, 10.0)
-    levels = [M.PhaseState.make(EX, float(x), float(y)).energy()
+    path = M.xy_integrate_batch(EX, 0.0, 1.0, 10.0)
+    levels = [float(M._energy(EX.a_param, EX.b_param, float(x), float(y)))
               for x, y in zip(path["x"], path["y"])]
     assert levels == path["energy"].tolist()
 
@@ -243,4 +238,4 @@ def test_c_alpha_integral_bound():
 
 def test_delay_record_validation():
     with pytest.raises(ValueError):
-        M.DelayRecord(t=0.0, tau=0.0, r_factor=1.0, lam=-1.0)
+        M.DelayRecord(t=0.0, tau=0.0, lam=-1.0)

@@ -16,8 +16,8 @@ def test_eigenvalue_reference_values():
     assert q.a == -4.0
     assert S.eigenvalue(1, 0, q).value == 8.0          # -2a = 4p/(p-1)
     assert S.eigenvalue(0, 1, q).value == 10.0         # 16 - 6
-    assert S.eigenvalue(1, 0, q).discrete
-    assert S.eigenvalue(0, 1, q).discrete
+    assert S.eigenvalue(1, 0, q).status == "discrete"
+    assert S.eigenvalue(0, 1, q).status == "discrete"
 
 
 def test_translation_mode_equals_mass_gap():
