@@ -13,6 +13,7 @@ battery's ``moment_matched_delay_run`` and ``harnack_quotient``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,6 +66,17 @@ def _load_config(argv: list[str]) -> dict:
     return cfg
 
 
+# the flow module's solver settings, quoted in each flow artifact
+_SOLVER_SETTINGS = ("STEP_TOL", "NEWTON_TOL", "NEWTON_MAX_ITER", "DT_INIT",
+                    "DT_MAX", "MAX_STEPS", "PACE_WINDOW")
+
+
+def _solver_record(stats: flow.SolverStats) -> dict:
+    """A flow run's work counts and the solver settings it ran with."""
+    return dataclasses.asdict(stats) | {name: getattr(flow, name)
+                                        for name in _SOLVER_SETTINGS}
+
+
 def _parse_init(spec: str, ex, mesh):
     if spec == "barenblatt":
         return barenblatt_field(ex, mesh)
@@ -104,6 +116,8 @@ def _simulate(args) -> str:
     return (f"# d={args.d} m={_fmt(args.m)} init={args.init} "
             f"equation={args.equation} cells={args.cells} "
             f"r_max={_fmt(args.r_max)} t_end={_fmt(args.t_end)}\n"
+            + "# solver " + " ".join(f"{key}={_fmt(value)}" for key, value
+                                     in _solver_record(traj.stats).items()) + "\n"
             + _csv(*traj.table()))
 
 
@@ -129,7 +143,9 @@ def _delay(args) -> dict:
     payload = {"region": info.region, "k_bullet": info.k_bullet, "t1": bound.t1,
                "tau_bound": bound.tau_bound, "tau_bullet": bound.tau_bullet}
     if args.simulate:
-        records = moment_matched_delay_run(ex, 0.8, 1.3, args.t_end).delay
+        traj = moment_matched_delay_run(ex, 0.8, 1.3, args.t_end)
+        records = traj.delay
+        payload["solver"] = _solver_record(traj.stats)
         payload["simulated_sup_abs_tau"] = max(abs(rec.tau) for rec in records)
         payload["simulated_tau_path"] = [
             {"t": rec.t, "tau": rec.tau, "lambda": rec.lam} for rec in records]

@@ -86,7 +86,7 @@ class SolverStats:
     accepted: int = 0            # accepted time steps
     rejected: int = 0            # steps retried with a smaller dt
     stage_solves: int = 0        # implicit stage solves, failed ones included
-    newton_iters: int = 0        # Newton iterations (tridiagonal solves) in them
+    newton_iters: int = 0        # Newton iterations in them, one factorization each
     dt_min: float = math.inf     # over accepted steps
     dt_max: float = 0.0
     dt_last: float = math.nan
@@ -143,120 +143,177 @@ class Trajectory:
 class _RadialScheme:
     """Geometry and flux assembly shared by the two nonlinear flows: the
     confined flow, whose outer ghost node carries the profile value, when
-    ``confined``, the free flow with a zero-flux outer boundary when not."""
+    ``confined``, the free flow with a zero-flux outer boundary when not.
+
+    The per-mesh factors of the fluxes and of their derivatives are formed
+    here, once per run.  So one evaluation makes one power w of the nodal
+    values and writes the area-weighted fluxes into one face buffer, and
+    the Newton system at that state takes the derivative of the power
+    from the same w (k vc^(k-1) = k w / vc) instead of a second power.
+    A time step (:class:`_Stepper`) whose stages take one Newton
+    iteration each makes 4 evaluations and forms 2 systems, each
+    factored once; its error filter solves with the BDF2 stage's last
+    iteration matrix, so the step makes 3 triangular solves.
+    """
 
     def __init__(self, ex: ExponentSet, mesh: np.ndarray, confined: bool):
         self.ex = ex
         self.r = np.asarray(mesh, dtype=float)
-        d = ex.d
+        d, m = ex.d, ex.m
         faces = 0.5 * (self.r[1:] + self.r[:-1])
         r_ghost = 2.0 * self.r[-1] - self.r[-2]
         outer_face = 0.5 * (self.r[-1] + r_ghost)
         self.faces = np.concatenate([[0.0], faces, [outer_face]])  # n+1 faces
-        self.two_faces = 2.0 * faces
         self.area = self.faces ** (d - 1)
-        self.face = self.area[1:-1]            # the interior faces
         self.vol = (self.faces[1:] ** d - self.faces[:-1] ** d) / d
         self.omega = omega_d(d)
-        self.h = np.diff(self.r)
-        self.h_ghost = r_ghost - self.r[-1]
+        face = self.area[1:-1]                 # the interior faces
+        inv_h = 1.0 / np.diff(self.r)
+        self.inv_vol = 1.0 / self.vol
+        # face / vol for the node left and right of each interior face,
+        # and the outer face's area over the last cell's volume
+        self.face_vol_l = face / self.vol[:-1]
+        self.face_vol_r = face / self.vol[1:]
+        self.area_vol_o = self.area[-1] / self.vol[-1]
+        # area times flux on the n+1 faces: each evaluation writes all but
+        # the zero flux through r = 0
+        self.flux = np.zeros(self.faces.size)
         self.confined = confined
         if confined:
+            # the flux through a face is vbar (2 face - dw / h), vbar the
+            # mean of the face's two nodes, so area times flux is
+            # (face / 2) (v_l + v_r) (2 face - dw / h); and vbar times the
+            # derivative (m - 1) w / vc of w is (v_l + v_r) (m - 1) / (2 h)
+            # times w / vc
+            self.inv_h = inv_h
+            self.two_faces = 2.0 * faces
+            self.half_face = 0.5 * face
+            self.jac_factor = (m - 1.0) / 2.0 * inv_h
+            self.h_ghost = r_ghost - self.r[-1]
             self.ghost_value = float(barenblatt(ex, r_ghost))
-            self.w_ghost = max(self.ghost_value, DENSITY_FLOOR) ** (ex.m - 1.0)
+            self.w_ghost = max(self.ghost_value, DENSITY_FLOOR) ** (m - 1.0)
+        else:
+            # the flux dw / h has the derivatives -/+ (m / h) w / vc in the
+            # nodes left and right of its face
+            self.face_inv_h = face * inv_h
+            self.jac_factor = m * inv_h
 
     def evaluate(self, v: np.ndarray) -> tuple:
         """rhs(v) and the flux through the outer face, from one pass, and
         the parts of that pass which :meth:`system` needs to form the
-        Newton system at v."""
-        m, n = self.ex.m, v.size
+        Newton system at v: the clipped state vc and its power w first."""
+        n = v.size
         vc = np.maximum(v, DENSITY_FLOOR)
-        flux = np.zeros(n + 1)
+        flux = self.flux
         if self.confined:
-            w = vc ** (m - 1.0)
-            base = self.two_faces - (w[1:] - w[:-1]) / self.h
-            vbar = 0.5 * (v[1:] + v[:-1])
-            flux[1:n] = vbar * base
+            w = vc ** (self.ex.m - 1.0)
+            base = np.subtract(w[1:], w[:-1])
+            base *= self.inv_h
+            np.subtract(self.two_faces, base, out=base)
+            vsum = v[1:] + v[:-1]
+            inner = np.multiply(self.half_face, vsum, out=flux[1:n])
+            inner *= base
             base_o = 2.0 * self.faces[n] - (self.w_ghost - w[-1]) / self.h_ghost
             vbar_o = 0.5 * (v[-1] + self.ghost_value)
-            flux[n] = vbar_o * base_o
-            parts = (vc, base, vbar, base_o, vbar_o)
+            outer = vbar_o * base_o
+            flux[n] = self.area[-1] * outer
+            parts = (vc, w, vsum, base, base_o, vbar_o)
         else:
             # zero-flux outer boundary for the free flow
-            w = vc ** m
-            flux[1:n] = (w[1:] - w[:-1]) / self.h
-            parts = (vc,)
-        area_flux = self.area * flux
-        rhs = (area_flux[1:] - area_flux[:-1]) / self.vol
-        return rhs, flux[n], parts
+            w = vc ** self.ex.m
+            inner = np.subtract(w[1:], w[:-1], out=flux[1:n])
+            inner *= self.face_inv_h
+            outer = 0.0
+            parts = (vc, w)
+        rhs = np.subtract(flux[1:], flux[:-1])
+        rhs *= self.inv_vol
+        return rhs, outer, parts
 
     def system(self, parts: tuple, h: float) -> tuple:
         """Bands (lower, diag, upper) of I - h J at the state whose
         evaluation gave ``parts``, J the tridiagonal Jacobian of rhs.
 
         Each flow's flux through the interior faces has the derivatives
-        dl, dr in the node left and right of the face.
+        dl, dr in the node left and right of the face; the bands are
+        formed from a = h dl and b = -h dr.
         """
-        m = self.ex.m
+        vc, w = parts[:2]
+        q = w / vc
         if self.confined:
-            vc, base, vbar, base_o, vbar_o = parts
-            dw = (m - 1.0) * vc ** (m - 2.0)
-            half = 0.5 * base
-            dl = half + vbar * dw[:-1] / self.h
-            dr = half - vbar * dw[1:] / self.h
+            vsum, base, base_o, vbar_o = parts[2:]
+            c = vsum * self.jac_factor
+            c *= h
+            half = (0.5 * h) * base
+            a = c * q[:-1]
+            a += half
+            b = c * q[1:]
+            b -= half
+            dl_o = 0.5 * base_o + vbar_o * (self.ex.m - 1.0) * q[-1] / self.h_ghost
+            outer = h * self.area_vol_o * dl_o
         else:
-            dwm = m * parts[0] ** (m - 1.0)
-            dl = -dwm[:-1] / self.h
-            dr = dwm[1:] / self.h
-        # face i+1/2 adds to rows i and i+1 of J: face dl / vol and
-        # face dr / vol to row i, -face dl / vol and -face dr / vol to
-        # row i+1; -h is folded into each band
-        face_dl, face_dr = self.face * dl, self.face * dr
-        diag = np.empty(dl.size + 1)
-        diag[:-1] = face_dl / self.vol[:-1]
-        diag[-1] = 0.0
-        diag[1:] -= face_dr / self.vol[1:]
-        if self.confined:
-            dl_o = 0.5 * base_o + vbar_o * dw[-1] / self.h_ghost
-            diag[-1] += self.area[-1] * dl_o / self.vol[-1]
-        diag *= -h
-        diag += 1.0
-        return h * (face_dl / self.vol[1:]), diag, -h * (face_dr / self.vol[:-1])
+            c = self.jac_factor * -h
+            a = c * q[:-1]
+            b = c * q[1:]
+            outer = 0.0
+        # face i+1/2 adds face dl / vol and face dr / vol to row i of J and
+        # -face dl / vol and -face dr / vol to row i+1, and the outer face
+        # adds area dl_o / vol to the last row
+        diag = np.empty(q.size)
+        np.multiply(a, self.face_vol_l, out=diag[:-1])
+        diag[-1] = outer
+        diag[1:] += b * self.face_vol_r
+        np.subtract(1.0, diag, out=diag)
+        return a * self.face_vol_r, diag, b * self.face_vol_l
 
 
-def _solve(bands: tuple, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x, info) of the tridiagonal solve; the bands and b are overwritten."""
-    *_, x, info = scipy.linalg.lapack.dgtsv(*bands, b, overwrite_dl=1, overwrite_d=1,
-                                            overwrite_du=1, overwrite_b=1)
-    return x, info
+def _factor(bands: tuple) -> list | None:
+    """LU factors of the tridiagonal system (LAPACK dgttrf), or None when
+    it is singular; the bands are overwritten."""
+    *lu, info = scipy.linalg.lapack.dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
+                                           overwrite_du=1)
+    return lu if info == 0 else None
+
+
+def _solve(lu: list, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, info) of the solve with the factors of :func:`_factor`; b is
+    overwritten."""
+    return scipy.linalg.lapack.dgttrs(*lu, b, overwrite_b=1)
 
 
 def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndarray,
-                   stats: SolverStats) -> tuple[np.ndarray, tuple] | None:
+                   stats: SolverStats) -> tuple | None:
     """Solve v - h rhs(v) = base by damped Newton from the guess v.
 
     Newton ends when the residual falls below NEWTON_TOL, after
     NEWTON_MAX_ITER iterations, or when the line search finds no decrease
     (the residual sits at the rounding floor); the last two are accepted
-    when the residual is below 100 NEWTON_TOL.  Each iteration forms its
-    Newton system once; a line-search trial forms none.  Returns (v,
-    scheme.evaluate(v)), or None when Newton does not converge.
+    when the residual is below 100 NEWTON_TOL.  Each iteration forms and
+    factors its Newton system once; a line-search trial forms none.
+    Returns (v, scheme.evaluate(v), lu), lu the factors of the last
+    iteration's system or None when the guess met NEWTON_TOL, or None
+    when Newton does not converge.
     """
     stats.stage_solves += 1
     scale = float(base.max()) + 1e-30
     ev = scheme.evaluate(v)
     res = v - h * ev[0] - base
     norm = float(np.abs(res).max()) / scale
+    lu = None
     for _ in range(NEWTON_MAX_ITER):
         if norm < NEWTON_TOL:
-            return v, ev
+            return v, ev, lu
         stats.newton_iters += 1
-        delta, info = _solve(scheme.system(ev[2], h), -res)
+        lu = _factor(scheme.system(ev[2], h))
+        if lu is None:
+            return None
+        # the Newton step is -step; res is solved in place
+        step, info = _solve(lu, res)
         if info != 0:
             return None
         lam = 1.0
         for _ in range(12):
-            trial = np.maximum(v + (delta if lam == 1.0 else lam * delta), 0.0)
+            trial = v - (step if lam == 1.0 else lam * step)
+            np.maximum(trial, 0.0, out=trial)
             ev_t = scheme.evaluate(trial)
             res_t = trial - h * ev_t[0] - base
             norm_t = float(np.abs(res_t).max()) / scale
@@ -266,7 +323,7 @@ def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndar
             lam *= 0.5
         else:
             break
-    return (v, ev) if norm < NEWTON_TOL * 100.0 else None
+    return (v, ev, lu) if norm < NEWTON_TOL * 100.0 else None
 
 
 class _Stepper:
@@ -279,10 +336,13 @@ class _Stepper:
     is the first stage value of the next one, and each stage solve
     returns the evaluation of its state, so the error filter and the
     mass bookkeeping need no rhs pass of their own.  A Newton system
-    I - h J is formed only where it is solved, once per Newton iteration
-    and once for the error filter: a step whose stages take one Newton
-    iteration each makes 4 rhs passes, forms 3 Newton systems and makes
-    3 tridiagonal solves.
+    I - h J is formed and factored once per Newton iteration, and the
+    error filter solves with the factors of the BDF2 stage's last
+    iteration matrix, the iteration matrix with which Hosea and Shampine
+    filter; only when the BDF2 stage meets NEWTON_TOL at its guess does
+    the filter form and factor the system at the stage's end state.  A
+    step whose stages take one Newton iteration each makes 4 rhs passes,
+    forms and factors 2 Newton systems and makes 3 triangular solves.
     """
 
     def __init__(self, scheme: _RadialScheme, v: np.ndarray):
@@ -306,11 +366,13 @@ class _Stepper:
             # Newton starts from an explicit Euler predictor for the
             # trapezoid stage and from the line through v0 and vg for BDF2,
             # each kept only where it stays positive
-            guess = v0 + 2.0 * h * f0
-            stage = _implicit_step(scheme, v0 + h * f0, h,
+            hf0 = h * f0
+            base = v0 + hf0
+            guess = base + hf0
+            stage = _implicit_step(scheme, base, h,
                                    np.where(guess > 0.0, guess, v0), stats)
             if stage is not None:
-                vg, (fg, outer_g, _) = stage
+                vg, (fg, outer_g, _), _ = stage
                 dvg = vg - v0
                 guess = v0 + dvg / _GAMMA
                 stage = _implicit_step(scheme, v0 + _A * dvg, h,
@@ -319,14 +381,18 @@ class _Stepper:
                 stats.rejected += 1
                 dt *= 0.25
                 continue
-            v1, (f1, outer1, parts1) = stage
+            v1, (f1, outer1, parts1), lu = stage
             # local error C dt^3 y''' with y''' from the second divided
             # difference of rhs over the stage points, filtered through
-            # (I - h J(v1))^{-1} so that stiff modes do not inflate it
-            est, info = _solve(scheme.system(parts1, h),
-                               dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
-            err = math.inf if info != 0 else \
-                float(np.abs(est).max()) / (float(np.abs(v1).max()) + 1e-30)
+            # the iteration matrix I - h J so that stiff modes do not
+            # inflate it; v1 >= 0, so max v1 is max |v1|
+            if lu is None:
+                lu = _factor(scheme.system(parts1, h))
+            err = math.inf
+            if lu is not None:
+                est, info = _solve(lu, dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
+                if info == 0:
+                    err = float(np.abs(est).max()) / (float(v1.max()) + 1e-30)
             if err <= STEP_TOL:
                 break
             stats.rejected += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,16 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+_SETTINGS = ("STEP_TOL", "NEWTON_TOL", "NEWTON_MAX_ITER", "DT_INIT", "DT_MAX",
+             "MAX_STEPS", "PACE_WINDOW")
+
+
+def solver_record(stats):
+    """The run's SolverStats fields, then the flow module's solver settings."""
+    return dataclasses.asdict(stats) | {name: getattr(fdstab.flow, name)
+                                        for name in _SETTINGS}
 
 
 _LAZY = ("scipy._lib.array_api_compat", "scipy.integrate", "scipy.linalg",
@@ -131,7 +142,10 @@ def test_delay_simulate_is_the_battery_run(capsys):
     assert code == 0
     payload = json.loads(out)
     ex = derive_exponents(3, m=0.6666666666666666)
-    records = acc.moment_matched_delay_run(ex, 0.8, 1.3, 0.3).delay
+    traj = acc.moment_matched_delay_run(ex, 0.8, 1.3, 0.3)
+    records = traj.delay
+    assert payload["solver"] == solver_record(traj.stats)
+    assert payload["solver"]["accepted"] == traj.stats.accepted > 0
     assert payload["simulated_tau_path"] == [
         {"t": rec.t, "tau": rec.tau, "lambda": rec.lam} for rec in records]
     assert payload["simulated_sup_abs_tau"] == max(abs(rec.tau) for rec in records)
@@ -165,8 +179,12 @@ def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
     rows = ["t,mass,entropy_integral"] + [
         ",".join("%.17g" % v for v in (t, m_fv, snap.entropy_integral()))
         for t, m_fv, snap in zip(traj.times, traj.conserved_mass, traj.snapshots)]
-    meta, body = out.read_text().split("\n", 1)
+    meta, solver, body = out.read_text().split("\n", 2)
     assert meta.startswith("# d=3 m=0.75 init=scaled-barenblatt:1.2 equation=fd")
+    # the second meta line quotes the run's work counts and solver settings
+    assert solver == "# solver " + " ".join(
+        f"{key}={'%.17g' % value}" for key, value in solver_record(traj.stats).items())
+    assert solver.startswith(f"# solver accepted={traj.stats.accepted} rejected=")
     assert body == "\n".join(rows) + "\n"
     assert traj.table()[0] == rows[0]
 

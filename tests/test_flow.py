@@ -2,12 +2,13 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fdstab import flow
-from fdstab.fields import (RadialField, TailModel, barenblatt_field,
+from fdstab.fields import (DENSITY_FLOOR, RadialField, TailModel, barenblatt_field,
                            graded_mesh, moment_matched_field,
                            normalized_to_profile_mass, profile_tail)
 from fdstab.flow import (DT_MAX, PACE_WINDOW, _RadialScheme,
@@ -17,8 +18,8 @@ from fdstab.flow import (DT_MAX, PACE_WINDOW, _RadialScheme,
 from fdstab.functionals import entropy_report
 from fdstab.moments import delay_bound
 from fdstab.params import derive_exponents
-from fdstab.profiles import (BarenblattSpec, barenblatt_mass, barenblatt_scaled,
-                             closed_form_moments, eval_barenblatt)
+from fdstab.profiles import (BarenblattSpec, barenblatt, barenblatt_mass,
+                             barenblatt_scaled, closed_form_moments, eval_barenblatt)
 
 EX34 = derive_exponents(3, m=0.75)
 EX23 = derive_exponents(3, m=2.0 / 3.0)
@@ -50,34 +51,74 @@ def test_free_energy_decay_and_quotient():
     assert rate >= (4.0 + 2.0 * 3.0 * (0.75 - 2.0 / 3.0)) * 0.9
 
 
-def test_solver_work_counts(monkeypatch):
-    # the flow-properties run; implicit Euler with step doubling took
-    # 5 369 steps and 16.1 k implicit solves here
-    calls, systems, solves = [], [], []
-    evaluate, system, solve = _RadialScheme.evaluate, _RadialScheme.system, flow._solve
+def _counted(monkeypatch, run):
+    """(stats, evaluations, systems, factorizations, triangular solves) of
+    run()'s flow."""
+    calls, systems, factors, solves = [], [], [], []
+    evaluate, system = _RadialScheme.evaluate, _RadialScheme.system
+    factor, solve = flow._factor, flow._solve
     monkeypatch.setattr(_RadialScheme, "evaluate",
                         lambda self, v: calls.append(1) or evaluate(self, v))
     monkeypatch.setattr(_RadialScheme, "system",
                         lambda self, parts, h: systems.append(1) or system(self, parts, h))
+    monkeypatch.setattr(flow, "_factor",
+                        lambda bands: factors.append(1) or factor(bands))
     monkeypatch.setattr(flow, "_solve",
-                        lambda bands, b: solves.append(1) or solve(bands, b))
-    traj = solve_fdr(barenblatt_field(EX34, default_flow_mesh(400), lam=1.2), 3.0)
-    st = traj.stats
-    assert st.accepted <= 1000
-    assert 2 * st.accepted + st.rejected <= st.stage_solves <= 3000
-    assert 0.0 < st.dt_min <= st.dt_last <= st.dt_max <= DT_MAX
+                        lambda lu, b: solves.append(1) or solve(lu, b))
+    st = run().stats
+    return st, len(calls), len(systems), len(factors), len(solves)
+
+
+def _check_bookkeeping(st, calls, systems, factors, solves):
     # one evaluation at the start, one per stage solve and one per Newton
     # iteration: the error filter and the mass bookkeeping reuse the
-    # stages' evaluations (1 313 here, where separate rhs, Jacobian and
-    # outer-flux passes made 2 954)
-    assert len(calls) == 1 + st.stage_solves + st.newton_iters
-    # a Newton system is formed only where it is solved: once per Newton
-    # iteration and once per error filter, which runs on every accepted
-    # step and on every step the error rejects (984 systems here, where
-    # bands formed at every evaluation made 1 313)
-    filter_solves = len(solves) - st.newton_iters
-    assert st.accepted <= filter_solves <= st.accepted + st.rejected
-    assert len(systems) == st.newton_iters + filter_solves
+    # stages' evaluations
+    assert calls == 1 + st.stage_solves + st.newton_iters
+    # one triangular solve per Newton iteration and one per error filter,
+    # which runs on every accepted step and on every step the error
+    # rejects
+    filters = solves - st.newton_iters
+    assert st.accepted <= filters <= st.accepted + st.rejected
+    # a system is formed and factored once per Newton iteration; the
+    # filter solves with the BDF2 stage's last factors and forms one of
+    # its own only when that stage met NEWTON_TOL at its guess
+    fallbacks = systems - st.newton_iters
+    assert 0 <= fallbacks <= filters
+    assert factors == systems
+    return fallbacks
+
+
+def test_solver_work_counts(monkeypatch):
+    # the flow-properties run; implicit Euler with step doubling took
+    # 5 369 steps and 16.1 k implicit solves here
+    st, *counts = _counted(monkeypatch, lambda: solve_fdr(
+        barenblatt_field(EX34, default_flow_mesh(400), lam=1.2), 3.0))
+    assert (st.accepted, st.rejected, st.stage_solves, st.newton_iters) \
+        == (328, 0, 656, 656)
+    assert 0.0 < st.dt_min <= st.dt_last <= st.dt_max <= DT_MAX
+    # 1 313 evaluations, 656 systems and factorizations and 984 triangular
+    # solves here; a filter that formed and solved its own system made 984
+    # systems and 984 tridiagonal solves
+    assert _check_bookkeeping(st, *counts) == 0
+    assert counts == [1313, 656, 656, 984]
+
+
+@pytest.mark.parametrize("run, pinned, fallbacks", [
+    # two stages take a second Newton iteration on 1600 cells
+    (lambda: solve_fdr(barenblatt_field(EX34, default_flow_mesh(1600), lam=1.2), 3.0),
+     (322, 0, 644, 646), 0),
+    (lambda: solve_fdr_delayed(moment_matched_field(EX23, default_flow_mesh(400),
+                                                    0.8, 1.3), 2.5, n_saves=25),
+     (297, 0, 594, 594), 0),
+    # the sampled profile is the scheme's fixed point: 46 of its 210 stages
+    # meet NEWTON_TOL at their guess, 42 of them BDF2 stages, whose filters
+    # form and factor the system at the stage's end state
+    (lambda: solve_fdr(barenblatt_field(EX34, default_flow_mesh(400)), 5.0, n_saves=10),
+     (105, 0, 210, 164), 42)], ids=["fdr-1600", "delayed", "stationary"])
+def test_solver_work_counts_pinned(monkeypatch, run, pinned, fallbacks):
+    st, *counts = _counted(monkeypatch, run)
+    assert (st.accepted, st.rejected, st.stage_solves, st.newton_iters) == pinned
+    assert _check_bookkeeping(st, *counts) == fallbacks
 
 
 @pytest.mark.parametrize("confined", [True, False])
@@ -107,6 +148,90 @@ def test_evaluate_bands_and_outer_flux(confined):
     assert abs(total - scheme.area[-1] * outer) \
         <= 1e-13 * np.sum(np.abs(scheme.vol * rhs))
     assert (outer != 0.0) == confined
+
+
+def _reference_kernel(ex, r, v, confined, h):
+    """rhs, outer-face flux and bands of I - h J from the finite-volume
+    formulas written out from the mesh, and the tolerance of each row of
+    rhs and of h J: 16 u of the row's largest flux term, and for h J also
+    what the rounded exponent m - 2 of the confined flow's derivative
+    (m - 1) v^(m - 2) moves that term by, a factor |ln v| times the
+    exponent's rounding."""
+    d, m, n = ex.d, ex.m, v.size
+    u = np.finfo(float).eps
+    mid = 0.5 * (r[1:] + r[:-1])
+    r_ghost = 2.0 * r[-1] - r[-2]
+    faces = np.concatenate([[0.0], mid, [0.5 * (r[-1] + r_ghost)]])
+    area = faces ** (d - 1)
+    vol = (faces[1:] ** d - faces[:-1] ** d) / d
+    face, dh, h_ghost = area[1:-1], np.diff(r), r_ghost - r[-1]
+    vc = np.maximum(v, DENSITY_FLOOR)
+    flux, mag, jmag = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    dl_o = 0.0
+    if confined:
+        ghost = float(barenblatt(ex, r_ghost))
+        w = vc ** (m - 1.0)
+        w_ghost = max(ghost, DENSITY_FLOOR) ** (m - 1.0)
+        base = 2.0 * mid - (w[1:] - w[:-1]) / dh
+        vbar = 0.5 * (v[1:] + v[:-1])
+        flux[1:n] = vbar * base
+        base_o = 2.0 * faces[n] - (w_ghost - w[-1]) / h_ghost
+        vbar_o = 0.5 * (v[-1] + ghost)
+        flux[n] = vbar_o * base_o
+        dw = (m - 1.0) * vc ** (m - 2.0)
+        dl = 0.5 * base + vbar * dw[:-1] / dh
+        dr = 0.5 * base - vbar * dw[1:] / dh
+        dl_o = 0.5 * base_o + vbar_o * dw[-1] / h_ghost
+        terms = 2.0 * mid + np.abs(w[1:] - w[:-1]) / dh
+        terms_o = 2.0 * faces[n] + abs(w_ghost - w[-1]) / h_ghost
+        mag[1:n], mag[n] = np.abs(vbar) * terms, abs(vbar_o) * terms_o
+        expo = abs(float(Fraction(m - 2.0) - (Fraction(m) - 2)))
+        dw_tol = np.abs(dw) * (16.0 * u + expo * np.abs(np.log(vc)))
+        jmag[1:n] = 16.0 * u * 0.5 * terms \
+            + np.abs(vbar) * (dw_tol[:-1] + dw_tol[1:]) / dh
+        jmag[n] = 16.0 * u * 0.5 * terms_o + abs(vbar_o) * dw_tol[-1] / h_ghost
+    else:
+        w = vc ** m
+        flux[1:n] = (w[1:] - w[:-1]) / dh
+        dwm = m * vc ** (m - 1.0)
+        dl, dr = -dwm[:-1] / dh, dwm[1:] / dh
+        mag[1:n] = (np.abs(w[1:]) + np.abs(w[:-1])) / dh
+        jmag[1:n] = 16.0 * u * (np.abs(dwm[:-1]) + np.abs(dwm[1:])) / dh
+    area_flux = area * flux
+    rhs = (area_flux[1:] - area_flux[:-1]) / vol
+    jac_diag = np.zeros(n)
+    jac_diag[:-1] += face * dl / vol[:-1]
+    jac_diag[1:] -= face * dr / vol[1:]
+    jac_diag[-1] += area[-1] * dl_o / vol[-1]
+    bands = (h * face * dl / vol[1:], 1.0 - h * jac_diag, -h * face * dr / vol[:-1])
+    row = lambda x: np.maximum(x[1:], x[:-1]) / vol
+    return rhs, flux[n], bands, 16.0 * u * row(area * mag), h * row(area * jmag)
+
+
+@pytest.mark.parametrize("confined", [True, False], ids=["confined", "free"])
+@pytest.mark.parametrize("d, m", [(1, 0.6), (2, 0.7), (3, 0.75), (5, 0.85)])
+@pytest.mark.parametrize("cells", [60, 400, 3200])
+@pytest.mark.parametrize("datum", ["dilated", "moment-matched"])
+def test_kernel_against_reference_formulas(confined, d, m, cells, datum):
+    # the per-mesh factors and the derivative w / vc regroup the flux
+    # formulas' products, so they may move each rhs and band entry by a
+    # few roundings of the row's largest flux term, and by no more: 16 u
+    # of it, which a slipped coefficient or index exceeds at once
+    ex, mesh = derive_exponents(d, m=m), default_flow_mesh(cells)
+    fld = barenblatt_field(ex, mesh, lam=1.2) if datum == "dilated" \
+        else moment_matched_field(ex, mesh, 0.8, 1.3)
+    scheme, v = _RadialScheme(ex, fld.r, confined), fld.v
+    rhs, outer, parts = scheme.evaluate(v)
+    for h in (1e-3, 1.0):
+        ref_rhs, ref_outer, ref_bands, rhs_tol, jac_tol = \
+            _reference_kernel(ex, fld.r, v, confined, h)
+        assert np.all(np.abs(rhs - ref_rhs) <= rhs_tol)
+        assert abs(outer - ref_outer) <= 16.0 * np.finfo(float).eps * abs(ref_outer)
+        lower, diag, upper = scheme.system(parts, h)
+        assert np.all(np.abs(lower - ref_bands[0]) <= jac_tol[1:])
+        assert np.all(np.abs(diag - ref_bands[1])
+                      <= jac_tol + 16.0 * np.finfo(float).eps)
+        assert np.all(np.abs(upper - ref_bands[2]) <= jac_tol[:-1])
 
 
 def test_newton_accepts_residual_at_rounding_floor():
