@@ -25,11 +25,14 @@ Time stepping is TR-BDF2 (second order, L-stable), each stage a damped
 Newton solve of a tridiagonal system, with the embedded local error
 estimate of Hosea and Shampine holding each step to STEP_TOL; a step that
 cannot meet it, a run that takes MAX_STEPS steps short of t_end, or one
-whose recent pace projects past MAX_STEPS, raises RuntimeError.  Mass is
-bookkept as the scheme's cell-volume sum corrected by the flux through
-the outer face, weighted as the stages apply it, so the reported drift
-isolates solver error.  The solver settings are the module constants
-below, one value for every run.
+whose recent pace projects past MAX_STEPS, raises RuntimeError.  The step
+controller alone sets the steps, and only the last one is clipped, at
+t_end: a save time inside a step reads the cubic Hermite interpolant of
+the step's end values and slopes (dense output).  Mass is bookkept as the
+scheme's cell-volume sum corrected by the flux through the outer face,
+weighted as the stages apply it, so the reported drift isolates solver
+error.  The solver settings are the module constants below, one value
+for every run.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ class SolverStats:
     accepted: int = 0            # accepted time steps
     rejected: int = 0            # steps retried with a smaller dt
     stage_solves: int = 0        # implicit stage solves, failed ones included
-    newton_iters: int = 0        # Newton iterations in them, one factorization each
-    dt_min: float = math.inf     # over accepted steps
+    newton_iters: int = 0        # Newton iterations in them, one system solve each
+    dt_min: float = math.inf     # over accepted steps; only the last is clipped
     dt_max: float = 0.0
     dt_last: float = math.nan
 
@@ -97,7 +100,12 @@ class Trajectory:
     """Saved snapshots, entropy reports and bookkeeping of one run.
 
     Snapshot 0 holds the values the run starts from: a confined datum's
-    rescaled to the profile mass, a free datum's as given.
+    rescaled to the profile mass, a free datum's as given.  The last
+    holds the state at t_end; a save between them falls inside a step
+    and holds the cubic Hermite interpolant of that step's end states and
+    rhs (a stiff node the chord, see :func:`_run`), its bookkept mass and
+    tau interpolated with the same weights, unless the step ends within
+    1e-12 of it.
     ``conserved_mass`` is the scheme's own measure (cell volumes times
     nodal values, corrected by the outer-face flux), which the implicit
     steps conserve to Newton tolerance; the reports' ``mass`` field is
@@ -151,9 +159,7 @@ class _RadialScheme:
     the Newton system at that state takes the derivative of the power
     from the same w (k vc^(k-1) = k w / vc) instead of a second power.
     A time step (:class:`_Stepper`) whose stages take one Newton
-    iteration each makes 4 evaluations and forms 2 systems, each
-    factored once; its error filter solves with the BDF2 stage's last
-    iteration matrix, so the step makes 3 triangular solves.
+    iteration each makes 4 evaluations and forms and solves 2 systems.
     """
 
     def __init__(self, ex: ExponentSet, mesh: np.ndarray, confined: bool):
@@ -274,24 +280,36 @@ def _factor(bands: tuple) -> list | None:
     return lu if info == 0 else None
 
 
-def _solve(lu: list, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x, info) of the solve with the factors of :func:`_factor`; b is
+def _solve(lu: list, b: np.ndarray) -> np.ndarray | None:
+    """The solve with the factors of :func:`_factor` (LAPACK dgttrs), or
+    None when it fails; b is overwritten."""
+    x, info = scipy.linalg.lapack.dgttrs(*lu, b, overwrite_b=1)
+    return x if info == 0 else None
+
+
+def _solve_once(bands: tuple, b: np.ndarray) -> np.ndarray | None:
+    """The solve of a tridiagonal system whose factors nothing reuses, in
+    one LAPACK dgtsv call (the elimination of dgttrf and dgttrs, so the
+    same floats), or None when it is singular; bands and b are
     overwritten."""
-    return scipy.linalg.lapack.dgttrs(*lu, b, overwrite_b=1)
+    *_, x, info = scipy.linalg.lapack.dgtsv(*bands, b, overwrite_dl=1, overwrite_d=1,
+                                            overwrite_du=1, overwrite_b=1)
+    return x if info == 0 else None
 
 
 def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndarray,
-                   stats: SolverStats) -> tuple | None:
+                   stats: SolverStats, keep_factors: bool) -> tuple | None:
     """Solve v - h rhs(v) = base by damped Newton from the guess v.
 
     Newton ends when the residual falls below NEWTON_TOL, after
     NEWTON_MAX_ITER iterations, or when the line search finds no decrease
     (the residual sits at the rounding floor); the last two are accepted
     when the residual is below 100 NEWTON_TOL.  Each iteration forms and
-    factors its Newton system once; a line-search trial forms none.
-    Returns (v, scheme.evaluate(v), lu), lu the factors of the last
-    iteration's system or None when the guess met NEWTON_TOL, or None
-    when Newton does not converge.
+    solves its Newton system once, factored with dgttrf when
+    ``keep_factors`` and by one dgtsv call when not; a line-search trial
+    forms none.  Returns (v, scheme.evaluate(v), lu), lu the factors of
+    the last iteration's system, or None when they were not kept or the
+    guess met NEWTON_TOL; or None when Newton does not converge.
     """
     stats.stage_solves += 1
     scale = float(base.max()) + 1e-30
@@ -303,12 +321,14 @@ def _implicit_step(scheme: _RadialScheme, base: np.ndarray, h: float, v: np.ndar
         if norm < NEWTON_TOL:
             return v, ev, lu
         stats.newton_iters += 1
-        lu = _factor(scheme.system(ev[2], h))
-        if lu is None:
-            return None
+        bands = scheme.system(ev[2], h)
         # the Newton step is -step; res is solved in place
-        step, info = _solve(lu, res)
-        if info != 0:
+        if keep_factors:
+            lu = _factor(bands)
+            step = None if lu is None else _solve(lu, res)
+        else:
+            step = _solve_once(bands, res)
+        if step is None:
             return None
         lam = 1.0
         for _ in range(12):
@@ -336,13 +356,17 @@ class _Stepper:
     is the first stage value of the next one, and each stage solve
     returns the evaluation of its state, so the error filter and the
     mass bookkeeping need no rhs pass of their own.  A Newton system
-    I - h J is formed and factored once per Newton iteration, and the
-    error filter solves with the factors of the BDF2 stage's last
-    iteration matrix, the iteration matrix with which Hosea and Shampine
-    filter; only when the BDF2 stage meets NEWTON_TOL at its guess does
-    the filter form and factor the system at the stage's end state.  A
-    step whose stages take one Newton iteration each makes 4 rhs passes,
-    forms and factors 2 Newton systems and makes 3 triangular solves.
+    I - h J is formed and solved once per Newton iteration.  The error
+    filter solves with the BDF2 stage's last iteration matrix, the
+    iteration matrix with which Hosea and Shampine filter, so that stage
+    keeps its dgttrf factors and the trapezoid stage solves by one dgtsv
+    call; only when the BDF2 stage meets NEWTON_TOL at its guess does the
+    filter form the system at the stage's end state, solved by one dgtsv
+    call.  A step whose stages take one Newton iteration each makes 4 rhs
+    passes, forms 2 Newton systems, and makes 1 dgtsv call, 1 dgttrf
+    factorization and 2 dgttrs solves.  The run interpolates the saves
+    inside a step from the stepper's state before and after it: v, rhs,
+    the outer-face flux and the boundary mass.
     """
 
     def __init__(self, scheme: _RadialScheme, v: np.ndarray):
@@ -370,13 +394,13 @@ class _Stepper:
             base = v0 + hf0
             guess = base + hf0
             stage = _implicit_step(scheme, base, h,
-                                   np.where(guess > 0.0, guess, v0), stats)
+                                   np.where(guess > 0.0, guess, v0), stats, False)
             if stage is not None:
                 vg, (fg, outer_g, _), _ = stage
                 dvg = vg - v0
                 guess = v0 + dvg / _GAMMA
                 stage = _implicit_step(scheme, v0 + _A * dvg, h,
-                                       np.where(guess > 0.0, guess, vg), stats)
+                                       np.where(guess > 0.0, guess, vg), stats, True)
             if stage is None:
                 stats.rejected += 1
                 dt *= 0.25
@@ -386,13 +410,11 @@ class _Stepper:
             # difference of rhs over the stage points, filtered through
             # the iteration matrix I - h J so that stiff modes do not
             # inflate it; v1 >= 0, so max v1 is max |v1|
-            if lu is None:
-                lu = _factor(scheme.system(parts1, h))
-            err = math.inf
-            if lu is not None:
-                est, info = _solve(lu, dt * (_E0 * f0 + _E1 * fg + _E2 * f1))
-                if info == 0:
-                    err = float(np.abs(est).max()) / (float(v1.max()) + 1e-30)
+            y3 = dt * (_E0 * f0 + _E1 * fg + _E2 * f1)
+            est = _solve_once(scheme.system(parts1, h), y3) if lu is None \
+                else _solve(lu, y3)
+            err = math.inf if est is None \
+                else float(np.abs(est).max()) / (float(v1.max()) + 1e-30)
             if err <= STEP_TOL:
                 break
             stats.rejected += 1
@@ -415,6 +437,16 @@ def _make_field(ex: ExponentSet, r: np.ndarray, v: np.ndarray) -> RadialField:
     v = np.maximum(v, 0.0)
     v.flags.writeable = False
     return RadialField(ex, r, v, profile_tail(ex).through(r, v))
+
+
+def _hermite_weights(theta: float, dt: float) -> tuple[float, float, float, float]:
+    """(h00, dt h10, h01, dt h11) at theta = (t - t0) / dt: the cubic
+    Hermite interpolant of the values y0, y1 and slopes y0', y1' at t0 and
+    t0 + dt is h00 y0 + dt h10 y0' + h01 y1 + dt h11 y1' (Hairer, Norsett
+    and Wanner, Solving ODEs I, II.6)."""
+    rest = 1.0 - theta
+    return ((1.0 + 2.0 * theta) * rest * rest, dt * theta * rest * rest,
+            theta * theta * (3.0 - 2.0 * theta), -dt * theta * theta * rest)
 
 
 def _second_moment_of(ex: ExponentSet, r: np.ndarray):
@@ -481,6 +513,18 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
     n_saves + 1 save times; reports, errors and delay records are formed
     from the saved snapshots after the run.
 
+    Only the step onto t_end is clipped, so a save time strictly inside a
+    step (1e-12 from its ends) reads the cubic Hermite interpolant of the
+    step's end values v0, v1 and their slopes rhs, except at a node that
+    the cubic puts more than 1e-2 off the chord between v0 and v1, which
+    takes the chord (a stiff node; no resolved node comes near).  Its
+    bookkept mass is its cell-volume mass less the boundary mass
+    interpolated with the same weights and the outer-face flux as slope,
+    so h00 bk0 + h01 bk1 up to rounding when no node takes the chord, and
+    the delayed flow's tau there interpolates Heun's end values and the
+    rates g of the delay equation.  A step that ends on a save keeps its
+    own end state.
+
     Before any step, a datum the mesh does not resolve is refused, as the
     module docstring says; only then is a confined datum rescaled to the
     profile mass, as the relative entropy is measured against the profile
@@ -496,37 +540,38 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
                          f"got t_end = {t_end}, n_saves = {n_saves}")
     ex, r = datum.exponents, datum.r
     scheme = _RadialScheme(ex, r, confined)
+
+    def cell_mass(v):
+        # the scheme's own measure: the analytic tail is not included
+        # because the scheme does not evolve it
+        return float((scheme.vol * v).sum()) * scheme.omega
+
     # checked on the datum as sampled: rescaling leaves the relative gap as it is
-    cell_mass = float((scheme.vol * datum.v).sum()) * scheme.omega
-    quad_mass = datum.mass()
-    if not abs(cell_mass - quad_mass) <= RESOLUTION_TOL * quad_mass:
+    sampled_mass, quad_mass = cell_mass(datum.v), datum.mass()
+    if not abs(sampled_mass - quad_mass) <= RESOLUTION_TOL * quad_mass:
         raise ValueError(
             f"the mesh does not resolve the initial datum: its cell-volume "
-            f"mass {cell_mass:.6g} and its quadrature mass {quad_mass:.6g} "
+            f"mass {sampled_mass:.6g} and its quadrature mass {quad_mass:.6g} "
             f"differ by more than RESOLUTION_TOL = {RESOLUTION_TOL:g} relative")
     if confined:
         datum = normalized_to_profile_mass(datum, "initial datum")
     m2_star = closed_form_moments(ex).second_moment
     stepper = _Stepper(scheme, datum.v)
     save_times = np.linspace(0.0, t_end, n_saves + 1).tolist()
-
-    def bookkept_mass():
-        # cell-volume mass corrected by the outer-face flux; the analytic
-        # tail is not included because it is not evolved by the scheme
-        return float((scheme.vol * stepper.v).sum()) * scheme.omega \
-            - stepper.boundary_mass
-
-    mass_ref = bookkept_mass()
+    # the boundary mass's rate per unit outer-face flux
+    rate = scheme.area[-1] * scheme.omega
+    mass_ref = cell_mass(stepper.v)
     times, snaps, fv_mass, taus = [0.0], [_make_field(ex, r, datum.v)], [mass_ref], [0.0]
-    drift, tau = 0.0, 0.0
+    drift, tau, g1 = 0.0, 0.0, 0.0
     if delay:
         second_moment = _second_moment_of(ex, r)
-        ratio = snaps[0].second_moment() / m2_star
+        g1 = (snaps[0].second_moment() / m2_star) ** (-0.5 * ex.alpha) - 1.0
     dt = DT_INIT
     t_window, pace0 = 0.0, math.nan
     while stepper.t < t_end - 1e-12 and stepper.stats.accepted < MAX_STEPS:
-        dt = min(dt, t_end - stepper.t, max(1e-12, save_times[len(times)] - stepper.t))
-        dt_taken, dt = stepper.advance(dt)
+        t0, v0, f0, outer0, bm0 = (stepper.t, stepper.v, stepper.f, stepper.outer,
+                                   stepper.boundary_mass)
+        dt_taken, dt = stepper.advance(min(dt, t_end - stepper.t))
         k = stepper.stats.accepted
         if k % PACE_WINDOW == 0:
             pace = (stepper.t - t_window) / PACE_WINDOW
@@ -539,23 +584,44 @@ def _run(datum: RadialField, t_end: float, n_saves: int, confined: bool,
                     f"at t = {stepper.t} after {k} accepted steps (mean dt "
                     f"{pace:.3g} over the last {PACE_WINDOW}) the run cannot reach "
                     f"t_end = {t_end} within MAX_STEPS = {MAX_STEPS}")
-        # a field is built at save times only; there the delay update
-        # measures it, and its report reads the kept integral
-        saving = stepper.t >= save_times[len(times)] - 1e-12
-        snap = _make_field(ex, r, stepper.v) if saving else None
+        # the saves strictly inside the step, then the one it ends on, if
+        # any; a field is built at save times only
+        first = inside = len(times)
+        while save_times[inside] < stepper.t - 1e-12:
+            inside += 1
+        snap = _make_field(ex, r, stepper.v) \
+            if stepper.t >= save_times[inside] - 1e-12 else None
+        g0, tau0 = g1, tau
         if delay:
-            # Heun update of the delay equation on the PDE grid
-            g0 = ratio ** (-0.5 * ex.alpha) - 1.0
-            ratio = (snap.second_moment() if saving else second_moment(stepper.v)) \
-                / m2_star
-            g1 = ratio ** (-0.5 * ex.alpha) - 1.0
+            # Heun update of the delay equation dtau/dt = g on the PDE
+            # grid; a step that ends on a save measures its field, whose
+            # report reads the kept integral
+            m2 = second_moment(stepper.v) if snap is None else snap.second_moment()
+            g1 = (m2 / m2_star) ** (-0.5 * ex.alpha) - 1.0
             dtau = 0.5 * dt_taken * (g0 + g1)
             if dtau <= -dt_taken:
                 raise RuntimeError("delay rate reached ds/dt <= 0")
             tau += dtau
-        mass = bookkept_mass()
+        mass = cell_mass(stepper.v) - stepper.boundary_mass
         drift = max(drift, abs(mass - mass_ref) / mass_ref)
-        if saving:
+        for t in save_times[first:inside]:
+            # dense output: the slopes are rhs for v, the weighted
+            # outer-face flux for the boundary mass and g for tau
+            theta = (t - t0) / dt_taken
+            h00, h10, h01, h11 = _hermite_weights(theta, dt_taken)
+            v = h00 * v0 + h10 * f0 + h01 * stepper.v + h11 * stepper.f
+            # a stiff node, whose rhs swings by many times its value within
+            # the step, can leave the chord by its whole value, even below
+            # zero, where resolved nodes stay within 2.5e-4 of it
+            chord = (1.0 - theta) * v0 + theta * stepper.v
+            v = np.where(np.abs(v - chord) <= 1e-2 * chord, v, chord)
+            boundary = h00 * bm0 + h01 * stepper.boundary_mass \
+                + rate * (h10 * outer0 + h11 * stepper.outer)
+            times.append(t)
+            snaps.append(_make_field(ex, r, v))
+            fv_mass.append(cell_mass(v) - boundary)
+            taus.append(h00 * tau0 + h10 * g0 + h01 * tau + h11 * g1)
+        if snap is not None:
             times.append(stepper.t)
             snaps.append(snap)
             fv_mass.append(mass)

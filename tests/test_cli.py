@@ -189,17 +189,44 @@ def test_simulate_fd_writes_the_trajectory_csv(tmp_path):
     assert traj.table()[0] == rows[0]
 
 
+def test_simulate_delayed_steps_at_the_controllers_pace(monkeypatch, tmp_path):
+    # saves are interpolated inside the steps, so only the step onto t_end
+    # is clipped: the CI delayed run takes no step below 1e-5 before its
+    # last (its smallest is DT_INIT = 1e-4), where clipping every step at
+    # a save time left slivers down to 2.7e-7 and about four short
+    # recovery steps after each; the CSV's dt_min is the one CI gates
+    taken = []
+    advance = fdstab.flow._Stepper.advance
+
+    def recorded(self, dt):
+        dts = advance(self, dt)
+        taken.append(dts[0])
+        return dts
+
+    monkeypatch.setattr(fdstab.flow._Stepper, "advance", recorded)
+    out = tmp_path / "delayed.csv"
+    assert main(["simulate", "--d", "3", "--m", "0.6666666666666666",
+                 "--init", "moment-matched:0.8,1.3", "--equation", "fdr-delayed",
+                 "--t-end", "2.5", "--out", str(out)]) == 0
+    assert len(taken) > 100 and min(taken[:-1]) >= 1e-5
+    solver = out.read_text().splitlines()[1].split()
+    assert float(dict(f.split("=") for f in solver[2:])["dt_min"]) == min(taken)
+
+
 def test_delay_simulate_measures_each_state_once(monkeypatch, capsys):
-    # the Heun loop measures each state's second moment once: between
-    # saves from the nodal values, without a field; at a save from the
-    # snapshot field, whose report reads that kept integral again.  So
-    # the measures number the states (the start and one per accepted
-    # step) plus the sampled profile the reports pair against, and no
-    # field or array is measured twice
-    fields, arrays, steps = [], [], []
+    # the Heun loop measures the second moment of each step's end state
+    # once: from the nodal values, without a field, or from the snapshot
+    # field when the step ends on a save, whose report reads that kept
+    # integral again.  A save inside a step is interpolated, and its
+    # report measures its own field.  So the measures number the start,
+    # one per accepted step, one per interpolated save and the sampled
+    # profile the reports pair against, and no field or array is
+    # measured twice
+    fields, arrays, steps, interpolated = [], [], [], []
     quad = RadialField.quad
     second_moment_of = fdstab.flow._second_moment_of
     advance = fdstab.flow._Stepper.advance
+    hermite_weights = fdstab.flow._hermite_weights
 
     def counted_quad(self, integrand, moment=0):
         if moment == 2:
@@ -221,12 +248,16 @@ def test_delay_simulate_measures_each_state_once(monkeypatch, capsys):
     monkeypatch.setattr(RadialField, "quad", counted_quad)
     monkeypatch.setattr(fdstab.flow, "_second_moment_of", counted_second_moment_of)
     monkeypatch.setattr(fdstab.flow._Stepper, "advance", counted_advance)
+    monkeypatch.setattr(fdstab.flow, "_hermite_weights",
+                        lambda theta, dt: interpolated.append(theta)
+                        or hermite_weights(theta, dt))
     code, _ = run(["delay", "--d", "3", "--m", "0.6666666666666666",
                    "--simulate"], capsys)
     assert code == 0
     assert len(fields) == len({id(f) for f in fields})
     assert len(arrays) == len({id(a) for a in arrays})
-    assert len(arrays) > 100 and len(fields) + len(arrays) == 1 + len(steps) + 1
+    assert len(arrays) > 100 and len(interpolated) > 10
+    assert len(fields) + len(arrays) == 1 + len(steps) + len(interpolated) + 1
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
